@@ -56,7 +56,7 @@ pub mod snapshot;
 
 pub use compare::{
     bisimilar, bisimilar_governed, bisimilar_governed_jobs, bisimilar_opts, bisimilar_states,
-    BisimCheck,
+    div_bisimilar_to_quotient, BisimCheck,
 };
 pub use diagnostics::{distinguishing_formula, Formula};
 pub use divergence::{

@@ -1,7 +1,7 @@
 //! Quotient transition systems (Definition 5.1).
 
 use crate::partition::Partition;
-use bb_lts::{Lts, LtsBuilder, StateId};
+use bb_lts::{ActionId, Lts, LtsBuilder, StateId};
 
 /// The quotient `Δ/≈` of an object system under a partition, per
 /// Definition 5.1: visible transitions project onto blocks unconditionally;
@@ -32,6 +32,17 @@ pub fn quotient(lts: &Lts, p: &Partition) -> Quotient {
     let _span = bb_obs::span("quotient")
         .with("states", lts.num_states())
         .with("blocks", p.num_blocks());
+    let (b, representatives) = project(lts, p);
+    let init = StateId(p.block_of(lts.initial()).0);
+    Quotient {
+        lts: b.build(init),
+        representatives,
+    }
+}
+
+/// The transitions of the Definition 5.1 quotient of `lts` under `p`, in a
+/// builder the caller finishes, plus each block's least member.
+fn project(lts: &Lts, p: &Partition) -> (LtsBuilder, Vec<StateId>) {
     let mut b = LtsBuilder::new();
     b.add_states(p.num_blocks());
 
@@ -43,6 +54,10 @@ pub fn quotient(lts: &Lts, p: &Partition) -> Quotient {
         }
     }
 
+    // Each source action is interned once, on its first surviving
+    // occurrence, so quotient action ids (and `.aut` bytes) follow
+    // transition order.
+    let mut ids: Vec<Option<ActionId>> = vec![None; lts.num_actions()];
     for (src, act, dst) in lts.iter_transitions() {
         let bs = p.block_of(src);
         let bd = p.block_of(dst);
@@ -50,15 +65,10 @@ pub fn quotient(lts: &Lts, p: &Partition) -> Quotient {
         if !visible && bs == bd {
             continue; // inert τ-step: dropped by rule (2) of Definition 5.1
         }
-        let aid = b.intern_action(lts.action(act).clone());
+        let aid = *ids[act.index()].get_or_insert_with(|| b.intern_action(lts.action(act).clone()));
         b.add_transition(StateId(bs.0), aid, StateId(bd.0));
     }
-
-    let init = StateId(p.block_of(lts.initial()).0);
-    Quotient {
-        lts: b.build(init),
-        representatives,
-    }
+    (b, representatives)
 }
 
 /// Builds the *divergence-preserving* quotient of `lts`: the Definition 5.1
@@ -80,26 +90,7 @@ pub fn div_quotient_opts(lts: &Lts, opts: crate::signatures::PartitionOptions) -
     let p =
         crate::signatures::partition_opts(lts, crate::signatures::Equivalence::BranchingDiv, opts);
     let divergent = crate::divergence::divergent_states(lts, &p);
-
-    let mut b = LtsBuilder::new();
-    b.add_states(p.num_blocks());
-    let mut representatives = vec![StateId(u32::MAX); p.num_blocks()];
-    for s in lts.states() {
-        let blk = p.block_of(s).index();
-        if representatives[blk].0 == u32::MAX {
-            representatives[blk] = s;
-        }
-    }
-    for (src, act, dst) in lts.iter_transitions() {
-        let bs = p.block_of(src);
-        let bd = p.block_of(dst);
-        let visible = lts.is_visible(act);
-        if !visible && bs == bd {
-            continue;
-        }
-        let aid = b.intern_action(lts.action(act).clone());
-        b.add_transition(StateId(bs.0), aid, StateId(bd.0));
-    }
+    let (mut b, representatives) = project(lts, &p);
     // Re-introduce divergences as block-level self-loops.
     let tau = b.intern_action(bb_lts::Action::tau(bb_lts::ThreadId(0)));
     for (blk, rep) in representatives.iter().enumerate() {

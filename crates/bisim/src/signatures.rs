@@ -579,7 +579,8 @@ fn refine_once(
 }
 
 /// The reference engine: every round recomputes all signatures and splits
-/// every block.
+/// every block. Refinement starts from `init` (the universal partition when
+/// `None`) unless a checkpoint `seed` overrides it.
 #[allow(clippy::too_many_arguments)]
 fn run_full(
     lts: &Lts,
@@ -590,6 +591,7 @@ fn run_full(
     stats: Option<&mut RefineStats>,
     persist: Option<&PersistHook>,
     seed: Option<(Partition, u64)>,
+    init: Option<&Partition>,
 ) -> Result<Partition, Exhausted> {
     let n = lts.num_states();
     let span = bb_obs::span("bisim")
@@ -604,9 +606,9 @@ fn run_full(
         return Err(meter.exhausted(ExhaustReason::StateCap));
     }
     let ctx = Ctx::with_jobs(lts, eq, jobs);
-    let mut p = Partition::universal(n);
+    let mut p = init.cloned().unwrap_or_else(|| Partition::universal(n));
     let mut round = 0usize;
-    // A checkpoint seed replaces the universal start: each round is a pure
+    // A checkpoint seed replaces the initial partition: each round is a pure
     // function of the current partition, so re-entering at the checkpointed
     // round converges to the identical fixpoint, block ids included.
     // Seeding is disabled on history runs (the coarser prefix would be
@@ -881,9 +883,13 @@ struct Incremental<'c, 'a> {
 }
 
 impl<'c, 'a> Incremental<'c, 'a> {
-    fn new(ctx: &'c Ctx<'a>, preds: Option<&'c PredecessorTable>) -> Self {
+    /// An engine whose labels start as the blocks of `start`. Round 0
+    /// recomputes every signature whatever the start, so any partition
+    /// without empty blocks is a valid starting point.
+    fn new(ctx: &'c Ctx<'a>, preds: Option<&'c PredecessorTable>, start: &Partition) -> Self {
         let lts = ctx.lts;
         let n = lts.num_states();
+        debug_assert_eq!(start.num_states(), n);
         if let Some(p) = preds {
             debug_assert_eq!(p.num_entries(), lts.num_transitions());
         }
@@ -893,13 +899,9 @@ impl<'c, 'a> Incremental<'c, 'a> {
                 Some(p) => Cow::Borrowed(p),
                 None => Cow::Owned(lts.predecessor_table()),
             },
-            block_of: vec![0u32; n],
-            num_blocks: usize::from(n != 0),
-            members: if n == 0 {
-                Vec::new()
-            } else {
-                vec![(0..n as u32).map(StateId).collect()]
-            },
+            block_of: start.assignment().iter().map(|b| b.0).collect(),
+            num_blocks: start.num_blocks(),
+            members: start.blocks(),
             arena: SigArena::new(),
             sig_id: vec![NO_SIG; n],
             changed: Vec::new(),
@@ -1720,7 +1722,8 @@ impl<'c, 'a> Incremental<'c, 'a> {
 /// The incremental engine (see the module docs and DESIGN.md § "Incremental
 /// refinement"). A fused pipeline passes the predecessor table it
 /// accumulated during exploration via `preds`; the engine builds its own
-/// otherwise.
+/// otherwise. Refinement starts from `init` (the universal partition when
+/// `None`).
 #[allow(clippy::too_many_arguments)]
 fn run_incremental(
     lts: &Lts,
@@ -1731,6 +1734,7 @@ fn run_incremental(
     stats: Option<&mut RefineStats>,
     persist: Option<&PersistHook>,
     preds: Option<&PredecessorTable>,
+    init: Option<&Partition>,
 ) -> Result<Partition, Exhausted> {
     let n = lts.num_states();
     let span = bb_obs::span("bisim")
@@ -1743,10 +1747,11 @@ fn run_incremental(
         return Err(meter.exhausted(ExhaustReason::StateCap));
     }
     let ctx = Ctx::with_jobs(lts, eq, jobs);
-    let mut eng = Incremental::new(&ctx, preds);
+    let start = init.map_or_else(|| Cow::Owned(Partition::universal(n)), Cow::Borrowed);
+    let mut eng = Incremental::new(&ctx, preds, &start);
     let mut rounds: Vec<Partition> = Vec::new();
     if history.is_some() {
-        rounds.push(Partition::universal(n));
+        rounds.push(start.into_owned());
     }
     let mut mem_accounted = 0usize;
     let mut round = 0usize;
@@ -1811,7 +1816,12 @@ fn run_incremental(
     Ok(p)
 }
 
-fn run_governed_opts(
+/// The governed refinement behind every public entry point. `init` is the
+/// partition refinement starts from (the universal one when `None`); it must
+/// be coarser than the requested equivalence, and then the result — block
+/// ids included — is the same as from the universal start.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_governed_opts(
     lts: &Lts,
     eq: Equivalence,
     history: Option<&mut Vec<Partition>>,
@@ -1819,6 +1829,7 @@ fn run_governed_opts(
     opts: PartitionOptions,
     stats: Option<&mut RefineStats>,
     preds: Option<&PredecessorTable>,
+    init: Option<&Partition>,
 ) -> Result<Partition, Exhausted> {
     // Every governed refinement call in the workspace funnels through here,
     // so this is the one place checkpointing hooks in. `begin_refine` is
@@ -1845,12 +1856,14 @@ fn run_governed_opts(
     // `preds` is simply dropped here — checkpoint cut points stay valid
     // mid-fused-run by construction.
     if seed.is_some() {
-        return run_full(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), seed);
+        return run_full(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), seed, None);
     }
     match opts.mode {
-        RefineMode::Full => run_full(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), None),
+        RefineMode::Full => {
+            run_full(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), None, init)
+        }
         RefineMode::Incremental => {
-            run_incremental(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), preds)
+            run_incremental(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), preds, init)
         }
     }
 }
@@ -1869,7 +1882,7 @@ pub fn partition(lts: &Lts, eq: Equivalence) -> Partition {
 /// refinement engine). Every option combination computes the same partition,
 /// block ids included.
 pub fn partition_opts(lts: &Lts, eq: Equivalence, opts: PartitionOptions) -> Partition {
-    run_governed_opts(lts, eq, None, &Watchdog::unlimited(), opts, None, None)
+    run_governed_opts(lts, eq, None, &Watchdog::unlimited(), opts, None, None, None)
         .expect("an unlimited watchdog never trips")
 }
 
@@ -1901,7 +1914,7 @@ pub fn partition_governed_opts(
     wd: &Watchdog,
     opts: PartitionOptions,
 ) -> Result<Partition, Exhausted> {
-    run_governed_opts(lts, eq, None, wd, opts, None, None)
+    run_governed_opts(lts, eq, None, wd, opts, None, None, None)
 }
 
 /// [`partition_governed_opts`] with a caller-provided [`PredecessorTable`]
@@ -1921,7 +1934,7 @@ pub fn partition_governed_pre(
     opts: PartitionOptions,
     preds: Option<&PredecessorTable>,
 ) -> Result<Partition, Exhausted> {
-    run_governed_opts(lts, eq, None, wd, opts, None, preds)
+    run_governed_opts(lts, eq, None, wd, opts, None, preds, None)
 }
 
 /// [`partition`] with `jobs` worker threads for the per-round signature
@@ -1961,8 +1974,17 @@ pub fn partition_with_history_opts(
     opts: PartitionOptions,
 ) -> (Partition, RefinementHistory) {
     let mut rounds = Vec::new();
-    let p = run_governed_opts(lts, eq, Some(&mut rounds), &Watchdog::unlimited(), opts, None, None)
-        .expect("an unlimited watchdog never trips");
+    let p = run_governed_opts(
+        lts,
+        eq,
+        Some(&mut rounds),
+        &Watchdog::unlimited(),
+        opts,
+        None,
+        None,
+        None,
+    )
+    .expect("an unlimited watchdog never trips");
     (p, RefinementHistory { rounds })
 }
 
@@ -1977,8 +1999,17 @@ pub fn partition_with_history_pre(
     preds: Option<&PredecessorTable>,
 ) -> (Partition, RefinementHistory) {
     let mut rounds = Vec::new();
-    let p = run_governed_opts(lts, eq, Some(&mut rounds), &Watchdog::unlimited(), opts, None, preds)
-        .expect("an unlimited watchdog never trips");
+    let p = run_governed_opts(
+        lts,
+        eq,
+        Some(&mut rounds),
+        &Watchdog::unlimited(),
+        opts,
+        None,
+        preds,
+        None,
+    )
+    .expect("an unlimited watchdog never trips");
     (p, RefinementHistory { rounds })
 }
 
@@ -1990,8 +2021,17 @@ pub fn partition_with_stats(
     opts: PartitionOptions,
 ) -> (Partition, RefineStats) {
     let mut stats = RefineStats::default();
-    let p = run_governed_opts(lts, eq, None, &Watchdog::unlimited(), opts, Some(&mut stats), None)
-        .expect("an unlimited watchdog never trips");
+    let p = run_governed_opts(
+        lts,
+        eq,
+        None,
+        &Watchdog::unlimited(),
+        opts,
+        Some(&mut stats),
+        None,
+        None,
+    )
+    .expect("an unlimited watchdog never trips");
     (p, stats)
 }
 
@@ -2013,6 +2053,7 @@ pub fn partition_with_stats_pre(
         opts,
         Some(&mut stats),
         preds,
+        None,
     )
     .expect("an unlimited watchdog never trips");
     (p, stats)

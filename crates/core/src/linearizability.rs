@@ -1,7 +1,9 @@
 //! Linearizability checking on branching-bisimulation quotients
 //! (Theorem 5.3).
 
-use bb_bisim::{partition_governed_pre, quotient, Equivalence, PartitionOptions};
+use bb_bisim::{
+    partition_governed_pre, quotient, Equivalence, Partition, PartitionOptions, Quotient,
+};
 use bb_lts::budget::{Exhausted, Watchdog};
 use bb_lts::{Jobs, Lts, PredecessorTable};
 use bb_refine::{trace_refines_governed, RefineOptions, Violation};
@@ -25,7 +27,8 @@ pub struct LinReport {
     pub refinement_product_states: usize,
     /// A non-linearizable history (shortest), when found.
     pub violation: Option<Violation>,
-    /// Wall-clock time of quotienting plus refinement.
+    /// Wall-clock time of the specification's quotienting plus refinement
+    /// (Δ/≈ is an input of the check).
     pub time: Duration,
 }
 
@@ -100,13 +103,16 @@ pub fn verify_linearizability_opts(
     wd: &Watchdog,
     opts: PartitionOptions,
 ) -> Result<LinReport, Exhausted> {
-    verify_linearizability_pre(imp, spec, wd, opts, None, None)
+    let (_, q_imp) = branching_quotient(imp, wd, opts, None)?;
+    verify_linearizability_pre(imp, spec, wd, opts, &q_imp, None)
 }
 
-/// [`verify_linearizability_opts`] with caller-provided reverse adjacencies
-/// for the two quotient refinements — the fused (`--fuse`) entry point,
-/// where exploration already accumulated each LTS's predecessor table. The
-/// report is identical with or without the tables.
+/// [`verify_linearizability_opts`] given the implementation's quotient
+/// `imp_quotient` = Δ/≈, which a verify computes once and shares with the
+/// lock-freedom check, and optionally the specification's reverse adjacency
+/// for its quotient refinement (the fused `--fuse` entry point, where
+/// exploration already accumulated it). The report is identical with or
+/// without the table.
 ///
 /// # Errors
 ///
@@ -116,32 +122,43 @@ pub fn verify_linearizability_pre(
     spec: &Lts,
     wd: &Watchdog,
     opts: PartitionOptions,
-    imp_preds: Option<&PredecessorTable>,
+    imp_quotient: &Quotient,
     spec_preds: Option<&PredecessorTable>,
 ) -> Result<LinReport, Exhausted> {
     let span = bb_obs::span("lin")
         .with("impl_states", imp.num_states())
         .with("spec_states", spec.num_states());
     let start = Instant::now();
-    let p_imp = partition_governed_pre(imp, Equivalence::Branching, wd, opts, imp_preds)?;
-    let q_imp = quotient(imp, &p_imp);
     let p_spec = partition_governed_pre(spec, Equivalence::Branching, wd, opts, spec_preds)?;
     let q_spec = quotient(spec, &p_spec);
     let refinement =
-        trace_refines_governed(&q_imp.lts, &q_spec.lts, RefineOptions::default(), wd)?;
+        trace_refines_governed(&imp_quotient.lts, &q_spec.lts, RefineOptions::default(), wd)?;
     span.record("linearizable", u64::from(refinement.holds));
-    span.record("impl_quotient_states", q_imp.lts.num_states());
+    span.record("impl_quotient_states", imp_quotient.lts.num_states());
     span.record("spec_quotient_states", q_spec.lts.num_states());
     Ok(LinReport {
         linearizable: refinement.holds,
         impl_states: imp.num_states(),
-        impl_quotient_states: q_imp.lts.num_states(),
+        impl_quotient_states: imp_quotient.lts.num_states(),
         spec_states: spec.num_states(),
         spec_quotient_states: q_spec.lts.num_states(),
         refinement_product_states: refinement.product_states,
         violation: refinement.violation,
         time: start.elapsed(),
     })
+}
+
+/// The branching partition of `lts` and its quotient (Definition 5.1) —
+/// computed once per verify and read by both checks.
+pub(crate) fn branching_quotient(
+    lts: &Lts,
+    wd: &Watchdog,
+    opts: PartitionOptions,
+    preds: Option<&PredecessorTable>,
+) -> Result<(Partition, Quotient), Exhausted> {
+    let p = partition_governed_pre(lts, Equivalence::Branching, wd, opts, preds)?;
+    let q = quotient(lts, &p);
+    Ok((p, q))
 }
 
 #[cfg(test)]

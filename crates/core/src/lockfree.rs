@@ -1,12 +1,13 @@
 //! Lock-freedom checking via divergence-sensitive branching bisimulation
 //! (Theorems 5.8 and 5.9).
 
+use crate::linearizability::branching_quotient;
 use bb_bisim::{
-    bisimilar_governed_jobs, bisimilar_opts, divergence_witness_governed, partition_governed_pre,
-    quotient, Equivalence, Lasso, PartitionOptions,
+    bisimilar_governed_jobs, div_bisimilar_to_quotient, divergence_witness_governed, Equivalence,
+    Lasso, Partition, PartitionOptions, Quotient,
 };
 use bb_lts::budget::{Exhausted, Watchdog};
-use bb_lts::{Jobs, Lts, PredecessorTable};
+use bb_lts::{Jobs, Lts};
 use std::time::{Duration, Instant};
 
 /// Result of the automatic lock-freedom check (Theorem 5.9).
@@ -22,7 +23,8 @@ pub struct LockFreeReport {
     pub div_bisimilar_to_quotient: bool,
     /// A τ-cycle witness (Fig. 9 style) when lock-freedom is violated.
     pub divergence: Option<Lasso>,
-    /// Wall-clock time.
+    /// Wall-clock time of the `≈div` check and the witness search (Δ/≈ is
+    /// an input of the check).
     pub time: Duration,
 }
 
@@ -101,14 +103,16 @@ pub fn verify_lock_freedom_opts(
     wd: &Watchdog,
     opts: PartitionOptions,
 ) -> Result<LockFreeReport, Exhausted> {
-    verify_lock_freedom_pre(imp, wd, opts, None)
+    let (p, q) = branching_quotient(imp, wd, opts, None)?;
+    verify_lock_freedom_pre(imp, wd, opts, &p, &q)
 }
 
-/// [`verify_lock_freedom_opts`] with a caller-provided reverse adjacency
-/// for the implementation's quotient refinement — the fused (`--fuse`)
-/// entry point. The `≈div` comparison against the quotient runs over a
-/// disjoint union the fused exploration never saw, so it keeps building its
-/// own table; the report is identical either way.
+/// [`verify_lock_freedom_opts`] given the implementation's branching
+/// partition `imp_partition` and its quotient `imp_quotient` = Δ/≈, which a
+/// verify computes once and shares with the linearizability check. The
+/// `≈div` refinement of Δ ⊎ Δ/≈ starts from `≈` lifted to the union (see
+/// [`div_bisimilar_to_quotient`]); the report is identical to refining from
+/// the universal partition.
 ///
 /// # Errors
 ///
@@ -117,13 +121,12 @@ pub fn verify_lock_freedom_pre(
     imp: &Lts,
     wd: &Watchdog,
     opts: PartitionOptions,
-    imp_preds: Option<&PredecessorTable>,
+    imp_partition: &Partition,
+    imp_quotient: &Quotient,
 ) -> Result<LockFreeReport, Exhausted> {
     let span = bb_obs::span("lockfree").with("impl_states", imp.num_states());
     let start = Instant::now();
-    let p = partition_governed_pre(imp, Equivalence::Branching, wd, opts, imp_preds)?;
-    let q = quotient(imp, &p);
-    let div_bisim = bisimilar_opts(imp, &q.lts, Equivalence::BranchingDiv, wd, opts)?;
+    let (div_bisim, _) = div_bisimilar_to_quotient(imp, imp_partition, imp_quotient, wd, opts)?;
     let divergence = if div_bisim {
         None
     } else {
@@ -135,11 +138,11 @@ pub fn verify_lock_freedom_pre(
         w
     };
     span.record("lock_free", u64::from(div_bisim));
-    span.record("quotient_states", q.lts.num_states());
+    span.record("quotient_states", imp_quotient.lts.num_states());
     Ok(LockFreeReport {
         lock_free: div_bisim,
         impl_states: imp.num_states(),
-        quotient_states: q.lts.num_states(),
+        quotient_states: imp_quotient.lts.num_states(),
         div_bisimilar_to_quotient: div_bisim,
         divergence,
         time: start.elapsed(),

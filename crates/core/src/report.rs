@@ -1,9 +1,9 @@
 //! One-call verification pipeline for an algorithm/specification pair.
 
-use crate::linearizability::{verify_linearizability_pre, LinReport};
+use crate::linearizability::{branching_quotient, verify_linearizability_pre, LinReport};
 use bb_bisim::{Lasso, PartitionOptions, RefineMode};
 use crate::lockfree::{verify_lock_freedom_pre, LockFreeReport};
-use bb_lts::budget::Watchdog;
+use bb_lts::budget::{Exhausted, Watchdog};
 use bb_lts::{ExploreError, ExploreLimits, Jobs, Lts, PredecessorTable};
 use bb_lts::ExploreOptions;
 use bb_sim::{
@@ -163,8 +163,7 @@ pub fn verify_case_lts(
 }
 
 /// [`verify_case_lts`] with the reverse adjacencies a fused exploration
-/// accumulated. Each table is built once here and shared by the
-/// linearizability and lock-freedom refinements over the same LTS.
+/// accumulated, handed to the partition refinement of each LTS.
 pub fn verify_case_lts_pre(
     name: &'static str,
     config: VerifyConfig,
@@ -176,19 +175,49 @@ pub fn verify_case_lts_pre(
     let popts = PartitionOptions::default()
         .with_jobs(config.jobs)
         .with_mode(config.refine);
-    let wd = Watchdog::unlimited();
-    let linearizability = verify_linearizability_pre(imp, spec, &wd, popts, imp_preds, spec_preds)
-        .expect("an unlimited watchdog never trips");
-    let lock_freedom = config.check_lock_freedom.then(|| {
-        verify_lock_freedom_pre(imp, &wd, popts, imp_preds)
-            .expect("an unlimited watchdog never trips")
-    });
-    CaseReport {
+    check_case_lts(
         name,
-        bound: config.bound,
+        config.bound,
+        config.check_lock_freedom,
+        imp,
+        spec,
+        &Watchdog::unlimited(),
+        popts,
+        imp_preds,
+        spec_preds,
+    )
+    .expect("an unlimited watchdog never trips")
+}
+
+/// Both methods of Fig. 1 over explored LTSs — the pipeline of
+/// [`verify_case_lts_pre`] and of every rung of the governed ladder. Δ is
+/// partitioned and quotiented once; the linearizability check refines Δ/≈
+/// against Θsp/≈ and the lock-freedom check compares Δ with the same Δ/≈.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn check_case_lts(
+    name: &'static str,
+    bound: Bound,
+    check_lock_freedom: bool,
+    imp: &Lts,
+    spec: &Lts,
+    wd: &Watchdog,
+    opts: PartitionOptions,
+    imp_preds: Option<&PredecessorTable>,
+    spec_preds: Option<&PredecessorTable>,
+) -> Result<CaseReport, Exhausted> {
+    let (p_imp, q_imp) = branching_quotient(imp, wd, opts, imp_preds)?;
+    let linearizability = verify_linearizability_pre(imp, spec, wd, opts, &q_imp, spec_preds)?;
+    let lock_freedom = if check_lock_freedom {
+        Some(verify_lock_freedom_pre(imp, wd, opts, &p_imp, &q_imp)?)
+    } else {
+        None
+    };
+    Ok(CaseReport {
+        name,
+        bound,
         linearizability,
         lock_freedom,
-    }
+    })
 }
 
 /// Renders a divergence/starvation lasso in the CADP style of Fig. 9:

@@ -22,9 +22,7 @@
 //! ladder — a blown deadline fails the remaining rungs fast — while
 //! state/transition/memory caps are per stage and reset on every rung.
 
-use crate::linearizability::verify_linearizability_pre;
-use crate::lockfree::verify_lock_freedom_pre;
-use crate::report::CaseReport;
+use crate::report::{check_case_lts, CaseReport};
 use bb_bisim::PartitionOptions;
 use bb_lts::budget::{Budget, Exhausted, Watchdog};
 use bb_lts::{Jobs, Lts};
@@ -322,32 +320,22 @@ fn pipeline_lts(
     wd: &Watchdog,
     opts: PartitionOptions,
 ) -> Result<CaseReport, Exhausted> {
-    // When fusing, build each reverse adjacency once and share the
-    // implementation's between the linearizability and lock-freedom passes.
     let (imp_preds, spec_preds) = if fuse {
         (Some(imp.predecessor_table()), Some(spec.predecessor_table()))
     } else {
         (None, None)
     };
-    let linearizability = verify_linearizability_pre(
+    check_case_lts(
+        name,
+        bound,
+        check_lock_freedom,
         imp,
         spec,
         wd,
         opts,
         imp_preds.as_ref(),
         spec_preds.as_ref(),
-    )?;
-    let lock_freedom = if check_lock_freedom {
-        Some(verify_lock_freedom_pre(imp, wd, opts, imp_preds.as_ref())?)
-    } else {
-        None
-    };
-    Ok(CaseReport {
-        name,
-        bound,
-        linearizability,
-        lock_freedom,
-    })
+    )
 }
 
 /// Strong-bisimulation pre-reduction: replace `lts` by its strong quotient.

@@ -4,6 +4,7 @@
 //! Definition 5.5) is performed on their disjoint union: the systems are
 //! bisimilar iff their initial states are related in the union.
 
+use crate::action::ActionId;
 use crate::builder::LtsBuilder;
 use crate::lts::{Lts, StateId};
 
@@ -36,16 +37,21 @@ impl DisjointUnion {
 
 /// Builds the disjoint union of `l1` and `l2`, re-interning actions so that
 /// syntactically equal labels of the two systems share an action id.
+///
+/// Each source action is interned once, on its first occurrence in
+/// transition order, so union action ids follow that order.
 pub fn disjoint_union(l1: &Lts, l2: &Lts) -> DisjointUnion {
     let mut b = LtsBuilder::new();
     b.add_states(l1.num_states() + l2.num_states());
     let offset = l1.num_states() as u32;
+    let mut ids: Vec<Option<ActionId>> = vec![None; l1.num_actions()];
     for (src, act, dst) in l1.iter_transitions() {
-        let aid = b.intern_action(l1.action(act).clone());
+        let aid = *ids[act.index()].get_or_insert_with(|| b.intern_action(l1.action(act).clone()));
         b.add_transition(src, aid, dst);
     }
+    let mut ids: Vec<Option<ActionId>> = vec![None; l2.num_actions()];
     for (src, act, dst) in l2.iter_transitions() {
-        let aid = b.intern_action(l2.action(act).clone());
+        let aid = *ids[act.index()].get_or_insert_with(|| b.intern_action(l2.action(act).clone()));
         b.add_transition(
             StateId(src.0 + offset),
             aid,

@@ -234,6 +234,9 @@ fn dispatch_named(spec: &JobSpec, ctl: &RunCtl, out: &mut RunOutput) -> i32 {
 /// seeds the LTS directly, and a freshly explored one is offered back
 /// (stage boundaries are always cut points).
 ///
+/// `--compact off` and `--spill` select the seen-set exactly as on the
+/// budgeted path.
+///
 /// With `--fuse` (and no `--reduce`), exploration streams its transitions
 /// through an in-degree sink and the accumulated reverse adjacency is
 /// returned alongside the LTS for the refinement passes to reuse. A
@@ -245,6 +248,7 @@ fn explore_or_inconclusive<A: ObjectAlgorithm>(
     bound: Bound,
     wd: &Watchdog,
     spec: &JobSpec,
+    ctl: &RunCtl,
 ) -> Result<(Lts, Option<PredecessorTable>), i32> {
     let persist = bb_persist::active();
     let section = format!("{}/b{}-{}", alg.name(), bound.threads, bound.ops_per_thread);
@@ -253,7 +257,13 @@ fn explore_or_inconclusive<A: ObjectAlgorithm>(
             return Ok((lts, None));
         }
     }
-    let eo = ExploreOptions::governed(wd).with_jobs(spec.jobs);
+    let spill = ctl.spill_dir.as_deref().map(bb_persist::SpillDir::new);
+    let mut eo = ExploreOptions::governed(wd)
+        .with_jobs(spec.jobs)
+        .with_compact(!ctl.no_compact);
+    if let Some(sd) = spill.as_ref() {
+        eo = eo.with_spill(sd);
+    }
     let result = if spec.reduce != ReduceMode::None {
         explore_reduced(alg, bound, spec.reduce, &eo).map(|(lts, stats)| {
             bb_obs::diag!("reduction {} [{}]: {stats}", spec.reduce, alg.name());
@@ -296,7 +306,7 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
     }
 
     let wd = Watchdog::new(budget_of(spec, ctl));
-    let (imp, imp_preds) = match explore_or_inconclusive(alg, bound, &wd, spec) {
+    let (imp, imp_preds) = match explore_or_inconclusive(alg, bound, &wd, spec, ctl) {
         Ok(l) => l,
         Err(c) => return c,
     };
@@ -381,7 +391,7 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
         return EXIT_PROVED;
     }
 
-    let (sp, sp_preds) = match explore_or_inconclusive(seq, bound, &wd, spec) {
+    let (sp, sp_preds) = match explore_or_inconclusive(seq, bound, &wd, spec, ctl) {
         Ok(l) => l,
         Err(c) => return c,
     };

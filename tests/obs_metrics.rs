@@ -163,3 +163,50 @@ fn histograms_appear_on_reduced_runs() {
         assert_eq!(pair.len(), 2);
     }
 }
+
+/// Δ is partitioned once per verify, on the unbudgeted path and on the
+/// governed ladder alike: exactly one Branching `bisim` span covers |Δ|.
+/// The `≈div` check starts from the lifted `≈` partition, so on a
+/// τ-cycle-free object its `BranchingDiv` span confirms in one round — and
+/// that start is not a checkpoint seed.
+#[test]
+fn delta_is_partitioned_once_and_div_check_runs_one_round() {
+    for budget in [&[][..], &["--max-states", "1e7"][..]] {
+        let m = tmp(&format!("once_{}.json", budget.len()));
+        let mut args = vec![
+            "verify", "ms-queue", "--threads", "2", "--ops", "2", "--metrics", m.to_str().unwrap(),
+        ];
+        args.extend_from_slice(budget);
+        let out = bbv(&args);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let doc = parse(&std::fs::read_to_string(&m).unwrap()).unwrap();
+        let _ = std::fs::remove_file(&m);
+        let spans = doc.get("spans").and_then(JsonValue::as_array).unwrap();
+        let field = |s: &JsonValue, k: &str| s.get("fields").unwrap().get(k).cloned();
+        let mut delta = None;
+        // (eq, states, rounds) of every partition refinement.
+        let mut bisims = Vec::new();
+        for s in spans {
+            match s.get("name").and_then(JsonValue::as_str) {
+                Some("lockfree") => delta = field(s, "impl_states").and_then(|v| v.as_u64()),
+                Some("bisim") => bisims.push((
+                    field(s, "eq").and_then(|v| v.as_str().map(str::to_owned)).unwrap(),
+                    field(s, "states").and_then(|v| v.as_u64()).unwrap(),
+                    field(s, "rounds").and_then(|v| v.as_u64()).unwrap(),
+                )),
+                _ => {}
+            }
+        }
+        let delta = delta.expect("a lockfree span");
+        let over_delta = bisims.iter().filter(|(eq, n, _)| eq == "Branching" && *n == delta);
+        assert_eq!(over_delta.count(), 1, "{budget:?}: Branching partitions of |Δ| = {delta}");
+        let div: Vec<_> = bisims.iter().filter(|(eq, _, _)| eq == "BranchingDiv").collect();
+        assert_eq!(div.len(), 1, "{budget:?}: one ≈div check in {bisims:?}");
+        assert_eq!(div[0].2, 1, "{budget:?}: ≈div rounds");
+        let seed_hits = doc
+            .get("counters")
+            .and_then(|c| c.get("persist.seed_hits"))
+            .and_then(JsonValue::as_u64);
+        assert_eq!(seed_hits, Some(0), "{budget:?}: a lifted start is not a checkpoint seed");
+    }
+}
