@@ -16,8 +16,8 @@
 //!   reconstructed encoding (hashes only route probes). Cold segments —
 //!   wholly below the current BFS frontier — can be spilled to a
 //!   [`SpillBackend`] when the stage's memory meter crosses a high-water
-//!   mark, and are reloaded transparently (and counted) when a later probe
-//!   needs them.
+//!   mark. A later probe that needs a spilled entry reads back only its
+//!   restart group, verified against that group's own checksum.
 //!
 //! Determinism: both stores assign ids in intern order, which the engine
 //! drives in the exact sequential BFS order at any worker count; the spill
@@ -28,8 +28,10 @@
 use crate::budget::Meter;
 use crate::explore::Semantics;
 use crate::lts::StateId;
+use crate::snapshot::fnv1a;
 use std::hash::{Hash, Hasher};
 use std::io;
+use std::ops::Range;
 
 /// A [`Semantics`] whose states have a canonical byte encoding — the
 /// contract of the compact exploration engine
@@ -66,16 +68,19 @@ pub trait CodecSemantics: Semantics {
 
 /// Out-of-core tier for cold state-arena segments (`--spill`).
 ///
-/// Implementations are stateless from the store's point of view (`&self`
-/// methods) so workers can reload segments concurrently. `read_segment`
-/// must return exactly the bytes passed to the matching `write_segment`.
+/// The store owns the layout of a spilled segment (restart groups, each
+/// followed by its checksum) and verifies every byte it reads back, so a
+/// backend only keeps opaque bytes. Implementations are stateless from the
+/// store's point of view (`&self` methods) so workers can read concurrently.
 pub trait SpillBackend: Send + Sync {
-    /// Persists segment `index`. An error disables spilling for the rest of
-    /// the exploration (the store keeps the segment in core).
-    fn write_segment(&self, index: u32, payload: &[u8]) -> io::Result<()>;
+    /// Persists segment `index` as `bytes`, replacing any earlier segment
+    /// with that index. An error disables spilling for the rest of the
+    /// exploration (the store keeps the segment in core).
+    fn write_segment(&self, index: u32, bytes: &[u8]) -> io::Result<()>;
 
-    /// Reloads a previously written segment.
-    fn read_segment(&self, index: u32) -> io::Result<Vec<u8>>;
+    /// Fills all of `buf` with the bytes at `offset` of segment `index`. A
+    /// missing segment or a range past its end is an error.
+    fn read_at(&self, index: u32, offset: u64, buf: &mut [u8]) -> io::Result<()>;
 }
 
 /// Size figures of a state store after (or during) an exploration.
@@ -96,7 +101,7 @@ pub struct StoreMetrics {
 /// exactly once, ids are dense and assigned in intern order, and the BFS
 /// frontier is just an id range read back through [`StateStore::read`].
 pub(crate) trait StateStore<S: Semantics>: Sync {
-    /// Per-reader scan state (decode position, reload cache); workers hold
+    /// Per-reader scan state (decode position, spilled-group cache); workers hold
     /// one each so reads need only `&self`.
     type Cursor: Default + Send;
 
@@ -306,11 +311,23 @@ const SEG_TARGET: usize = 256 * 1024;
 /// random-access decode cost.
 const RESTART_INTERVAL: u32 = 16;
 
-/// One arena segment: in core, or resident on the spill tier (payload
-/// length retained for accounting).
+/// Bytes of the checksum that follows each restart group on the spill tier.
+const GROUP_SUM_BYTES: usize = 8;
+
+/// One arena segment: in core, or resident on the spill tier.
+///
+/// A spilled segment is stored as its restart groups in order, each followed
+/// by [`group_checksum`] as 8 little-endian bytes. Group `g` of the segment
+/// (restart `first_restart + g`) therefore starts at its in-core offset plus
+/// `GROUP_SUM_BYTES * g`, and a probe reads and verifies just that group.
 enum Segment {
     Loaded(Vec<u8>),
-    Spilled,
+    /// `len` is the in-core payload length; `first_restart` indexes the
+    /// restart table at the segment's first group.
+    Spilled {
+        len: u32,
+        first_restart: u32,
+    },
 }
 
 /// Start of a prefix-compression group: entry `first_idx` is stored with a
@@ -325,13 +342,14 @@ struct Restart {
 
 /// Decode position of one reader: the reconstruction buffer holds the full
 /// encoding of entry `next_idx - 1` (the prefix source for `next_idx`), and
-/// `cache` holds at most one reloaded spilled segment.
+/// `group` holds at most one verified spilled restart group, keyed by its
+/// restart index.
 pub(crate) struct ScanCursor {
     next_idx: u32,
     seg: u32,
     off: usize,
     buf: Vec<u8>,
-    cache: Option<(u32, Vec<u8>)>,
+    group: Option<(u32, Vec<u8>)>,
 }
 
 impl Default for ScanCursor {
@@ -341,7 +359,7 @@ impl Default for ScanCursor {
             seg: 0,
             off: 0,
             buf: Vec::new(),
-            cache: None,
+            group: None,
         }
     }
 }
@@ -469,7 +487,8 @@ impl<S: CodecSemantics> StateStore<S> for ArenaStore<'_> {
         let mut key = std::mem::take(&mut self.scratch);
         key.clear();
         sem.encode_state(&state, &mut key);
-        let tag = (fnv1a64(&key) >> 32) as u32;
+        // The content hash of the canonical encoding routes index probes.
+        let tag = (fnv1a(0, &key) >> 32) as u32;
         let new_id = self.len;
         let (segments, restarts, spill, probe_cur) = (
             &self.segments,
@@ -536,32 +555,30 @@ impl<S: CodecSemantics> StateStore<S> for ArenaStore<'_> {
         // entry is cold: the frontier itself (and its restart group) stays
         // in core, so workers never wait on a reload.
         let boundary = restart_for(&self.restarts, frontier_start).seg;
-        for seg in 0..boundary as usize {
-            if !matches!(self.segments[seg], Segment::Loaded(_)) {
+        for seg in 0..boundary {
+            let Segment::Loaded(payload) = &self.segments[seg as usize] else {
                 continue;
-            }
-            let Segment::Loaded(payload) =
-                std::mem::replace(&mut self.segments[seg], Segment::Spilled)
-            else {
-                unreachable!()
             };
-            match backend.write_segment(seg as u32, &payload) {
-                Ok(()) => {
-                    self.loaded_bytes -= payload.capacity();
-                    self.spilled_segments += 1;
-                    self.spilled_bytes += payload.len() as u64;
-                    bb_obs::hot::SPILL_SEGMENTS.incr();
-                    bb_obs::hot::SPILL_BYTES.add(payload.len() as u64);
-                    self.segments[seg] = Segment::Spilled;
-                }
-                Err(_) => {
-                    // Keep the segment in core and stop spilling: the run
-                    // degrades to in-core behavior instead of failing.
-                    self.segments[seg] = Segment::Loaded(payload);
-                    self.spill_broken = true;
-                    return;
-                }
+            let first = self.restarts.partition_point(|r| r.seg < seg);
+            if backend
+                .write_segment(seg, &spill_image(seg, payload, &self.restarts, first))
+                .is_err()
+            {
+                // Keep the segment in core and stop spilling: the run
+                // degrades to in-core behavior instead of failing.
+                self.spill_broken = true;
+                return;
             }
+            let len = payload.len();
+            self.loaded_bytes -= payload.capacity();
+            self.spilled_segments += 1;
+            self.spilled_bytes += len as u64;
+            bb_obs::hot::SPILL_SEGMENTS.incr();
+            bb_obs::hot::SPILL_BYTES.add(len as u64);
+            self.segments[seg as usize] = Segment::Spilled {
+                len: len as u32,
+                first_restart: first as u32,
+            };
         }
     }
 
@@ -584,12 +601,45 @@ fn restart_for(restarts: &[Restart], idx: u32) -> Restart {
     restarts[i]
 }
 
+/// In-segment byte range of restart group `ri`, in a segment whose payload
+/// is `len` bytes long: a group runs to the next restart in the same
+/// segment, or to the segment's end.
+fn group_range(restarts: &[Restart], ri: usize, len: usize) -> Range<usize> {
+    let r = restarts[ri];
+    let end = match restarts.get(ri + 1) {
+        Some(next) if next.seg == r.seg => next.off as usize,
+        _ => len,
+    };
+    r.off as usize..end
+}
+
+/// Checksum of group `g` of segment `seg` on the spill tier. The seed binds
+/// the group to the position it was written for, so bytes read back from any
+/// other segment or group slot fail verification.
+fn group_checksum(seg: u32, g: u32, group: &[u8]) -> u64 {
+    let position = (u64::from(seg) << 32) | u64::from(g);
+    fnv1a(fnv1a(0, &position.to_le_bytes()), group)
+}
+
+/// The spill-tier image of segment `seg`, whose first restart is
+/// `restarts[first]`: each restart group followed by its checksum.
+fn spill_image(seg: u32, payload: &[u8], restarts: &[Restart], first: usize) -> Vec<u8> {
+    let groups = restarts[first..].partition_point(|r| r.seg == seg);
+    let mut out = Vec::with_capacity(payload.len() + GROUP_SUM_BYTES * groups);
+    for g in 0..groups {
+        let group = &payload[group_range(restarts, first + g, payload.len())];
+        out.extend_from_slice(group);
+        out.extend_from_slice(&group_checksum(seg, g as u32, group).to_le_bytes());
+    }
+    out
+}
+
 /// Reconstructs the full encoding of entry `idx` into `cur.buf`.
 ///
 /// Sequential scans (the BFS frontier) continue from the cursor's position;
 /// anything else repositions at the governing restart and decodes at most
-/// [`RESTART_INTERVAL`] entries. Spilled segments are reloaded through the
-/// cursor's one-segment cache.
+/// [`RESTART_INTERVAL`] entries. In a spilled segment the cursor decodes from
+/// the one restart group it read back (see [`spilled_group`]).
 fn entry_for<'a>(
     segments: &[Segment],
     restarts: &[Restart],
@@ -605,21 +655,34 @@ fn entry_for<'a>(
         cur.buf.clear();
     }
     loop {
-        let payload = seg_payload(segments, spill, cur.seg, &mut cur.cache);
-        if cur.off == payload.len() {
+        // `payload` holds the segment's bytes from offset `base` on.
+        let (payload, base) = match segments[cur.seg as usize] {
+            Segment::Loaded(ref v) => (&v[..], 0),
+            Segment::Spilled { len, first_restart } => spilled_group(
+                restarts,
+                spill,
+                cur.seg,
+                cur.off,
+                len,
+                first_restart,
+                &mut cur.group,
+            ),
+        };
+        let at = cur.off - base;
+        if at == payload.len() {
             // Segment exhausted: the next entry opened a new segment (and a
             // new restart group) at offset 0.
             cur.seg += 1;
             cur.off = 0;
             continue;
         }
-        let (prefix, n1) = get_varint(&payload[cur.off..]);
-        let (suffix, n2) = get_varint(&payload[cur.off + n1..]);
+        let (prefix, n1) = get_varint(&payload[at..]);
+        let (suffix, n2) = get_varint(&payload[at + n1..]);
         let (prefix, suffix) = (prefix as usize, suffix as usize);
-        let start = cur.off + n1 + n2;
+        let start = at + n1 + n2;
         cur.buf.truncate(prefix);
         cur.buf.extend_from_slice(&payload[start..start + suffix]);
-        cur.off = start + suffix;
+        cur.off = base + start + suffix;
         cur.next_idx += 1;
         if cur.next_idx > idx {
             return &cur.buf;
@@ -627,28 +690,50 @@ fn entry_for<'a>(
     }
 }
 
-/// The payload of `seg`: a direct borrow when loaded, the cursor's cached
-/// reload when spilled.
-fn seg_payload<'a>(
-    segments: &'a [Segment],
+/// The spilled restart group of segment `seg` that holds offset `off`, and
+/// the group's in-segment start offset. At the segment's end (`off == len`)
+/// this is the last group, so the caller sees the segment exhausted.
+///
+/// The cursor's `cache` keeps the last group it read. Any other group costs
+/// one positioned read of the group and its checksum.
+///
+/// # Panics
+///
+/// If the group cannot be read in full or fails its checksum: the spill
+/// tier lost or damaged bytes the exploration depends on.
+fn spilled_group<'a>(
+    restarts: &[Restart],
     spill: Option<&dyn SpillBackend>,
     seg: u32,
+    off: usize,
+    len: u32,
+    first_restart: u32,
     cache: &'a mut Option<(u32, Vec<u8>)>,
-) -> &'a [u8] {
-    match &segments[seg as usize] {
-        Segment::Loaded(v) => v,
-        Segment::Spilled => {
-            if cache.as_ref().is_none_or(|(s, _)| *s != seg) {
-                let backend = spill.expect("spilled segment without a spill backend");
-                let payload = backend
-                    .read_segment(seg)
-                    .unwrap_or_else(|e| panic!("failed to reload spilled segment {seg}: {e}"));
-                bb_obs::hot::SPILL_RELOADS.incr();
-                *cache = Some((seg, payload));
-            }
-            &cache.as_ref().expect("cache populated above").1
+) -> (&'a [u8], usize) {
+    let first = first_restart as usize;
+    let g = restarts[first..].partition_point(|r| r.seg == seg && r.off as usize <= off) - 1;
+    let ri = first + g;
+    let range = group_range(restarts, ri, len as usize);
+    if cache.as_ref().is_none_or(|(c, _)| *c as usize != ri) {
+        let backend = spill.expect("spilled segment without a spill backend");
+        let mut bytes = cache.take().map(|(_, b)| b).unwrap_or_default();
+        bytes.resize(range.len() + GROUP_SUM_BYTES, 0);
+        let at = (range.start + GROUP_SUM_BYTES * g) as u64;
+        if let Err(e) = backend.read_at(seg, at, &mut bytes) {
+            panic!("corrupt spilled segment {seg}: group {g}: {e}");
         }
+        let (group, sum) = bytes.split_at(range.len());
+        let sum = u64::from_le_bytes(sum.try_into().expect("checksum is 8 bytes"));
+        if sum != group_checksum(seg, g as u32, group) {
+            panic!("corrupt spilled segment {seg}: group {g} fails its checksum");
+        }
+        bb_obs::hot::SPILL_RELOADS.incr();
+        bb_obs::hot::SPILL_READ_BYTES.add(bytes.len() as u64);
+        bytes.truncate(range.len());
+        *cache = Some((ri as u32, bytes));
     }
+    let (_, group) = cache.as_ref().expect("group cached above");
+    (group, range.start)
 }
 
 fn common_prefix(a: &[u8], b: &[u8]) -> usize {
@@ -687,19 +772,8 @@ fn get_varint(bytes: &[u8]) -> (u64, usize) {
     panic!("truncated varint in arena segment")
 }
 
-/// FNV-1a over the canonical encoding — the content hash routing index
-/// probes. Deterministic by construction.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::action::Action;
     use crate::ThreadId;
@@ -744,30 +818,60 @@ mod tests {
         }
     }
 
-    /// In-memory spill backend with injectable write failure.
+    /// In-memory spill backend with injectable write failure; it records
+    /// the length of every `read_at`.
     #[derive(Default)]
-    struct MemSpill {
-        segments: Mutex<std::collections::HashMap<u32, Vec<u8>>>,
-        fail_writes: bool,
+    pub(crate) struct MemSpill {
+        pub(crate) segments: Mutex<std::collections::HashMap<u32, Vec<u8>>>,
+        pub(crate) fail_writes: bool,
+        pub(crate) reads: Mutex<Vec<usize>>,
     }
 
     impl SpillBackend for MemSpill {
-        fn write_segment(&self, index: u32, payload: &[u8]) -> io::Result<()> {
+        fn write_segment(&self, index: u32, bytes: &[u8]) -> io::Result<()> {
             if self.fail_writes {
                 return Err(io::Error::other("injected"));
             }
-            self.segments.lock().unwrap().insert(index, payload.to_vec());
+            self.segments.lock().unwrap().insert(index, bytes.to_vec());
             Ok(())
         }
 
-        fn read_segment(&self, index: u32) -> io::Result<Vec<u8>> {
-            self.segments
-                .lock()
-                .unwrap()
+        fn read_at(&self, index: u32, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+            let segments = self.segments.lock().unwrap();
+            let seg = segments
                 .get(&index)
-                .cloned()
-                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "missing segment"))
+                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "missing segment"))?;
+            let at = offset as usize;
+            let src = seg
+                .get(at..at + buf.len())
+                .ok_or_else(|| io::Error::from(io::ErrorKind::UnexpectedEof))?;
+            buf.copy_from_slice(src);
+            self.reads.lock().unwrap().push(buf.len());
+            Ok(())
         }
+    }
+
+    /// The longest restart group of `store`, in bytes.
+    pub(crate) fn max_group_len(store: &ArenaStore<'_>) -> usize {
+        (0..store.restarts.len())
+            .map(|ri| {
+                let len = match store.segments[store.restarts[ri].seg as usize] {
+                    Segment::Loaded(ref v) => v.len(),
+                    Segment::Spilled { len, .. } => len as usize,
+                };
+                group_range(&store.restarts, ri, len).len()
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Restart groups held by spilled segments.
+    fn spilled_groups(store: &ArenaStore<'_>) -> usize {
+        store
+            .restarts
+            .iter()
+            .filter(|r| matches!(store.segments[r.seg as usize], Segment::Spilled { .. }))
+            .count()
     }
 
     fn fill(store: &mut ArenaStore<'_>, sem: &Grid, n: u32) -> Vec<StateId> {
@@ -838,18 +942,108 @@ mod tests {
         let m = StateStore::<Grid>::metrics(&store);
         assert!(m.spilled_segments > 0, "cold segments must spill: {m:?}");
         assert!(!spill.segments.lock().unwrap().is_empty());
-        // Every entry — spilled or loaded — still reads back exactly.
+        // Every entry — spilled or loaded — still reads back exactly. An
+        // in-order scan reads each spilled group once, and nothing more.
         let mut cur = ScanCursor::default();
         for (i, s) in expected.iter().enumerate() {
             assert_eq!(store.read(&sem, i as u32, &mut cur), *s, "entry {i}");
         }
+        assert_eq!(spill.reads.lock().unwrap().len(), spilled_groups(&store));
         // Probing a state whose entry is spilled still dedups correctly.
         let (_, fresh) = store.intern(&sem, (0, 0));
         assert!(!fresh, "spilled entries still answer probes");
+        // Each read fetched at most one restart group and its checksum.
+        let group_max = max_group_len(&store) + GROUP_SUM_BYTES;
+        let reads = spill.reads.lock().unwrap();
+        assert_eq!(reads.len(), spilled_groups(&store) + 1);
+        assert!(
+            reads.iter().all(|&n| n <= group_max),
+            "{reads:?} > {group_max}"
+        );
         // The frontier's own segment stayed in core.
         let boundary = restart_for(&store.restarts, frontier_start).seg;
         for seg in boundary as usize..store.segments.len() {
             assert!(matches!(store.segments[seg], Segment::Loaded(_)));
+        }
+    }
+
+    /// Every spilled byte is covered by its group's checksum. Flipping any
+    /// one byte of a spilled segment makes every read of that group panic,
+    /// and reads of the other groups return the right state; a truncated
+    /// segment fails the same way.
+    #[test]
+    fn corrupt_or_truncated_spill_is_detected() {
+        let sem = Grid { side: 1000 };
+        let spill = MemSpill::default();
+        let mut store = ArenaStore::with_seg_target(Some(&spill), 128);
+        let wd = crate::budget::Watchdog::new(
+            crate::budget::Budget::unlimited().with_max_memory_bytes(4096),
+        );
+        let mut meter = wd.meter(crate::budget::Stage::Explore);
+        let expected: Vec<(u32, u32)> = (0..400u32).map(|i| (i / 20, i % 20)).collect();
+        for &s in &expected {
+            store.intern(&sem, s);
+        }
+        meter.add_memory(4000).unwrap();
+        StateStore::<Grid>::end_level(&mut store, 390, &meter);
+        assert!(matches!(store.segments[0], Segment::Spilled { .. }));
+        let image = spill.segments.lock().unwrap()[&0].clone();
+        // Segment 0's groups: file byte range and entry range of each.
+        let len = match store.segments[0] {
+            Segment::Spilled { len, .. } => len as usize,
+            Segment::Loaded(_) => unreachable!(),
+        };
+        let groups: Vec<(Range<usize>, Range<u32>)> = (0..store.restarts.len())
+            .take_while(|&ri| store.restarts[ri].seg == 0)
+            .map(|g| {
+                let bytes = group_range(&store.restarts, g, len);
+                let file = bytes.start + GROUP_SUM_BYTES * g..bytes.end + GROUP_SUM_BYTES * (g + 1);
+                (
+                    file,
+                    store.restarts[g].first_idx..store.restarts[g + 1].first_idx,
+                )
+            })
+            .collect();
+        assert!(groups.len() > 1, "segment 0 must hold several groups");
+        assert_eq!(groups.last().unwrap().0.end, image.len());
+
+        let read = |idx: u32| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                store.read(&sem, idx, &mut ScanCursor::default())
+            }))
+        };
+        let assert_corrupt = |idx: u32, what: &str| {
+            let err = read(idx).expect_err(what);
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("corrupt spilled segment 0"), "{what}: {msg}");
+        };
+        for at in 0..image.len() {
+            let mut bad = image.clone();
+            bad[at] ^= 0xff;
+            spill.segments.lock().unwrap().insert(0, bad);
+            for (file, entries) in &groups {
+                if file.contains(&at) {
+                    // The last entry decodes the whole group.
+                    assert_corrupt(entries.end - 1, &format!("byte {at} flipped"));
+                } else {
+                    for idx in entries.clone() {
+                        assert_eq!(read(idx).unwrap(), expected[idx as usize]);
+                    }
+                }
+            }
+        }
+        // A group verifies only at the position it was written for.
+        let sum = group_checksum(0, 1, &image[..8]);
+        assert_ne!(sum, group_checksum(0, 2, &image[..8]));
+        assert_ne!(sum, group_checksum(1, 1, &image[..8]));
+        let last = groups.last().unwrap().1.end - 1;
+        for cut in [image.len() - 1, image.len() - GROUP_SUM_BYTES, 0] {
+            spill
+                .segments
+                .lock()
+                .unwrap()
+                .insert(0, image[..cut].to_vec());
+            assert_corrupt(last, &format!("truncated to {cut} bytes"));
         }
     }
 

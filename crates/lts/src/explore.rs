@@ -790,6 +790,7 @@ fn expand_level<S: Semantics, ST: StateStore<S>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compact::tests::{max_group_len, MemSpill};
     use crate::ThreadId;
 
     fn gov<S: Semantics>(sem: &S, wd: &Watchdog) -> Result<Lts, Exhausted> {
@@ -1047,37 +1048,16 @@ mod tests {
         }
     }
 
-    /// An in-memory spill tier for engine-level tests.
-    #[derive(Default)]
-    struct MemSpill {
-        segments: std::sync::Mutex<std::collections::HashMap<u32, Vec<u8>>>,
-    }
-
-    impl SpillBackend for MemSpill {
-        fn write_segment(&self, index: u32, payload: &[u8]) -> std::io::Result<()> {
-            self.segments
-                .lock()
-                .unwrap()
-                .insert(index, payload.to_vec());
-            Ok(())
-        }
-        fn read_segment(&self, index: u32) -> std::io::Result<Vec<u8>> {
-            self.segments
-                .lock()
-                .unwrap()
-                .get(&index)
-                .cloned()
-                .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::NotFound, "missing"))
-        }
-    }
-
     /// Spilling cold segments must not change the LTS (any worker count),
     /// and must actually fire under a tight memory cap.
     ///
     /// The semantics is a chain of fat states with a back-edge to the root:
     /// store bytes dominate the meter, each level boundary is a spill
-    /// opportunity, and the back-edge makes every intern probe (and the
-    /// store re-read) segments that spilled long ago.
+    /// opportunity, and the back-edge makes every intern probe a restart
+    /// group that spilled long ago. With 2 KiB segments a segment holds
+    /// about one group, so the run spills and reads across many segment
+    /// boundaries; with 16 KiB segments a segment holds several groups, and
+    /// each probe must read back only one of them.
     #[test]
     fn spill_preserves_lts_bit_identically() {
         let sem = Blob { n: 600, back: true };
@@ -1087,25 +1067,42 @@ mod tests {
         // Cap at roughly half the in-core peak: only spilling keeps the run
         // under it, and the 5/8 high-water mark is crossed mid-run.
         let cap = unspilled.stats.memory_bytes / 2;
-        for jobs in [1, 4] {
-            let spill = MemSpill::default();
-            let wd = Watchdog::new(Budget::unlimited().with_max_memory_bytes(cap));
-            let mut store = ArenaStore::with_seg_target(Some(&spill), 2048);
-            let (lts, report) =
-                explore_impl(&sem, &mut store, &wd, Jobs::new(jobs), None).unwrap();
-            assert!(
-                report.store.spilled_segments > 0,
-                "jobs={jobs}: the tight cap must force spilling: {report:?}"
-            );
-            assert_eq!(
-                crate::aut::to_aut(&lts),
-                crate::aut::to_aut(&baseline),
-                "jobs={jobs}: spilled .aut must be byte-identical"
-            );
-            assert!(
-                report.stats.memory_bytes <= cap,
-                "jobs={jobs}: metered peak must respect the cap"
-            );
+        for seg_target in [2048, 16 * 1024] {
+            for jobs in [1, 4] {
+                let at = format!("seg_target={seg_target} jobs={jobs}");
+                let spill = MemSpill::default();
+                let wd = Watchdog::new(Budget::unlimited().with_max_memory_bytes(cap));
+                let mut store = ArenaStore::with_seg_target(Some(&spill), seg_target);
+                let (lts, report) =
+                    explore_impl(&sem, &mut store, &wd, Jobs::new(jobs), None).unwrap();
+                assert!(
+                    report.store.spilled_segments > 0,
+                    "{at}: the tight cap must force spilling: {report:?}"
+                );
+                // One group and its 8-byte checksum.
+                let group_max = max_group_len(&store) + 8;
+                let reads = spill.reads.lock().unwrap();
+                assert!(!reads.is_empty(), "{at}: probes must read spilled groups");
+                assert!(
+                    reads.iter().all(|&n| n <= group_max),
+                    "{at}: each read is one group and its checksum: {group_max}"
+                );
+                if seg_target == 16 * 1024 {
+                    assert!(
+                        group_max < seg_target / 2,
+                        "{at}: a group read must be well below a segment read"
+                    );
+                }
+                assert_eq!(
+                    crate::aut::to_aut(&lts),
+                    crate::aut::to_aut(&baseline),
+                    "{at}: spilled .aut must be byte-identical"
+                );
+                assert!(
+                    report.stats.memory_bytes <= cap,
+                    "{at}: metered peak must respect the cap"
+                );
+            }
         }
     }
 

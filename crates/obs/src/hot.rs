@@ -243,10 +243,14 @@ pub static FAULTS_INJECTED: Counter = Counter::new("fault.injected");
 pub static FUSE_STREAMED_TRANSITIONS: Counter = Counter::new("fuse.streamed_transitions");
 /// Cold state-arena segments written to the disk-spill tier (`--spill`).
 pub static SPILL_SEGMENTS: Counter = Counter::new("compact.spill_segments");
-/// Payload bytes written to the disk-spill tier (before framing).
+/// Payload bytes written to the disk-spill tier (before group checksums).
 pub static SPILL_BYTES: Counter = Counter::new("compact.spill_bytes");
-/// Spilled segments reloaded from disk to answer a seen-set probe.
+/// Spilled restart groups read back from disk to answer a seen-set probe or
+/// a read: one positioned read of a group and its checksum each (not
+/// whole-segment reloads).
 pub static SPILL_RELOADS: Counter = Counter::new("compact.spill_reloads");
+/// Bytes read back from the disk-spill tier, group checksums included.
+pub static SPILL_READ_BYTES: Counter = Counter::new("compact.spill_read_bytes");
 
 /// Current BFS frontier depth (undiscovered tail of the exploration queue).
 pub static EXPLORE_FRONTIER: Gauge = Gauge::new("explore.frontier_depth");
@@ -275,7 +279,7 @@ pub static JOURNAL_FSYNC_US: Histogram = Histogram::new("serve.journal_fsync_us"
 /// (0 = direct hit; long tails indicate index pressure).
 pub static SEEN_PROBE_LEN: Histogram = Histogram::new("explore.seen_probe_len");
 
-static COUNTERS: [&Counter; 25] = [
+static COUNTERS: [&Counter; 26] = [
     &SIG_STATE_RECOMPUTES,
     &SIG_ROUNDS,
     &SIG_DIRTY_STATES,
@@ -301,6 +305,7 @@ static COUNTERS: [&Counter; 25] = [
     &SPILL_SEGMENTS,
     &SPILL_BYTES,
     &SPILL_RELOADS,
+    &SPILL_READ_BYTES,
 ];
 
 static GAUGES: [&Gauge; 4] = [

@@ -1,22 +1,25 @@
 //! Disk tier for cold state-arena segments (`--spill DIR`).
 //!
-//! [`SpillDir`] implements [`bb_lts::SpillBackend`] on top of the crate's
-//! framed, checksummed container (see [`format`](crate::format)): each
-//! arena segment becomes one sequential file `seg-NNNNNNNN.bbp`, written
-//! through [`write_atomic`](crate::write_atomic) so a kill mid-spill never
-//! leaves a truncated segment behind — the store keeps the segment in core
-//! on any write failure, so crash-safety composes with graceful
-//! degradation.
+//! [`SpillDir`] implements [`bb_lts::SpillBackend`]: each arena segment
+//! becomes one file `seg-NNNNNNNN.bbp`, written through
+//! [`write_atomic`](crate::write_atomic) so a kill mid-spill never leaves a
+//! truncated segment behind — the store keeps the segment in core on any
+//! write failure, so crash-safety composes with graceful degradation.
 //!
-//! Segments are write-once (the arena is append-only and spills a segment
-//! at most once), so there is no invalidation protocol: a reload either
-//! finds the complete framed file or errors out.
+//! The bytes are the store's own layout: restart groups, each followed by
+//! its checksum. A probe reads one group (a seek and an exact read) and the
+//! store verifies it, so these files carry no frame of their own.
+//!
+//! Each read opens the file afresh, so no file position is shared between
+//! readers. One `SpillDir` serves every exploration of a governed ladder and
+//! segment numbers restart at 0 in each store, so a cached handle could read
+//! a file that has since been replaced.
 
-use std::io;
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use crate::atomic::write_atomic;
-use crate::format::{frame, unframe};
 
 /// A directory of spilled arena segments.
 #[derive(Debug, Clone)]
@@ -41,21 +44,14 @@ impl SpillDir {
 }
 
 impl bb_lts::SpillBackend for SpillDir {
-    fn write_segment(&self, index: u32, payload: &[u8]) -> io::Result<()> {
-        write_atomic(&self.segment_path(index), &frame(payload))
+    fn write_segment(&self, index: u32, bytes: &[u8]) -> io::Result<()> {
+        write_atomic(&self.segment_path(index), bytes)
     }
 
-    fn read_segment(&self, index: u32) -> io::Result<Vec<u8>> {
-        let path = self.segment_path(index);
-        let bytes = std::fs::read(&path)?;
-        unframe(&bytes)
-            .map(<[u8]>::to_vec)
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("corrupt spill segment {}", path.display()),
-                )
-            })
+    fn read_at(&self, index: u32, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        let mut file = File::open(self.segment_path(index))?;
+        file.seek(SeekFrom::Start(offset))?;
+        file.read_exact(buf)
     }
 }
 
@@ -70,9 +66,13 @@ mod tests {
         let spill = SpillDir::new(&dir);
         let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
         spill.write_segment(3, &payload).unwrap();
-        assert_eq!(spill.read_segment(3).unwrap(), payload);
+        for range in [0..10_000, 0..1, 4321..4700, 9_992..10_000] {
+            let mut buf = vec![0; range.len()];
+            spill.read_at(3, range.start as u64, &mut buf).unwrap();
+            assert_eq!(buf, payload[range]);
+        }
         // Missing segments surface as errors, not empty data.
-        assert!(spill.read_segment(4).is_err());
+        assert!(spill.read_at(4, 0, &mut [0; 1]).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -81,13 +81,16 @@ mod tests {
         let dir = tempdir("spill-corrupt");
         let spill = SpillDir::new(&dir);
         spill.write_segment(0, b"payload-bytes").unwrap();
-        // Flip a payload byte: the checksum must catch it.
+        // A read past the end of the file is an error, never a short read.
+        assert!(spill.read_at(0, 8, &mut [0; 6]).is_err());
+        assert!(spill.read_at(0, 14, &mut [0; 1]).is_err());
+        // So is any range of a segment truncated on disk.
         let path = dir.join("seg-00000000.bbp");
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(spill.read_segment(0).is_err());
+        std::fs::write(&path, b"payload").unwrap();
+        assert!(spill.read_at(0, 0, &mut [0; 13]).is_err());
+        let mut buf = [0; 7];
+        spill.read_at(0, 0, &mut buf).unwrap();
+        assert_eq!(&buf, b"payload");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,5 +1,8 @@
 //! End-to-end tests of the `bbv` command-line front end.
 
+mod common;
+
+use common::mask_durations;
 use std::process::Command;
 
 fn bbv(args: &[&str]) -> std::process::Output {
@@ -295,4 +298,65 @@ fn compact_off_is_honoured_with_and_without_a_budget() {
             .and_then(bb_obs::json::JsonValue::as_u64);
         assert_eq!(pct, Some(100), "--compact off {budget:?}");
     }
+}
+
+/// `--spill` is output-neutral on the governed ladder. Under this cap a
+/// segment of ms-queue 2-2 spills and probes read it back, yet the direct
+/// rung answers with or without the spill tier, and stdout matches (elapsed
+/// times masked) at `--jobs` 1 and 4.
+#[test]
+fn spill_is_output_neutral_under_a_memory_cap() {
+    let tmp = std::env::temp_dir().join(format!("bbv_cli_spill_{}", std::process::id()));
+    let metrics = tmp.join("m.json");
+    let capped = [
+        "verify",
+        "ms-queue",
+        "--threads",
+        "2",
+        "--ops",
+        "2",
+        "--max-memory",
+        "1.2e6",
+    ];
+    for jobs in ["1", "4"] {
+        let spill = tmp.join(format!("spill-j{jobs}"));
+        let in_core = bbv(&[&capped[..], &["--jobs", jobs]].concat());
+        let spilled = bbv(&[
+            &capped[..],
+            &["--jobs", jobs, "--spill", spill.to_str().unwrap()],
+            &["--metrics", metrics.to_str().unwrap()],
+        ]
+        .concat());
+        for out in [&in_core, &spilled] {
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+        let text = String::from_utf8_lossy(&spilled.stdout);
+        assert!(text.contains("answered by the direct rung"), "{text}");
+        assert_eq!(
+            mask_durations(&text),
+            mask_durations(&String::from_utf8_lossy(&in_core.stdout)),
+            "--jobs {jobs}: --spill must not change stdout"
+        );
+        let doc = bb_obs::json::parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        let counter = |name| {
+            doc.get("counters")
+                .and_then(|c| c.get(name))
+                .and_then(bb_obs::json::JsonValue::as_u64)
+                .unwrap_or(0)
+        };
+        assert!(
+            counter("compact.spill_segments") > 0,
+            "--jobs {jobs}: a segment must spill"
+        );
+        assert!(
+            counter("compact.spill_reloads") > 0,
+            "--jobs {jobs}: probes must read it back"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&tmp);
 }
