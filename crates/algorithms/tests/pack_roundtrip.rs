@@ -2,7 +2,7 @@
 //! state encoding must round-trip exactly (`decode(encode(s)) == s`),
 //! re-encode deterministically, and drive the compact exploration engine to
 //! the byte-identical `.aut` the rich-struct engine produces — at any
-//! worker count, staged or fused.
+//! worker count.
 
 use bb_algorithms::abstracts::{AbsCcas, AbsQueue, AbsRdcss};
 use bb_algorithms::ccas::Ccas;
@@ -23,7 +23,7 @@ use bb_algorithms::treiber_hp::TreiberHp;
 use bb_algorithms::treiber_hp_fu::TreiberHpFu;
 use bb_algorithms::two_lock_queue::TwoLockQueue;
 use bb_lts::{to_aut, CodecSemantics, ExploreLimits, ExploreOptions, Jobs, Semantics};
-use bb_sim::{explore_system_fused, explore_system_with, Bound, ObjectAlgorithm, System};
+use bb_sim::{explore_system_with, Bound, ObjectAlgorithm, System};
 use std::collections::HashSet;
 
 /// BFS over the rich semantics, round-tripping every reachable state
@@ -53,28 +53,16 @@ fn assert_roundtrip<A: ObjectAlgorithm>(alg: &A, bound: Bound) -> usize {
 }
 
 /// The compact engine must emit the byte-identical `.aut` the rich engine
-/// does, at jobs {1, 4}, staged and fused.
+/// does, at jobs {1, 4}.
 fn assert_aut_identical<A: ObjectAlgorithm>(alg: &A, bound: Bound) {
     let limits = ExploreLimits::default();
     let rich = explore_system_with(alg, bound, &ExploreOptions::limits(limits).with_compact(false))
         .unwrap();
     let reference = to_aut(&rich);
     for jobs in [1, 4] {
-        for fuse in [false, true] {
-            let opts = ExploreOptions::limits(limits).with_jobs(Jobs::new(jobs));
-            let aut = if fuse {
-                let (lts, _) = explore_system_fused(alg, bound, &opts).unwrap();
-                to_aut(&lts)
-            } else {
-                to_aut(&explore_system_with(alg, bound, &opts).unwrap())
-            };
-            assert_eq!(
-                reference,
-                aut,
-                "{}: compact .aut differs (jobs={jobs}, fuse={fuse})",
-                alg.name()
-            );
-        }
+        let opts = ExploreOptions::limits(limits).with_jobs(Jobs::new(jobs));
+        let aut = to_aut(&explore_system_with(alg, bound, &opts).unwrap());
+        assert_eq!(reference, aut, "{}: compact .aut differs (jobs={jobs})", alg.name());
     }
 }
 

@@ -1,7 +1,7 @@
 //! State-space generation throughput of the most-general-client semantics
 //! (the LNT/CADP generator role), including the canonical-heap overhead.
 //!
-//! Note on the expansion loop: `explore_governed` expands the dequeued
+//! Note on the expansion loop: `explore_with` expands the dequeued
 //! state in place (a short immutable borrow of the discovered-state arena)
 //! instead of cloning it first. Cloning a canonical-heap state is O(heap),
 //! so the clone-free loop is what these throughput numbers measure; if a

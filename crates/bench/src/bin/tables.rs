@@ -19,11 +19,11 @@
 
 use bb_bench::{check, lts_of_jobs, mark, try_lts_of_jobs};
 use bb_bisim::{
-    bisimilar_governed_jobs, partition_jobs, partition_with_stats, partition_with_stats_pre,
-    quotient, Equivalence, PartitionOptions, RefineMode,
+    bisimilar_governed_jobs, partition_jobs, partition_with_stats, quotient, Equivalence,
+    PartitionOptions, RefineMode,
 };
 use bb_core::{
-    verify_case_lts, verify_case_lts_pre, verify_linearizability_jobs, verify_lock_freedom_jobs,
+    verify_case_lts, verify_linearizability_jobs, verify_lock_freedom_jobs,
     verify_lock_freedom_via_abstraction_jobs, VerifyConfig,
 };
 use bb_ktrace::{classify_tau_edges, KtraceLimits};
@@ -73,10 +73,6 @@ fn main() {
             std::process::exit(3);
         }
     };
-    // `--fuse`: stream exploration into refinement (`verdicts`) and add the
-    // fused+sharded column (`perf`). Output lines are byte-identical with
-    // fusion on or off — the fusion CI job diffs exactly that.
-    let fuse = args.iter().any(|a| a == "--fuse");
     let compact = match parse_compact(&args) {
         Ok(c) => c,
         Err(e) => {
@@ -87,7 +83,7 @@ fn main() {
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     match cmd {
         "reduce" => guarded("reduce", || reduce_table(large, jobs)),
-        "verdicts" => guarded("verdicts", || verdicts(reduce, refine, jobs, cache, fuse, compact)),
+        "verdicts" => guarded("verdicts", || verdicts(reduce, refine, jobs, cache, compact)),
         "perf" => {
             let against = match parse_against(&args) {
                 Ok(a) => a,
@@ -124,7 +120,7 @@ fn main() {
             eprintln!(
                 "usage: tables [table1..table7|fig10|reduce|verdicts|phases|perf|all] \
                  [--large] [--jobs N] [--reduce none|sym|por|full] \
-                 [--refine full|incremental] [--fuse] [--compact on|off] [--out FILE] \
+                 [--refine full|incremental] [--compact on|off] [--out FILE] \
                  [--cache DIR] [--against BASELINE.json] [--max-regress PCT]"
             );
             std::process::exit(3);
@@ -756,18 +752,11 @@ fn phases(jobs: Jobs) {
 /// With `--cache DIR`, each conclusive verdict line is memoized per case; a
 /// second sweep replays every line byte-identically from the cache (CI runs
 /// the roster twice and requires the second pass to be all hits).
-///
-/// With `--fuse`, exploration streams straight into refinement: predecessor
-/// tables are accumulated during the BFS merge and handed to the verifier,
-/// skipping the separate counting pass. The flag is deliberately *excluded*
-/// from the cache key — fused and staged runs print byte-identical lines, and
-/// the fusion CI job diffs the two sweeps to enforce exactly that.
 fn verdicts(
     reduce: ReduceMode,
     refine: RefineMode,
     jobs: Jobs,
     cache: Option<Cache>,
-    fuse: bool,
     compact: bool,
 ) {
     let (mut hits, mut misses) = (0u32, 0u32);
@@ -793,53 +782,22 @@ fn verdicts(
                     .with_compact(compact);
                 let outcome =
                     bb_core::run_isolated(|| -> Result<String, bb_lts::budget::Exhausted> {
-                        // Reduced exploration rebuilds the LTS, so fusion
-                        // only applies to the unreduced sweep (same rule as
-                        // `bbv --fuse`).
-                        let (imp, spec, imp_preds, spec_preds) = if reduce == ReduceMode::None {
-                            if fuse {
-                                let (i, ip) = bb_sim::explore_system_fused(&$alg, bound, &opts)?;
-                                let (s, sp) = bb_sim::explore_system_fused(
-                                    &AtomicSpec::new($spec),
-                                    bound,
-                                    &opts,
-                                )?;
-                                (i, s, Some(ip), Some(sp))
-                            } else {
-                                (
-                                    bb_sim::explore_system_with(&$alg, bound, &opts)?,
-                                    bb_sim::explore_system_with(
-                                        &AtomicSpec::new($spec),
-                                        bound,
-                                        &opts,
-                                    )?,
-                                    None,
-                                    None,
-                                )
-                            }
+                        let (imp, spec) = if reduce == ReduceMode::None {
+                            (
+                                bb_sim::explore_system_with(&$alg, bound, &opts)?,
+                                bb_sim::explore_system_with(&AtomicSpec::new($spec), bound, &opts)?,
+                            )
                         } else {
                             (
                                 explore_reduced(&$alg, bound, reduce, &opts)?.0,
                                 explore_reduced(&AtomicSpec::new($spec), bound, reduce, &opts)?.0,
-                                None,
-                                None,
                             )
                         };
-                        let mut cfg = VerifyConfig::new(bound)
-                            .with_jobs(jobs)
-                            .with_refine(refine)
-                            .with_fuse(fuse);
+                        let mut cfg = VerifyConfig::new(bound).with_jobs(jobs).with_refine(refine);
                         if !$lf {
                             cfg = cfg.linearizability_only();
                         }
-                        let r = verify_case_lts_pre(
-                            $name,
-                            cfg,
-                            &imp,
-                            &spec,
-                            imp_preds.as_ref(),
-                            spec_preds.as_ref(),
-                        );
+                        let r = verify_case_lts($name, cfg, &imp, &spec);
                         let lf_mark = match &r.lock_freedom {
                             None => "—".to_string(),
                             Some(l) => check(l.lock_free).to_string(),
@@ -910,10 +868,10 @@ fn verdicts(
 
 // --------------------------------------------------- refinement engine perf
 
-/// Worker count for the fused+sharded `perf` column (and `BENCH_7.json`):
-/// one shard per available hardware thread — forcing more shards than cores
-/// only adds spawn/join overhead to the measurement.
-fn fused_jobs() -> Jobs {
+/// Worker count for the sharded `perf` column, stored under the `fused` key
+/// (see [`perf`]): one shard per available hardware thread — forcing more
+/// shards than cores only adds spawn/join overhead to the measurement.
+fn sharded_jobs() -> Jobs {
     Jobs::available()
 }
 
@@ -931,33 +889,29 @@ struct PerfRow {
     inc_dirty_states: u64,
     inc_us: u128,
     inc_peak_sig_bytes: usize,
-    fused_recomputes: u64,
-    fused_us: u128,
+    sharded_recomputes: u64,
+    sharded_us: u128,
 }
 
-/// Measures one roster case under both refinement engines, plus the fused
-/// configuration (incremental + worklists sharded across available cores,
-/// fed a pre-built predecessor table as pipeline fusion would). All three
-/// partitions are asserted equal (block ids included); the statistics are
-/// deterministic and taken from the last sample, while the wall-clock is the
-/// best of `samples` runs.
+/// Measures one roster case under both refinement engines, plus the
+/// incremental engine with worklists sharded across available cores. All
+/// three partitions are asserted equal (block ids included); the statistics
+/// are deterministic and taken from the last sample, while the wall-clock is
+/// the best of `samples` runs.
 fn perf_row(name: &'static str, th: u8, op: u32, lts: &Lts, samples: u32) -> PerfRow {
     let eq = Equivalence::Branching;
     let full_opts = PartitionOptions::default().with_mode(RefineMode::Full);
     let inc_opts = PartitionOptions::default().with_mode(RefineMode::Incremental);
-    let fused_opts = PartitionOptions::default()
+    let sharded_opts = PartitionOptions::default()
         .with_mode(RefineMode::Incremental)
-        .with_jobs(fused_jobs());
-    // Fusion hands refinement the predecessor table built during exploration;
-    // here the table is prebuilt outside the timed region to model that.
-    let preds = lts.predecessor_table();
+        .with_jobs(sharded_jobs());
 
     let mut full_us = u128::MAX;
     let mut inc_us = u128::MAX;
-    let mut fused_us = u128::MAX;
+    let mut sharded_us = u128::MAX;
     let (mut p_full, mut full_stats) = partition_with_stats(lts, eq, full_opts);
     let (mut p_inc, mut inc_stats) = partition_with_stats(lts, eq, inc_opts);
-    let (mut p_fused, mut fused_stats) = partition_with_stats_pre(lts, eq, fused_opts, Some(&preds));
+    let (mut p_sharded, mut sharded_stats) = partition_with_stats(lts, eq, sharded_opts);
     for _ in 0..samples {
         let t0 = Instant::now();
         let (p, s) = partition_with_stats(lts, eq, full_opts);
@@ -968,20 +922,20 @@ fn perf_row(name: &'static str, th: u8, op: u32, lts: &Lts, samples: u32) -> Per
         inc_us = inc_us.min(t0.elapsed().as_micros());
         (p_inc, inc_stats) = (p, s);
         let t0 = Instant::now();
-        let (p, s) = partition_with_stats_pre(lts, eq, fused_opts, Some(&preds));
-        fused_us = fused_us.min(t0.elapsed().as_micros());
-        (p_fused, fused_stats) = (p, s);
+        let (p, s) = partition_with_stats(lts, eq, sharded_opts);
+        sharded_us = sharded_us.min(t0.elapsed().as_micros());
+        (p_sharded, sharded_stats) = (p, s);
     }
     assert_eq!(
         p_full, p_inc,
         "{name} {th}-{op}: full and incremental partitions must be identical"
     );
     assert_eq!(
-        p_full, p_fused,
-        "{name} {th}-{op}: fused+sharded partition must match the serial engines"
+        p_full, p_sharded,
+        "{name} {th}-{op}: sharded partition must match the serial engines"
     );
     assert_eq!(full_stats.rounds, inc_stats.rounds);
-    assert_eq!(full_stats.rounds, fused_stats.rounds);
+    assert_eq!(full_stats.rounds, sharded_stats.rounds);
     PerfRow {
         name,
         bound: format!("{th}-{op}"),
@@ -995,8 +949,8 @@ fn perf_row(name: &'static str, th: u8, op: u32, lts: &Lts, samples: u32) -> Per
         inc_dirty_states: inc_stats.dirty_states,
         inc_us,
         inc_peak_sig_bytes: inc_stats.peak_sig_bytes,
-        fused_recomputes: fused_stats.sig_recomputes,
-        fused_us,
+        sharded_recomputes: sharded_stats.sig_recomputes,
+        sharded_us,
     }
 }
 
@@ -1063,13 +1017,13 @@ fn store_row<A: bb_sim::ObjectAlgorithm>(
     }
 }
 
-/// `perf` — full vs incremental vs fused+sharded partition refinement on a
-/// fixed seeded roster. Writes a machine-readable JSON report (schema
+/// `perf` — full vs incremental vs sharded partition refinement on a fixed
+/// seeded roster. Writes a machine-readable JSON report (schema
 /// `bb-bench/perf-v2`, default `BENCH_5.json`); the counters are
-/// deterministic, only the wall-clock columns vary run to run. The `fused`
-/// column is the incremental engine with worklists sharded across
-/// `FUSED_JOBS` threads and the predecessor table inherited from exploration
-/// (what `--fuse` produces end to end).
+/// deterministic, only the wall-clock columns vary run to run. The sharded
+/// column times `partition_with_stats` on the incremental engine at
+/// [`sharded_jobs`] threads, predecessor table build included; it keeps the
+/// `fused` key, the name the committed baselines carry.
 ///
 /// With `--against BASELINE.json` the run becomes the CI regression gate:
 /// the fresh report is diffed against the committed baseline
@@ -1078,12 +1032,13 @@ fn store_row<A: bb_sim::ObjectAlgorithm>(
 /// beyond `--max-regress PCT`.
 fn perf(out: &str, against: Option<&Against>) {
     const SAMPLES: u32 = 3;
-    println!("\n=== Refinement engine — full vs incremental vs fused (branching) ===");
+    println!("\n=== Refinement engine — full vs incremental vs sharded (branching) ===");
+    println!("(sharded = incremental at all cores, table build timed; JSON key `fused`)");
     println!("(best of {SAMPLES} runs; counters deterministic, partitions asserted equal)\n");
     println!(
         "{:<12} {:>5} {:>9} {:>10} {:>7} {:>12} {:>12} {:>8} {:>10} {:>10} {:>10}",
         "Object", "#T-#O", "states", "trans", "rounds", "full recomp", "inc recomp", "dirty/n",
-        "full time", "inc time", "fused time"
+        "full time", "inc time", "shard time"
     );
 
     let jobs = Jobs::serial();
@@ -1102,7 +1057,7 @@ fn perf(out: &str, against: Option<&Against>) {
 
     let mut json = String::from("{\n  \"schema\": \"bb-bench/perf-v2\",\n");
     json.push_str("  \"equivalence\": \"branching\",\n  \"jobs\": 1,\n");
-    json.push_str(&format!("  \"fused_jobs\": {},\n", fused_jobs().get()));
+    json.push_str(&format!("  \"fused_jobs\": {},\n", sharded_jobs().get()));
     json.push_str(&format!("  \"samples\": {SAMPLES},\n  \"entries\": [\n"));
     for (i, r) in rows.iter().enumerate() {
         let full_work = r.rounds as u64 * r.states as u64;
@@ -1124,7 +1079,7 @@ fn perf(out: &str, against: Option<&Against>) {
             100.0 * r.inc_dirty_states as f64 / full_work.max(1) as f64,
             r.full_us,
             r.inc_us,
-            r.fused_us,
+            r.sharded_us,
         );
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"bound\": \"{}\", \"states\": {}, \"transitions\": {}, \
@@ -1146,9 +1101,9 @@ fn perf(out: &str, against: Option<&Against>) {
             r.inc_dirty_states,
             r.inc_peak_sig_bytes,
             r.inc_us,
-            fused_jobs().get(),
-            r.fused_recomputes,
-            r.fused_us,
+            sharded_jobs().get(),
+            r.sharded_recomputes,
+            r.sharded_us,
             if i + 1 == rows.len() { "" } else { "," },
         ));
     }

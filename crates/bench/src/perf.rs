@@ -21,6 +21,12 @@
 //!
 //! A baseline entry with no matching entry in the current report is always
 //! a regression (a silently dropped case must fail the gate).
+//!
+//! The `fused` column keeps its name from the retired `--fuse` pipeline,
+//! whose baselines (`BENCH_10.json`) still carry it. It now times
+//! `partition_with_stats` on the incremental engine at `Jobs::available()`
+//! with no prebuilt predecessor table, so the table build falls inside the
+//! timed region.
 
 use bb_obs::json::{parse, JsonValue};
 
@@ -47,13 +53,13 @@ pub struct PerfEntry {
     pub inc_recomputes: u64,
     /// Incremental-engine dirty-state total (deterministic).
     pub inc_dirty_states: u64,
-    /// Fused+sharded signature recomputations (deterministic).
+    /// Sharded-incremental signature recomputations (deterministic).
     pub fused_recomputes: u64,
     /// Full-engine best wall-clock, µs (machine-dependent).
     pub full_us: u64,
     /// Incremental-engine best wall-clock, µs (machine-dependent).
     pub inc_us: u64,
-    /// Fused+sharded best wall-clock, µs (machine-dependent).
+    /// Sharded-incremental best wall-clock, µs (machine-dependent).
     pub fused_us: u64,
 }
 

@@ -202,7 +202,6 @@ pub fn div_bisimilar_to_quotient(
         wd,
         opts,
         Some(&mut stats),
-        None,
         Some(&lifted(p)),
     )?;
     Ok((div.same_block(u.left_initial, u.right_initial), stats))
@@ -314,7 +313,7 @@ mod tests {
                 let u = disjoint_union(&lts, &q.lts);
                 let eq = Equivalence::BranchingDiv;
                 let from_lifted =
-                    run_governed_opts(&u.lts, eq, None, &wd, opts, None, None, Some(&lifted(&p)));
+                    run_governed_opts(&u.lts, eq, None, &wd, opts, None, Some(&lifted(&p)));
                 let from_universal = partition_opts(&u.lts, eq, opts);
                 assert_eq!(
                     from_lifted.unwrap(),

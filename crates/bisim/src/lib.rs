@@ -67,8 +67,7 @@ pub use partition::{BlockId, Partition};
 pub use quotient::{div_quotient, div_quotient_opts, quotient, Quotient};
 pub use signatures::{
     partition, partition_governed, partition_governed_jobs, partition_governed_opts,
-    partition_governed_pre, partition_jobs, partition_opts, partition_with_history,
-    partition_with_history_opts, partition_with_history_pre, partition_with_stats,
-    partition_with_stats_pre, Equivalence,
-    PartitionOptions, RefineMode, RefineStats, RefinementHistory,
+    partition_jobs, partition_opts, partition_with_history, partition_with_history_opts,
+    partition_with_stats, Equivalence, PartitionOptions, RefineMode, RefineStats,
+    RefinementHistory,
 };

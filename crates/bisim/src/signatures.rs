@@ -861,9 +861,8 @@ impl CondState {
 /// the two id spaces).
 struct Incremental<'c, 'a> {
     ctx: &'c Ctx<'a>,
-    /// Flat reverse adjacency: borrowed from the fused pipeline when
-    /// exploration already accumulated it, built once per run otherwise.
-    preds: Cow<'c, PredecessorTable>,
+    /// Flat reverse adjacency, built once per run.
+    preds: PredecessorTable,
     /// Stable block label of each state.
     block_of: Vec<u32>,
     num_blocks: usize,
@@ -886,19 +885,13 @@ impl<'c, 'a> Incremental<'c, 'a> {
     /// An engine whose labels start as the blocks of `start`. Round 0
     /// recomputes every signature whatever the start, so any partition
     /// without empty blocks is a valid starting point.
-    fn new(ctx: &'c Ctx<'a>, preds: Option<&'c PredecessorTable>, start: &Partition) -> Self {
+    fn new(ctx: &'c Ctx<'a>, start: &Partition) -> Self {
         let lts = ctx.lts;
         let n = lts.num_states();
         debug_assert_eq!(start.num_states(), n);
-        if let Some(p) = preds {
-            debug_assert_eq!(p.num_entries(), lts.num_transitions());
-        }
         Incremental {
             ctx,
-            preds: match preds {
-                Some(p) => Cow::Borrowed(p),
-                None => Cow::Owned(lts.predecessor_table()),
-            },
+            preds: lts.predecessor_table(),
             block_of: start.assignment().iter().map(|b| b.0).collect(),
             num_blocks: start.num_blocks(),
             members: start.blocks(),
@@ -1720,9 +1713,7 @@ impl<'c, 'a> Incremental<'c, 'a> {
 }
 
 /// The incremental engine (see the module docs and DESIGN.md § "Incremental
-/// refinement"). A fused pipeline passes the predecessor table it
-/// accumulated during exploration via `preds`; the engine builds its own
-/// otherwise. Refinement starts from `init` (the universal partition when
+/// refinement"). Refinement starts from `init` (the universal partition when
 /// `None`).
 #[allow(clippy::too_many_arguments)]
 fn run_incremental(
@@ -1733,7 +1724,6 @@ fn run_incremental(
     jobs: Jobs,
     stats: Option<&mut RefineStats>,
     persist: Option<&PersistHook>,
-    preds: Option<&PredecessorTable>,
     init: Option<&Partition>,
 ) -> Result<Partition, Exhausted> {
     let n = lts.num_states();
@@ -1748,7 +1738,7 @@ fn run_incremental(
     }
     let ctx = Ctx::with_jobs(lts, eq, jobs);
     let start = init.map_or_else(|| Cow::Owned(Partition::universal(n)), Cow::Borrowed);
-    let mut eng = Incremental::new(&ctx, preds, &start);
+    let mut eng = Incremental::new(&ctx, &start);
     let mut rounds: Vec<Partition> = Vec::new();
     if history.is_some() {
         rounds.push(start.into_owned());
@@ -1820,7 +1810,6 @@ fn run_incremental(
 /// partition refinement starts from (the universal one when `None`); it must
 /// be coarser than the requested equivalence, and then the result — block
 /// ids included — is the same as from the universal start.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_governed_opts(
     lts: &Lts,
     eq: Equivalence,
@@ -1828,7 +1817,6 @@ pub(crate) fn run_governed_opts(
     wd: &Watchdog,
     opts: PartitionOptions,
     stats: Option<&mut RefineStats>,
-    preds: Option<&PredecessorTable>,
     init: Option<&Partition>,
 ) -> Result<Partition, Exhausted> {
     // Every governed refinement call in the workspace funnels through here,
@@ -1851,10 +1839,7 @@ pub(crate) fn run_governed_opts(
     // A seeded call always runs the full engine: the incremental engine's
     // worklists describe *which states just moved*, which a checkpoint does
     // not record. Both engines produce bit-identical partitions, so the
-    // verdict and every artifact are unaffected by the reroute. The full
-    // engine never touches a predecessor table, so a fused pipeline's
-    // `preds` is simply dropped here — checkpoint cut points stay valid
-    // mid-fused-run by construction.
+    // verdict and every artifact are unaffected by the reroute.
     if seed.is_some() {
         return run_full(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), seed, None);
     }
@@ -1863,7 +1848,7 @@ pub(crate) fn run_governed_opts(
             run_full(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), None, init)
         }
         RefineMode::Incremental => {
-            run_incremental(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), preds, init)
+            run_incremental(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), init)
         }
     }
 }
@@ -1882,7 +1867,7 @@ pub fn partition(lts: &Lts, eq: Equivalence) -> Partition {
 /// refinement engine). Every option combination computes the same partition,
 /// block ids included.
 pub fn partition_opts(lts: &Lts, eq: Equivalence, opts: PartitionOptions) -> Partition {
-    run_governed_opts(lts, eq, None, &Watchdog::unlimited(), opts, None, None, None)
+    run_governed_opts(lts, eq, None, &Watchdog::unlimited(), opts, None, None)
         .expect("an unlimited watchdog never trips")
 }
 
@@ -1914,27 +1899,7 @@ pub fn partition_governed_opts(
     wd: &Watchdog,
     opts: PartitionOptions,
 ) -> Result<Partition, Exhausted> {
-    run_governed_opts(lts, eq, None, wd, opts, None, None, None)
-}
-
-/// [`partition_governed_opts`] with a caller-provided [`PredecessorTable`]
-/// for the incremental engine — the fused pipeline entry point. The table
-/// must describe exactly `lts` (the fused explorer accumulates it from the
-/// same deterministic transition stream). The partition is bit-identical to
-/// the unfused call; the engine merely skips rebuilding the reverse
-/// adjacency it was handed.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] (stage [`Stage::Bisim`]) when the budget trips.
-pub fn partition_governed_pre(
-    lts: &Lts,
-    eq: Equivalence,
-    wd: &Watchdog,
-    opts: PartitionOptions,
-    preds: Option<&PredecessorTable>,
-) -> Result<Partition, Exhausted> {
-    run_governed_opts(lts, eq, None, wd, opts, None, preds, None)
+    run_governed_opts(lts, eq, None, wd, opts, None, None)
 }
 
 /// [`partition`] with `jobs` worker threads for the per-round signature
@@ -1982,32 +1947,6 @@ pub fn partition_with_history_opts(
         opts,
         None,
         None,
-        None,
-    )
-    .expect("an unlimited watchdog never trips");
-    (p, RefinementHistory { rounds })
-}
-
-/// [`partition_with_history_opts`] with a caller-provided
-/// [`PredecessorTable`] (see [`partition_governed_pre`]) — lets the
-/// differential harness assert the round-by-round history is identical
-/// with fusion on and off.
-pub fn partition_with_history_pre(
-    lts: &Lts,
-    eq: Equivalence,
-    opts: PartitionOptions,
-    preds: Option<&PredecessorTable>,
-) -> (Partition, RefinementHistory) {
-    let mut rounds = Vec::new();
-    let p = run_governed_opts(
-        lts,
-        eq,
-        Some(&mut rounds),
-        &Watchdog::unlimited(),
-        opts,
-        None,
-        preds,
-        None,
     )
     .expect("an unlimited watchdog never trips");
     (p, RefinementHistory { rounds })
@@ -2028,31 +1967,6 @@ pub fn partition_with_stats(
         &Watchdog::unlimited(),
         opts,
         Some(&mut stats),
-        None,
-        None,
-    )
-    .expect("an unlimited watchdog never trips");
-    (p, stats)
-}
-
-/// [`partition_with_stats`] with a caller-provided [`PredecessorTable`]
-/// (see [`partition_governed_pre`]) — the basis of the `tables perf` fused
-/// column.
-pub fn partition_with_stats_pre(
-    lts: &Lts,
-    eq: Equivalence,
-    opts: PartitionOptions,
-    preds: Option<&PredecessorTable>,
-) -> (Partition, RefineStats) {
-    let mut stats = RefineStats::default();
-    let p = run_governed_opts(
-        lts,
-        eq,
-        None,
-        &Watchdog::unlimited(),
-        opts,
-        Some(&mut stats),
-        preds,
         None,
     )
     .expect("an unlimited watchdog never trips");

@@ -47,20 +47,17 @@ pub use bb_lts::budget;
 pub use linearizability::{
     verify_linearizability, verify_linearizability_governed,
     verify_linearizability_governed_jobs, verify_linearizability_jobs,
-    verify_linearizability_opts, verify_linearizability_pre, LinReport,
+    verify_linearizability_opts, LinReport,
 };
 pub use lockfree::{
     verify_lock_freedom, verify_lock_freedom_governed, verify_lock_freedom_governed_jobs,
-    verify_lock_freedom_jobs, verify_lock_freedom_opts, verify_lock_freedom_pre,
-    verify_lock_freedom_via_abstraction,
+    verify_lock_freedom_jobs, verify_lock_freedom_opts, verify_lock_freedom_via_abstraction,
     verify_lock_freedom_via_abstraction_jobs, AbstractionReport, LockFreeReport,
 };
 pub use progress::{
     verify_lock_freedom_ltl, verify_wait_freedom, LtlLockFreeReport, WaitFreeReport,
 };
-pub use report::{
-    format_lasso, verify_case, verify_case_lts, verify_case_lts_pre, CaseReport, VerifyConfig,
-};
+pub use report::{format_lasso, verify_case, verify_case_lts, CaseReport, VerifyConfig};
 pub use verdict::{
     run_isolated, verify_case_governed, verify_case_governed_with, Attempt, GovernedConfig,
     GovernedReport, PairExplorer, Rung, Verdict,

@@ -2,10 +2,10 @@
 //! (Theorem 5.3).
 
 use bb_bisim::{
-    partition_governed_pre, quotient, Equivalence, Partition, PartitionOptions, Quotient,
+    partition_governed_opts, quotient, Equivalence, Partition, PartitionOptions, Quotient,
 };
 use bb_lts::budget::{Exhausted, Watchdog};
-use bb_lts::{Jobs, Lts, PredecessorTable};
+use bb_lts::{Jobs, Lts};
 use bb_refine::{trace_refines_governed, RefineOptions, Violation};
 use std::time::{Duration, Instant};
 
@@ -103,33 +103,29 @@ pub fn verify_linearizability_opts(
     wd: &Watchdog,
     opts: PartitionOptions,
 ) -> Result<LinReport, Exhausted> {
-    let (_, q_imp) = branching_quotient(imp, wd, opts, None)?;
-    verify_linearizability_pre(imp, spec, wd, opts, &q_imp, None)
+    let (_, q_imp) = branching_quotient(imp, wd, opts)?;
+    verify_linearizability_pre(imp, spec, wd, opts, &q_imp)
 }
 
 /// [`verify_linearizability_opts`] given the implementation's quotient
 /// `imp_quotient` = Δ/≈, which a verify computes once and shares with the
-/// lock-freedom check, and optionally the specification's reverse adjacency
-/// for its quotient refinement (the fused `--fuse` entry point, where
-/// exploration already accumulated it). The report is identical with or
-/// without the table.
+/// lock-freedom check.
 ///
 /// # Errors
 ///
 /// Returns [`Exhausted`] when the budget trips before a verdict.
-pub fn verify_linearizability_pre(
+pub(crate) fn verify_linearizability_pre(
     imp: &Lts,
     spec: &Lts,
     wd: &Watchdog,
     opts: PartitionOptions,
     imp_quotient: &Quotient,
-    spec_preds: Option<&PredecessorTable>,
 ) -> Result<LinReport, Exhausted> {
     let span = bb_obs::span("lin")
         .with("impl_states", imp.num_states())
         .with("spec_states", spec.num_states());
     let start = Instant::now();
-    let p_spec = partition_governed_pre(spec, Equivalence::Branching, wd, opts, spec_preds)?;
+    let p_spec = partition_governed_opts(spec, Equivalence::Branching, wd, opts)?;
     let q_spec = quotient(spec, &p_spec);
     let refinement =
         trace_refines_governed(&imp_quotient.lts, &q_spec.lts, RefineOptions::default(), wd)?;
@@ -154,9 +150,8 @@ pub(crate) fn branching_quotient(
     lts: &Lts,
     wd: &Watchdog,
     opts: PartitionOptions,
-    preds: Option<&PredecessorTable>,
 ) -> Result<(Partition, Quotient), Exhausted> {
-    let p = partition_governed_pre(lts, Equivalence::Branching, wd, opts, preds)?;
+    let p = partition_governed_opts(lts, Equivalence::Branching, wd, opts)?;
     let q = quotient(lts, &p);
     Ok((p, q))
 }

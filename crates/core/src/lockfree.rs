@@ -103,7 +103,7 @@ pub fn verify_lock_freedom_opts(
     wd: &Watchdog,
     opts: PartitionOptions,
 ) -> Result<LockFreeReport, Exhausted> {
-    let (p, q) = branching_quotient(imp, wd, opts, None)?;
+    let (p, q) = branching_quotient(imp, wd, opts)?;
     verify_lock_freedom_pre(imp, wd, opts, &p, &q)
 }
 
@@ -117,7 +117,7 @@ pub fn verify_lock_freedom_opts(
 /// # Errors
 ///
 /// Returns [`Exhausted`] when the budget trips before a verdict.
-pub fn verify_lock_freedom_pre(
+pub(crate) fn verify_lock_freedom_pre(
     imp: &Lts,
     wd: &Watchdog,
     opts: PartitionOptions,

@@ -4,11 +4,9 @@ use crate::linearizability::{branching_quotient, verify_linearizability_pre, Lin
 use bb_bisim::{Lasso, PartitionOptions, RefineMode};
 use crate::lockfree::{verify_lock_freedom_pre, LockFreeReport};
 use bb_lts::budget::{Exhausted, Watchdog};
-use bb_lts::{ExploreError, ExploreLimits, Jobs, Lts, PredecessorTable};
+use bb_lts::{ExploreError, ExploreLimits, Jobs, Lts};
 use bb_lts::ExploreOptions;
-use bb_sim::{
-    explore_system_fused, explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec,
-};
+use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 
 /// Configuration of [`verify_case`].
 #[derive(Debug, Clone, Copy)]
@@ -26,11 +24,6 @@ pub struct VerifyConfig {
     /// Which partition-refinement engine to run. Deterministic: the report
     /// is identical for either engine.
     pub refine: RefineMode,
-    /// Fuse exploration into refinement: stream the transition order through
-    /// an in-degree sink and hand the accumulated reverse adjacency to the
-    /// incremental refiner, skipping its predecessor-counting pass.
-    /// Deterministic: the report is identical with fusion on or off.
-    pub fuse: bool,
 }
 
 impl VerifyConfig {
@@ -43,7 +36,6 @@ impl VerifyConfig {
             check_lock_freedom: true,
             jobs: Jobs::serial(),
             refine: RefineMode::default(),
-            fuse: false,
         }
     }
 
@@ -62,12 +54,6 @@ impl VerifyConfig {
     /// Select the partition-refinement engine.
     pub fn with_refine(mut self, refine: RefineMode) -> Self {
         self.refine = refine;
-        self
-    }
-
-    /// Fuse exploration into refinement (see [`VerifyConfig::fuse`]).
-    pub fn with_fuse(mut self, fuse: bool) -> Self {
-        self.fuse = fuse;
         self
     }
 }
@@ -133,20 +119,6 @@ where
     S: SequentialSpec,
 {
     let opts = ExploreOptions::limits(config.limits).with_jobs(config.jobs);
-    if config.fuse {
-        let (imp, imp_preds) =
-            explore_system_fused(alg, config.bound, &opts).map_err(ExploreError::from)?;
-        let (sp, sp_preds) =
-            explore_system_fused(spec, config.bound, &opts).map_err(ExploreError::from)?;
-        return Ok(verify_case_lts_pre(
-            alg.name(),
-            config,
-            &imp,
-            &sp,
-            Some(&imp_preds),
-            Some(&sp_preds),
-        ));
-    }
     let imp = explore_system_with(alg, config.bound, &opts).map_err(ExploreError::from)?;
     let sp = explore_system_with(spec, config.bound, &opts).map_err(ExploreError::from)?;
     Ok(verify_case_lts(alg.name(), config, &imp, &sp))
@@ -159,19 +131,6 @@ pub fn verify_case_lts(
     imp: &Lts,
     spec: &Lts,
 ) -> CaseReport {
-    verify_case_lts_pre(name, config, imp, spec, None, None)
-}
-
-/// [`verify_case_lts`] with the reverse adjacencies a fused exploration
-/// accumulated, handed to the partition refinement of each LTS.
-pub fn verify_case_lts_pre(
-    name: &'static str,
-    config: VerifyConfig,
-    imp: &Lts,
-    spec: &Lts,
-    imp_preds: Option<&PredecessorTable>,
-    spec_preds: Option<&PredecessorTable>,
-) -> CaseReport {
     let popts = PartitionOptions::default()
         .with_jobs(config.jobs)
         .with_mode(config.refine);
@@ -183,17 +142,14 @@ pub fn verify_case_lts_pre(
         spec,
         &Watchdog::unlimited(),
         popts,
-        imp_preds,
-        spec_preds,
     )
     .expect("an unlimited watchdog never trips")
 }
 
 /// Both methods of Fig. 1 over explored LTSs — the pipeline of
-/// [`verify_case_lts_pre`] and of every rung of the governed ladder. Δ is
+/// [`verify_case_lts`] and of every rung of the governed ladder. Δ is
 /// partitioned and quotiented once; the linearizability check refines Δ/≈
 /// against Θsp/≈ and the lock-freedom check compares Δ with the same Δ/≈.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn check_case_lts(
     name: &'static str,
     bound: Bound,
@@ -202,11 +158,9 @@ pub(crate) fn check_case_lts(
     spec: &Lts,
     wd: &Watchdog,
     opts: PartitionOptions,
-    imp_preds: Option<&PredecessorTable>,
-    spec_preds: Option<&PredecessorTable>,
 ) -> Result<CaseReport, Exhausted> {
-    let (p_imp, q_imp) = branching_quotient(imp, wd, opts, imp_preds)?;
-    let linearizability = verify_linearizability_pre(imp, spec, wd, opts, &q_imp, spec_preds)?;
+    let (p_imp, q_imp) = branching_quotient(imp, wd, opts)?;
+    let linearizability = verify_linearizability_pre(imp, spec, wd, opts, &q_imp)?;
     let lock_freedom = if check_lock_freedom {
         Some(verify_lock_freedom_pre(imp, wd, opts, &p_imp, &q_imp)?)
     } else {

@@ -131,11 +131,6 @@ pub struct GovernedConfig {
     /// Which partition-refinement engine to run. Deterministic: verdicts
     /// and reports are identical for either engine.
     pub refine: bb_bisim::RefineMode,
-    /// Fuse exploration into refinement: build each LTS's reverse adjacency
-    /// once per rung and hand it to the refinements instead of letting each
-    /// pass re-derive it. Deterministic: verdicts and reports are identical
-    /// with fusion on or off.
-    pub fuse: bool,
     /// Intern canonical bit-packed state encodings in the compact arena
     /// seen-set instead of rich structs in a hash map. Deterministic:
     /// verdicts and reports are identical with either store.
@@ -158,7 +153,6 @@ impl GovernedConfig {
             fallback: true,
             jobs: Jobs::serial(),
             refine: bb_bisim::RefineMode::default(),
-            fuse: false,
             compact: true,
             spill_dir: None,
         }
@@ -185,12 +179,6 @@ impl GovernedConfig {
     /// Select the partition-refinement engine.
     pub fn with_refine(mut self, refine: bb_bisim::RefineMode) -> Self {
         self.refine = refine;
-        self
-    }
-
-    /// Fuse exploration into refinement (see [`GovernedConfig::fuse`]).
-    pub fn with_fuse(mut self, fuse: bool) -> Self {
-        self.fuse = fuse;
         self
     }
 
@@ -308,34 +296,54 @@ fn reduced_bound(b: Bound) -> Option<Bound> {
     }
 }
 
-/// One fully-governed pipeline run over pre-explored LTSs.
-#[allow(clippy::too_many_arguments)]
-fn pipeline_lts(
-    name: &'static str,
+/// The explored (implementation, specification) pair at `bound`, lent out
+/// of `cache`. On a miss the cache is refilled from a checkpoint seed or,
+/// failing that, from `explorer`; the pair is never copied.
+fn explore_pair<'c>(
+    name: &str,
     bound: Bound,
-    check_lock_freedom: bool,
-    fuse: bool,
-    imp: &Lts,
-    spec: &Lts,
+    cache: &'c mut Option<(Bound, Lts, Lts)>,
     wd: &Watchdog,
-    opts: PartitionOptions,
-) -> Result<CaseReport, Exhausted> {
-    let (imp_preds, spec_preds) = if fuse {
-        (Some(imp.predecessor_table()), Some(spec.predecessor_table()))
-    } else {
-        (None, None)
-    };
-    check_case_lts(
-        name,
-        bound,
-        check_lock_freedom,
-        imp,
-        spec,
-        wd,
-        opts,
-        imp_preds.as_ref(),
-        spec_preds.as_ref(),
-    )
+    explorer: &PairExplorer<'_>,
+) -> Result<(&'c Lts, &'c Lts), Exhausted> {
+    if !cache.as_ref().is_some_and(|(b, _, _)| *b == bound) {
+        // No later rung returns to another bound, so its pair can go
+        // before this one is built.
+        *cache = None;
+        // Completed explorations are the coarsest checkpoint unit: a
+        // resumed run reloads them from the session instead of
+        // re-exploring. Section names encode the pipeline position; the
+        // session's config tag pins everything else (case, reduce mode,
+        // ...), so a section can never seed a different setup.
+        let persist = bb_persist::active();
+        // The state-encoding version is part of the section identity: a
+        // checkpointed LTS from an older encoding must never seed a run
+        // whose (version-bumped) encoding could enumerate differently.
+        let tag = format!(
+            "{name}/e{}/b{}-{}",
+            bb_sim::STATE_ENCODING_VERSION,
+            bound.threads,
+            bound.ops_per_thread
+        );
+        let seeded = persist.as_ref().and_then(|p| {
+            p.seed_lts(&format!("{tag}/imp"))
+                .zip(p.seed_lts(&format!("{tag}/spec")))
+        });
+        let (imp, sp) = match seeded {
+            Some(pair) => pair,
+            None => {
+                let (imp, sp) = explorer(bound, wd)?;
+                if let Some(p) = persist.as_ref() {
+                    p.offer_lts(&format!("{tag}/imp"), &imp);
+                    p.offer_lts(&format!("{tag}/spec"), &sp);
+                }
+                (imp, sp)
+            }
+        };
+        *cache = Some((bound, imp, sp));
+    }
+    let (_, imp, sp) = cache.as_ref().expect("the cache holds `bound`");
+    Ok((imp, sp))
 }
 
 /// Strong-bisimulation pre-reduction: replace `lts` by its strong quotient.
@@ -395,49 +403,12 @@ pub fn verify_case_governed_with(
         .with_jobs(config.jobs)
         .with_mode(config.refine);
     let mut attempts: Vec<Attempt> = Vec::new();
-    // Explored systems are cached per bound so later rungs don't redo a
-    // successful exploration.
+    // The explored pair of the last bound tried; a later rung at the same
+    // bound borrows it instead of exploring again.
     let mut cache: Option<(Bound, Lts, Lts)> = None;
-
-    let explore_pair =
-        |bound: Bound, cache: &mut Option<(Bound, Lts, Lts)>, wd: &Watchdog| {
-            if let Some((b, imp, sp)) = cache.as_ref() {
-                if *b == bound {
-                    return Ok((imp.clone(), sp.clone()));
-                }
-            }
-            // Completed explorations are the coarsest checkpoint unit: a
-            // resumed run reloads them from the session instead of
-            // re-exploring. Section names encode the pipeline position;
-            // the session's config tag pins everything else (case, reduce
-            // mode, ...), so a section can never seed a different setup.
-            let persist = bb_persist::active();
-            // The state-encoding version is part of the section identity: a
-            // checkpointed LTS from an older encoding must never seed a run
-            // whose (version-bumped) encoding could enumerate differently.
-            let tag = format!(
-                "{name}/e{}/b{}-{}",
-                bb_sim::STATE_ENCODING_VERSION,
-                bound.threads,
-                bound.ops_per_thread
-            );
-            if let Some(p) = persist.as_ref() {
-                let seeded = p
-                    .seed_lts(&format!("{tag}/imp"))
-                    .zip(p.seed_lts(&format!("{tag}/spec")));
-                if let Some((imp, sp)) = seeded {
-                    *cache = Some((bound, imp.clone(), sp.clone()));
-                    return Ok((imp, sp));
-                }
-            }
-            let (imp, sp) = explorer(bound, wd)?;
-            if let Some(p) = persist.as_ref() {
-                p.offer_lts(&format!("{tag}/imp"), &imp);
-                p.offer_lts(&format!("{tag}/spec"), &sp);
-            }
-            *cache = Some((bound, imp.clone(), sp.clone()));
-            Ok((imp, sp))
-        };
+    let check = |bound: Bound, imp: &Lts, sp: &Lts| {
+        check_case_lts(name, bound, config.check_lock_freedom, imp, sp, &wd, popts)
+    };
 
     let finish = |attempts: Vec<Attempt>,
                       answered: (Rung, Bound),
@@ -461,18 +432,8 @@ pub fn verify_case_governed_with(
         .with("rung", "direct")
         .with("threads", config.bound.threads as u64)
         .with("ops", config.bound.ops_per_thread as u64);
-    let direct = explore_pair(config.bound, &mut cache, &wd).and_then(|(imp, sp)| {
-        pipeline_lts(
-            name,
-            config.bound,
-            config.check_lock_freedom,
-            config.fuse,
-            &imp,
-            &sp,
-            &wd,
-            popts,
-        )
-    });
+    let direct = explore_pair(name, config.bound, &mut cache, &wd, explorer)
+        .and_then(|(imp, sp)| check(config.bound, imp, sp));
     rung_span.record("ok", u64::from(direct.is_ok()));
     drop(rung_span);
     match direct {
@@ -505,20 +466,13 @@ pub fn verify_case_governed_with(
                 .with("rung", "strong-reduction")
                 .with("threads", config.bound.threads as u64)
                 .with("ops", config.bound.ops_per_thread as u64);
-            let strong = explore_pair(config.bound, &mut cache, &wd).and_then(|(imp, sp)| {
-                let imp_r = strong_reduce(&imp, &wd, popts)?;
-                let sp_r = strong_reduce(&sp, &wd, popts)?;
-                pipeline_lts(
-                    name,
-                    config.bound,
-                    config.check_lock_freedom,
-                    config.fuse,
-                    &imp_r,
-                    &sp_r,
-                    &wd,
-                    popts,
-                )
-            });
+            let strong = explore_pair(name, config.bound, &mut cache, &wd, explorer).and_then(
+                |(imp, sp)| {
+                    let imp_r = strong_reduce(imp, &wd, popts)?;
+                    let sp_r = strong_reduce(sp, &wd, popts)?;
+                    check(config.bound, &imp_r, &sp_r)
+                },
+            );
             rung_span.record("ok", u64::from(strong.is_ok()));
             drop(rung_span);
             match strong {
@@ -557,18 +511,8 @@ pub fn verify_case_governed_with(
                 .with("rung", "reduced-bound")
                 .with("threads", small.threads as u64)
                 .with("ops", small.ops_per_thread as u64);
-            let reduced = explore_pair(small, &mut cache, &wd).and_then(|(imp, sp)| {
-                pipeline_lts(
-                    name,
-                    small,
-                    config.check_lock_freedom,
-                    config.fuse,
-                    &imp,
-                    &sp,
-                    &wd,
-                    popts,
-                )
-            });
+            let reduced = explore_pair(name, small, &mut cache, &wd, explorer)
+                .and_then(|(imp, sp)| check(small, imp, sp));
             rung_span.record("ok", u64::from(reduced.is_ok()));
             drop(rung_span);
             match reduced {

@@ -35,7 +35,7 @@ use std::ops::Range;
 
 /// A [`Semantics`] whose states have a canonical byte encoding — the
 /// contract of the compact exploration engine
-/// ([`crate::explore_compact_with_sink`]).
+/// ([`crate::explore_compact`]).
 ///
 /// `decode_state` must be a left inverse of `encode_state`
 /// (`decode(encode(s)) == s`), and `encode_state` must be deterministic and

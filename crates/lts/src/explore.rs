@@ -1,6 +1,6 @@
 //! On-the-fly state-space exploration of an operational semantics.
 
-use crate::action::{Action, ActionId};
+use crate::action::Action;
 use crate::budget::{Budget, ExhaustReason, Exhausted, Meter, PartialStats, Stage, Watchdog};
 use crate::builder::LtsBuilder;
 use crate::compact::{ArenaStore, CodecSemantics, HashStore, SpillBackend, StateStore, StoreMetrics};
@@ -37,8 +37,8 @@ pub trait Semantics: Sync {
 
 /// Limits guarding an exploration against state-space explosion.
 ///
-/// This is the legacy cap-only interface; [`explore_governed`] accepts a
-/// full [`Watchdog`] (deadline, memory, cancellation) instead.
+/// This is the legacy cap-only interface; [`ExploreOptions::governed`]
+/// accepts a full [`Watchdog`] (deadline, memory, cancellation) instead.
 #[derive(Debug, Clone, Copy)]
 pub struct ExploreLimits {
     /// Maximum number of distinct states to intern before aborting.
@@ -65,7 +65,7 @@ impl From<ExploreLimits> for Budget {
 }
 
 /// Error returned when an exploration exceeds its [`ExploreLimits`] (or the
-/// [`Watchdog`] budget of [`explore_governed`]).
+/// [`Watchdog`] budget of [`ExploreOptions::governed`]).
 ///
 /// Carries the partial statistics of the aborted run so callers (e.g. the
 /// `tables` sweep) can report how far the exploration got.
@@ -283,108 +283,26 @@ pub fn explore_with<S: Semantics>(
     sem: &S,
     opts: &ExploreOptions<'_>,
 ) -> Result<Lts, Exhausted> {
-    explore_with_sink(sem, opts, None)
-}
-
-/// Observer of the deterministic transition stream of an exploration — the
-/// fusion hook behind `--fuse`.
-///
-/// The engine calls [`ExploreSink::on_transition`] for every recorded
-/// transition in the exact order of the sequential BFS (ascending source id,
-/// then successor enumeration order). The parallel engine emits from its
-/// ordered merge, so the stream a sink observes is bit-identical at any
-/// worker count. [`ExploreSink::on_level`] fires at each BFS level boundary
-/// with the frontier depth, before the level's transitions.
-pub trait ExploreSink {
-    /// One recorded transition, ids as they will appear in the final
-    /// [`Lts`].
-    fn on_transition(&mut self, src: StateId, action: ActionId, dst: StateId);
-    /// A BFS level boundary; `frontier` states are about to be expanded.
-    fn on_level(&mut self, frontier: u64) {
-        let _ = frontier;
-    }
-}
-
-/// The fused pipeline's standard sink: accumulates the in-degree of every
-/// discovered state while the transition stream flows by, so the reverse
-/// adjacency the incremental refiner needs can be built without the counting
-/// pass ([`Lts::predecessor_table_from`]). Also feeds the `fuse.*`
-/// observability instruments.
-#[derive(Debug, Default)]
-pub struct InDegreeSink {
-    degrees: Vec<u32>,
-}
-
-impl InDegreeSink {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builds the reverse adjacency of `lts` from the accumulated
-    /// in-degrees. Must be called with the [`Lts`] returned by the same
-    /// [`explore_with_sink`] call that fed this sink.
-    pub fn into_table(mut self, lts: &Lts) -> crate::PredecessorTable {
-        // States discovered after the last streamed transition (none — a
-        // state is discovered *by* a transition, except the initial state)
-        // still need a degree slot.
-        self.degrees.resize(lts.num_states(), 0);
-        lts.predecessor_table_from(&self.degrees)
-    }
-}
-
-impl ExploreSink for InDegreeSink {
-    fn on_transition(&mut self, _src: StateId, _action: ActionId, dst: StateId) {
-        if dst.index() >= self.degrees.len() {
-            self.degrees.resize(dst.index() + 1, 0);
-        }
-        self.degrees[dst.index()] += 1;
-        bb_obs::hot::FUSE_STREAMED_TRANSITIONS.incr();
-    }
-
-    fn on_level(&mut self, frontier: u64) {
-        bb_obs::hot::FUSE_FRONTIER.set(frontier);
-    }
-}
-
-/// [`explore_with`] that additionally streams the deterministic transition
-/// order into `sink` (see [`ExploreSink`]). The returned [`Lts`] is
-/// byte-identical to the sink-less call.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] (stage [`Stage::Explore`]) when any budget axis
-/// trips; the sink's partial observations should then be discarded.
-pub fn explore_with_sink<S: Semantics>(
-    sem: &S,
-    opts: &ExploreOptions<'_>,
-    sink: Option<&mut dyn ExploreSink>,
-) -> Result<Lts, Exhausted> {
     let mut store: HashStore<S> = HashStore::new(None);
-    with_watchdog(opts, |wd| {
-        explore_impl(sem, &mut store, wd, opts.jobs, sink)
-    })
-    .map(|(lts, _)| lts)
+    with_watchdog(opts, |wd| explore_impl(sem, &mut store, wd, opts.jobs)).map(|(lts, _)| lts)
 }
 
 /// The compact engine: states are hashed, stored and compared as their
 /// canonical byte encodings, in a prefix-compressed arena that can spill
 /// cold segments to `opts.spill()` under memory pressure. The produced
-/// [`Lts`] is bit-identical to [`explore_with_sink`] at any worker count,
+/// [`Lts`] is bit-identical to [`explore_with`] at any worker count,
 /// with or without a spill tier.
 ///
 /// # Errors
 ///
 /// Returns [`Exhausted`] (stage [`Stage::Explore`]) when any budget axis
 /// trips; the partial statistics describe the aborted frontier.
-pub fn explore_compact_with_sink<S: CodecSemantics>(
+pub fn explore_compact<S: CodecSemantics>(
     sem: &S,
     opts: &ExploreOptions<'_>,
-    sink: Option<&mut dyn ExploreSink>,
 ) -> Result<(Lts, ExploreReport), Exhausted> {
     let mut store = ArenaStore::new(opts.spill);
-    with_watchdog(opts, |wd| {
-        explore_impl(sem, &mut store, wd, opts.jobs, sink)
-    })
+    with_watchdog(opts, |wd| explore_impl(sem, &mut store, wd, opts.jobs))
 }
 
 /// The rich-struct baseline with truthful deep-size metering
@@ -395,15 +313,12 @@ pub fn explore_compact_with_sink<S: CodecSemantics>(
 ///
 /// Returns [`Exhausted`] (stage [`Stage::Explore`]) when any budget axis
 /// trips; the partial statistics describe the aborted frontier.
-pub fn explore_baseline_with_sink<S: CodecSemantics>(
+pub fn explore_baseline<S: CodecSemantics>(
     sem: &S,
     opts: &ExploreOptions<'_>,
-    sink: Option<&mut dyn ExploreSink>,
 ) -> Result<(Lts, ExploreReport), Exhausted> {
     let mut store: HashStore<S> = HashStore::new(Some(S::state_heap_bytes));
-    with_watchdog(opts, |wd| {
-        explore_impl(sem, &mut store, wd, opts.jobs, sink)
-    })
+    with_watchdog(opts, |wd| explore_impl(sem, &mut store, wd, opts.jobs))
 }
 
 fn with_watchdog<R>(opts: &ExploreOptions<'_>, f: impl FnOnce(&Watchdog) -> R) -> R {
@@ -421,14 +336,13 @@ fn explore_impl<S: Semantics, ST: StateStore<S>>(
     store: &mut ST,
     wd: &Watchdog,
     jobs: Jobs,
-    sink: Option<&mut dyn ExploreSink>,
 ) -> Result<(Lts, ExploreReport), Exhausted> {
     let span = bb_obs::span("explore").with("jobs", jobs.get());
     let mut meter = wd.meter(Stage::Explore);
     let result = if jobs.is_serial() {
-        explore_serial(sem, store, &mut meter, sink)
+        explore_serial(sem, store, &mut meter)
     } else {
-        explore_parallel(sem, store, wd, jobs, &mut meter, sink)
+        explore_parallel(sem, store, wd, jobs, &mut meter)
     };
     let stats = meter.stats();
     span.record("states", stats.states);
@@ -490,52 +404,10 @@ pub fn explore<S: Semantics>(sem: &S, limits: ExploreLimits) -> Result<Lts, Expl
     explore_with(sem, &ExploreOptions::limits(limits)).map_err(ExploreError::from)
 }
 
-/// [`explore`] with `jobs` worker threads.
-///
-/// # Errors
-///
-/// Returns [`ExploreError`] if the reachable state space exceeds `limits`.
-#[deprecated(note = "use `explore_with(sem, &ExploreOptions::limits(l).with_jobs(jobs))`")]
-pub fn explore_jobs<S: Semantics>(
-    sem: &S,
-    limits: ExploreLimits,
-    jobs: Jobs,
-) -> Result<Lts, ExploreError> {
-    explore_with(sem, &ExploreOptions::limits(limits).with_jobs(jobs))
-        .map_err(ExploreError::from)
-}
-
-/// Unfolds `sem` into an explicit [`Lts`] under the budget of `wd`.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] (stage [`Stage::Explore`]) when any budget axis
-/// trips; the partial statistics describe the aborted frontier.
-#[deprecated(note = "use `explore_with(sem, &ExploreOptions::governed(wd))`")]
-pub fn explore_governed<S: Semantics>(sem: &S, wd: &Watchdog) -> Result<Lts, Exhausted> {
-    explore_with(sem, &ExploreOptions::governed(wd))
-}
-
-/// [`explore_governed`] with `jobs` worker threads.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] (stage [`Stage::Explore`]) when any budget axis
-/// trips; the partial statistics describe the aborted frontier.
-#[deprecated(note = "use `explore_with(sem, &ExploreOptions::governed(wd).with_jobs(jobs))`")]
-pub fn explore_governed_jobs<S: Semantics>(
-    sem: &S,
-    wd: &Watchdog,
-    jobs: Jobs,
-) -> Result<Lts, Exhausted> {
-    explore_with(sem, &ExploreOptions::governed(wd).with_jobs(jobs))
-}
-
 fn explore_serial<S: Semantics, ST: StateStore<S>>(
     sem: &S,
     store: &mut ST,
     meter: &mut Meter,
-    mut sink: Option<&mut dyn ExploreSink>,
 ) -> Result<Lts, Exhausted> {
     // Transitions are metered by their builder footprint; states are
     // metered as the store's actual byte growth (see `MemSync`).
@@ -559,17 +431,13 @@ fn explore_serial<S: Semantics, ST: StateStore<S>>(
 
     // Cursor position of the next BFS level boundary: when the cursor
     // reaches it, everything discovered so far forms the next level — the
-    // same boundaries the parallel engine synchronizes on, so a sink sees
-    // identical `on_level` calls (and the store identical `end_level`
-    // spill points) at any worker count.
+    // same boundaries the parallel engine synchronizes on, so the store sees
+    // identical `end_level` spill points at any worker count.
     let mut next_level_start = 0usize;
     while cursor < store.len() {
         bb_obs::hot::EXPLORE_FRONTIER.set((store.len() - cursor) as u64);
         if cursor == next_level_start {
             next_level_start = store.len();
-            if let Some(sk) = sink.as_deref_mut() {
-                sk.on_level((next_level_start - cursor) as u64);
-            }
             store.end_level(cursor as u32, meter);
             mem.sync(store.bytes(), meter)?;
         }
@@ -591,9 +459,6 @@ fn explore_serial<S: Semantics, ST: StateStore<S>>(
             builder.add_transition(src_id, aid, dst_id);
             meter.add_transition()?;
             meter.add_memory(transition_bytes)?;
-            if let Some(sk) = sink.as_deref_mut() {
-                sk.on_transition(src_id, aid, dst_id);
-            }
         }
     }
 
@@ -617,7 +482,7 @@ const WORKER_CHECK_INTERVAL: usize = 32;
 /// then interns new states and records transitions **ordered by source id,
 /// then successor enumeration order** — exactly the order of the sequential
 /// loop. State ids, transition order, interned action ids and hence the
-/// `.aut` export are therefore bit-identical to [`explore_governed`] at any
+/// `.aut` export are therefore bit-identical to the sequential run at any
 /// worker count; `Jobs::serial()` takes the sequential code path itself.
 ///
 /// Budget integration: the merge charges the shared [`Meter`] in the same
@@ -636,7 +501,6 @@ fn explore_parallel<S: Semantics, ST: StateStore<S>>(
     wd: &Watchdog,
     jobs: Jobs,
     meter: &mut Meter,
-    mut sink: Option<&mut dyn ExploreSink>,
 ) -> Result<Lts, Exhausted> {
     debug_assert!(!jobs.is_serial());
     let transition_bytes = std::mem::size_of::<(StateId, u32, StateId)>();
@@ -655,9 +519,6 @@ fn explore_parallel<S: Semantics, ST: StateStore<S>>(
     while level_start < store.len() {
         let level_end = store.len();
         bb_obs::hot::EXPLORE_FRONTIER.set((level_end - level_start) as u64);
-        if let Some(sk) = sink.as_deref_mut() {
-            sk.on_level((level_end - level_start) as u64);
-        }
         store.end_level(level_start as u32, meter);
         mem.sync(store.bytes(), meter)?;
         let expansions = expand_level(sem, &*store, wd, level_start, level_end, jobs, meter)?;
@@ -679,9 +540,6 @@ fn explore_parallel<S: Semantics, ST: StateStore<S>>(
                 builder.add_transition(src_id, aid, dst_id);
                 meter.add_transition()?;
                 meter.add_memory(transition_bytes)?;
-                if let Some(sk) = sink.as_deref_mut() {
-                    sk.on_transition(src_id, aid, dst_id);
-                }
             }
         }
         level_start = level_end;
@@ -1035,7 +893,7 @@ mod tests {
         let baseline = explore_with(&sem, &ExploreOptions::default()).unwrap();
         for jobs in [1, 2, 4] {
             let opts = ExploreOptions::default().with_jobs(Jobs::new(jobs));
-            let (compact, report) = explore_compact_with_sink(&sem, &opts, None).unwrap();
+            let (compact, report) = explore_compact(&sem, &opts).unwrap();
             assert_eq!(compact.num_states(), baseline.num_states(), "jobs={jobs}");
             assert_eq!(
                 crate::aut::to_aut(&compact),
@@ -1062,8 +920,7 @@ mod tests {
     fn spill_preserves_lts_bit_identically() {
         let sem = Blob { n: 600, back: true };
         let baseline = explore_with(&sem, &ExploreOptions::default()).unwrap();
-        let (_, unspilled) =
-            explore_compact_with_sink(&sem, &ExploreOptions::default(), None).unwrap();
+        let (_, unspilled) = explore_compact(&sem, &ExploreOptions::default()).unwrap();
         // Cap at roughly half the in-core peak: only spilling keeps the run
         // under it, and the 5/8 high-water mark is crossed mid-run.
         let cap = unspilled.stats.memory_bytes / 2;
@@ -1073,8 +930,7 @@ mod tests {
                 let spill = MemSpill::default();
                 let wd = Watchdog::new(Budget::unlimited().with_max_memory_bytes(cap));
                 let mut store = ArenaStore::with_seg_target(Some(&spill), seg_target);
-                let (lts, report) =
-                    explore_impl(&sem, &mut store, &wd, Jobs::new(jobs), None).unwrap();
+                let (lts, report) = explore_impl(&sem, &mut store, &wd, Jobs::new(jobs)).unwrap();
                 assert!(
                     report.store.spilled_segments > 0,
                     "{at}: the tight cap must force spilling: {report:?}"
@@ -1166,9 +1022,9 @@ mod tests {
         for compact in [true, false] {
             let opts = ExploreOptions::default();
             let (_, report) = if compact {
-                explore_compact_with_sink(&sem, &opts, None).unwrap()
+                explore_compact(&sem, &opts).unwrap()
             } else {
-                explore_baseline_with_sink(&sem, &opts, None).unwrap()
+                explore_baseline(&sem, &opts).unwrap()
             };
             let peak = report.stats.memory_bytes;
             let store = report.store_bytes_peak;

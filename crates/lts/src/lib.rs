@@ -48,12 +48,9 @@ pub use budget::{
 pub use builder::LtsBuilder;
 pub use compact::{CodecSemantics, SpillBackend, StoreMetrics};
 pub use dot::to_dot;
-#[allow(deprecated)]
-pub use explore::{explore_governed, explore_governed_jobs, explore_jobs};
 pub use explore::{
-    explore, explore_baseline_with_sink, explore_compact_with_sink, explore_with,
-    explore_with_sink, ExploreError, ExploreLimits, ExploreOptions, ExploreReport, ExploreSink,
-    InDegreeSink, Semantics,
+    explore, explore_baseline, explore_compact, explore_with, ExploreError, ExploreLimits,
+    ExploreOptions, ExploreReport, Semantics,
 };
 pub use jobs::Jobs;
 pub use lts::{Lts, PredecessorTable, StateId, Transition};

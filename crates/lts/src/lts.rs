@@ -218,29 +218,6 @@ impl Lts {
         }
         PredecessorTable { offsets, entries }
     }
-
-    /// [`Lts::predecessor_table`] with the counting pass skipped:
-    /// `degrees[s]` must be the in-degree of state `s`, as accumulated by a
-    /// fused exploration sink while the transitions streamed by. Only the
-    /// offsets prefix-sum and the placement pass remain, and entry order is
-    /// identical to [`Lts::predecessor_table`].
-    pub fn predecessor_table_from(&self, degrees: &[u32]) -> PredecessorTable {
-        let n = self.num_states();
-        assert_eq!(degrees.len(), n, "one in-degree per state");
-        let mut offsets = vec![0u32; n + 1];
-        for i in 0..n {
-            offsets[i + 1] = offsets[i] + degrees[i];
-        }
-        debug_assert_eq!(offsets[n] as usize, self.num_transitions());
-        let mut cursor = offsets.clone();
-        let mut entries = vec![(StateId(0), ActionId(0)); self.num_transitions()];
-        for (src, act, dst) in self.iter_transitions() {
-            let at = cursor[dst.index()] as usize;
-            entries[at] = (src, act);
-            cursor[dst.index()] += 1;
-        }
-        PredecessorTable { offsets, entries }
-    }
 }
 
 /// Flat (CSR-shaped) reverse adjacency of an [`Lts`]: `offsets` indexes a

@@ -238,9 +238,6 @@ pub static CACHE_MISSES: Counter = Counter::new("persist.cache_misses");
 pub static CACHE_CORRUPT: Counter = Counter::new("persist.cache_corrupt");
 /// Faults fired by the deterministic `BB_FAULT` plan.
 pub static FAULTS_INJECTED: Counter = Counter::new("fault.injected");
-/// Transitions streamed from exploration straight into the fused
-/// refinement pipeline (`--fuse`).
-pub static FUSE_STREAMED_TRANSITIONS: Counter = Counter::new("fuse.streamed_transitions");
 /// Cold state-arena segments written to the disk-spill tier (`--spill`).
 pub static SPILL_SEGMENTS: Counter = Counter::new("compact.spill_segments");
 /// Payload bytes written to the disk-spill tier (before group checksums).
@@ -254,9 +251,6 @@ pub static SPILL_READ_BYTES: Counter = Counter::new("compact.spill_read_bytes");
 
 /// Current BFS frontier depth (undiscovered tail of the exploration queue).
 pub static EXPLORE_FRONTIER: Gauge = Gauge::new("explore.frontier_depth");
-/// Frontier depth observed by the fused exploration sink at each level
-/// boundary (`--fuse`).
-pub static FUSE_FRONTIER: Gauge = Gauge::new("fuse.frontier_depth");
 /// In-core bytes of the exploration's state store (seen-set arena or hash
 /// store plus its index); the peak is the store's high-water mark.
 pub static EXPLORE_STORE_BYTES: Gauge = Gauge::new("explore.store_bytes");
@@ -279,7 +273,7 @@ pub static JOURNAL_FSYNC_US: Histogram = Histogram::new("serve.journal_fsync_us"
 /// (0 = direct hit; long tails indicate index pressure).
 pub static SEEN_PROBE_LEN: Histogram = Histogram::new("explore.seen_probe_len");
 
-static COUNTERS: [&Counter; 26] = [
+static COUNTERS: [&Counter; 25] = [
     &SIG_STATE_RECOMPUTES,
     &SIG_ROUNDS,
     &SIG_DIRTY_STATES,
@@ -301,16 +295,14 @@ static COUNTERS: [&Counter; 26] = [
     &CACHE_MISSES,
     &CACHE_CORRUPT,
     &FAULTS_INJECTED,
-    &FUSE_STREAMED_TRANSITIONS,
     &SPILL_SEGMENTS,
     &SPILL_BYTES,
     &SPILL_RELOADS,
     &SPILL_READ_BYTES,
 ];
 
-static GAUGES: [&Gauge; 4] = [
+static GAUGES: [&Gauge; 3] = [
     &EXPLORE_FRONTIER,
-    &FUSE_FRONTIER,
     &EXPLORE_STORE_BYTES,
     &COMPACT_COMPRESSION_PCT,
 ];

@@ -20,16 +20,14 @@ use bb_algorithms::{
 };
 use bb_bisim::{partition_opts, quotient, Equivalence, PartitionOptions};
 use bb_core::{
-    format_lasso, run_isolated, verify_case_governed, verify_case_lts_pre, verify_wait_freedom,
+    format_lasso, run_isolated, verify_case_governed, verify_case_lts, verify_wait_freedom,
     GovernedConfig, Verdict, VerifyConfig,
 };
 use bb_lts::budget::CancelToken;
-use bb_lts::{to_aut, to_dot, Budget, ExploreOptions, Lts, PredecessorTable, Watchdog};
+use bb_lts::{to_aut, to_dot, Budget, ExploreOptions, Lts, Watchdog};
 use bb_persist::{Cache, CacheEntry};
 use bb_reduce::{differential_check, explore_reduced, verify_case_reduced_governed, ReduceMode};
-use bb_sim::{
-    explore_system_fused, explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec,
-};
+use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 use std::path::PathBuf;
 
 /// Exit code: every checked property was proved.
@@ -236,25 +234,18 @@ fn dispatch_named(spec: &JobSpec, ctl: &RunCtl, out: &mut RunOutput) -> i32 {
 ///
 /// `--compact off` and `--spill` select the seen-set exactly as on the
 /// budgeted path.
-///
-/// With `--fuse` (and no `--reduce`), exploration streams its transitions
-/// through an in-degree sink and the accumulated reverse adjacency is
-/// returned alongside the LTS for the refinement passes to reuse. A
-/// checkpoint-seeded LTS never saw the stream, so it returns `None` and
-/// refinement rebuilds its own table — checkpoint cut points stay valid
-/// mid-fused-run, and the output is byte-identical either way.
 fn explore_or_inconclusive<A: ObjectAlgorithm>(
     alg: &A,
     bound: Bound,
     wd: &Watchdog,
     spec: &JobSpec,
     ctl: &RunCtl,
-) -> Result<(Lts, Option<PredecessorTable>), i32> {
+) -> Result<Lts, i32> {
     let persist = bb_persist::active();
     let section = format!("{}/b{}-{}", alg.name(), bound.threads, bound.ops_per_thread);
     if let Some(p) = persist.as_ref() {
         if let Some(lts) = p.seed_lts(&section) {
-            return Ok((lts, None));
+            return Ok(lts);
         }
     }
     let spill = ctl.spill_dir.as_deref().map(bb_persist::SpillDir::new);
@@ -267,19 +258,17 @@ fn explore_or_inconclusive<A: ObjectAlgorithm>(
     let result = if spec.reduce != ReduceMode::None {
         explore_reduced(alg, bound, spec.reduce, &eo).map(|(lts, stats)| {
             bb_obs::diag!("reduction {} [{}]: {stats}", spec.reduce, alg.name());
-            (lts, None)
+            lts
         })
-    } else if spec.fuse {
-        explore_system_fused(alg, bound, &eo).map(|(lts, preds)| (lts, Some(preds)))
     } else {
-        explore_system_with(alg, bound, &eo).map(|lts| (lts, None))
+        explore_system_with(alg, bound, &eo)
     };
     match result {
-        Ok((lts, preds)) => {
+        Ok(lts) => {
             if let Some(p) = persist.as_ref() {
                 p.offer_lts(&section, &lts);
             }
-            Ok((lts, preds))
+            Ok(lts)
         }
         Err(e) => {
             eprintln!("inconclusive: {e}");
@@ -306,7 +295,7 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
     }
 
     let wd = Watchdog::new(budget_of(spec, ctl));
-    let (imp, imp_preds) = match explore_or_inconclusive(alg, bound, &wd, spec, ctl) {
+    let imp = match explore_or_inconclusive(alg, bound, &wd, spec, ctl) {
         Ok(l) => l,
         Err(c) => return c,
     };
@@ -360,19 +349,7 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
         let popts = PartitionOptions::default()
             .with_jobs(spec.jobs)
             .with_mode(spec.refine);
-        // A fused exploration already accumulated the reverse adjacency;
-        // hand it to the refiner. Partitions are identical either way.
-        let p = match imp_preds.as_ref() {
-            Some(preds) => bb_bisim::partition_governed_pre(
-                &imp,
-                Equivalence::Branching,
-                &Watchdog::unlimited(),
-                popts,
-                Some(preds),
-            )
-            .expect("an unlimited watchdog never trips"),
-            None => partition_opts(&imp, Equivalence::Branching, popts),
-        };
+        let p = partition_opts(&imp, Equivalence::Branching, popts);
         let q = quotient(&imp, &p);
         outln!(out, "algorithm : {}", alg.name());
         outln!(out, "bound     : {}-{}", bound.threads, bound.ops_per_thread);
@@ -391,25 +368,17 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
         return EXIT_PROVED;
     }
 
-    let (sp, sp_preds) = match explore_or_inconclusive(seq, bound, &wd, spec, ctl) {
+    let sp = match explore_or_inconclusive(seq, bound, &wd, spec, ctl) {
         Ok(l) => l,
         Err(c) => return c,
     };
     let mut cfg = VerifyConfig::new(bound)
         .with_jobs(spec.jobs)
-        .with_refine(spec.refine)
-        .with_fuse(spec.fuse);
+        .with_refine(spec.refine);
     if !spec.check_lock_freedom || !non_blocking {
         cfg = cfg.linearizability_only();
     }
-    let report = verify_case_lts_pre(
-        alg.name(),
-        cfg,
-        &imp,
-        &sp,
-        imp_preds.as_ref(),
-        sp_preds.as_ref(),
-    );
+    let report = verify_case_lts(alg.name(), cfg, &imp, &sp);
     outln!(out, "{}", report.summary());
     if let Some(v) = &report.linearizability.violation {
         outln!(out, "non-linearizable history:");
@@ -487,7 +456,6 @@ fn verify_governed<A: ObjectAlgorithm, S: SequentialSpec>(
     let mut config = GovernedConfig::new(bound, budget_of(spec, ctl))
         .with_jobs(spec.jobs)
         .with_refine(spec.refine)
-        .with_fuse(spec.fuse)
         .with_compact(!ctl.no_compact);
     if let Some(dir) = &ctl.spill_dir {
         config = config.with_spill_dir(dir);

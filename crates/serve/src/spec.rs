@@ -3,10 +3,10 @@
 //!
 //! A [`JobSpec`] captures everything that determines a command's stdout,
 //! artifacts and exit code — the algorithm, bound, property selection,
-//! reduce/refine modes and budgets — plus the two knobs that provably do
-//! *not* ([`jobs`](JobSpec::jobs) and [`fuse`](JobSpec::fuse), excluded
-//! from [`cache_key`](JobSpec::cache_key) because results are bit-identical
-//! either way). The same struct round-trips through the `bb-serve/v1` JSON
+//! reduce/refine modes and budgets — plus the one knob that provably does
+//! *not* ([`jobs`](JobSpec::jobs), excluded from
+//! [`cache_key`](JobSpec::cache_key) because results are bit-identical at
+//! any worker count). The same struct round-trips through the `bb-serve/v1` JSON
 //! protocol ([`to_json`](JobSpec::to_json) / [`from_json`](JobSpec::from_json))
 //! and back into a CLI argv ([`to_argv`](JobSpec::to_argv)), which is what
 //! makes the served-vs-direct differential tests possible: both paths run
@@ -125,8 +125,6 @@ pub struct JobSpec {
     pub reduce: ReduceMode,
     /// Worker threads (output-identical at any count; not in the cache key).
     pub jobs: Jobs,
-    /// Fused exploration→refinement (output-identical; not in the cache key).
-    pub fuse: bool,
 }
 
 impl Default for JobSpec {
@@ -148,7 +146,6 @@ impl Default for JobSpec {
             refine: RefineMode::default(),
             reduce: ReduceMode::None,
             jobs: Jobs::available(),
-            fuse: false,
         }
     }
 }
@@ -189,9 +186,9 @@ impl JobSpec {
     /// The checkpoint configuration tag: a hash of everything that
     /// determines the *shape* of the pipeline (which LTSs are explored,
     /// which refinement calls run, in what order). Budgets, `--jobs`,
-    /// `--fuse`, checkpoint cadence and output paths are deliberately
-    /// excluded — a resume with a raised budget, a different worker count
-    /// or fusion toggled must still seed the recorded sections.
+    /// checkpoint cadence and output paths are deliberately excluded — a
+    /// resume with a raised budget or a different worker count must still
+    /// seed the recorded sections.
     pub fn config_tag(&self) -> u64 {
         let desc = format!(
             "bbp{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce={}|refine={}",
@@ -213,10 +210,9 @@ impl JobSpec {
 
     /// The result-cache key: everything that determines the command's
     /// stdout, artifacts and exit code — including budgets, since the
-    /// governed report names the rung and bound that answered. `--jobs`
-    /// and `--fuse` are excluded: results are bit-identical at any worker
-    /// count and with fusion on or off, so a `-j 4 --fuse` run hits the
-    /// entry a `-j 1` run stored.
+    /// governed report names the rung and bound that answered. `--jobs` is
+    /// excluded: results are bit-identical at any worker count, so a `-j 4`
+    /// run hits the entry a `-j 1` run stored.
     pub fn cache_key(&self) -> String {
         format!(
             "bbc{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce={}|refine={}|budget=({:?},{:?},{:?},{:?},nf{})",
@@ -279,9 +275,6 @@ impl JobSpec {
             argv_push(&mut argv, "--reduce", self.reduce.to_string());
         }
         argv_push(&mut argv, "--jobs", self.jobs.get().to_string());
-        if self.fuse {
-            argv.push("--fuse".into());
-        }
         argv
     }
 
@@ -327,9 +320,6 @@ impl JobSpec {
         }
         let _ = write!(s, ", \"refine\": \"{}\", \"reduce\": \"{}\"", self.refine, self.reduce);
         let _ = write!(s, ", \"jobs\": {}", self.jobs.get());
-        if self.fuse {
-            s.push_str(", \"fuse\": true");
-        }
         s.push('}');
         s
     }
@@ -404,7 +394,6 @@ impl JobSpec {
                     }
                     spec.jobs = Jobs::new(n);
                 }
-                "fuse" => spec.fuse = as_bool(val, key)?,
                 other => return Err(format!("unknown spec member `{other}`")),
             }
         }
@@ -478,7 +467,6 @@ mod tests {
             refine: RefineMode::default(),
             reduce: ReduceMode::None,
             jobs: Jobs::new(4),
-            fuse: true,
         }
     }
 
@@ -492,11 +480,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_key_ignores_jobs_and_fuse_but_not_budgets() {
+    fn cache_key_ignores_jobs_but_not_budgets() {
         let a = sample();
         let mut b = a.clone();
         b.jobs = Jobs::new(1);
-        b.fuse = false;
         assert_eq!(a.cache_key(), b.cache_key());
         assert_eq!(a.config_tag(), b.config_tag());
         let mut c = a.clone();
@@ -560,6 +547,8 @@ mod tests {
             .is_err());
         assert!(JobSpec::from_json(&parse(r#"{"algorithm": "treiber", "domain": []}"#).unwrap())
             .is_err());
+        assert!(JobSpec::from_json(&parse(r#"{"algorithm": "treiber", "fuse": true}"#).unwrap())
+            .is_err());
     }
 
     #[test]
@@ -570,7 +559,6 @@ mod tests {
         assert_eq!(argv[0], "verify");
         assert_eq!(argv[1], "ms-queue");
         assert!(argv.contains(&"--no-lock-freedom".to_string()));
-        assert!(argv.contains(&"--fuse".to_string()));
         let t = argv.iter().position(|a| a == "--timeout").unwrap();
         assert_eq!(argv[t + 1], "1500ms");
     }

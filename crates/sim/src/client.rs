@@ -2,11 +2,10 @@
 
 use crate::algorithm::{MethodId, MethodSpec, ObjectAlgorithm, Outcome};
 use crate::pack::{Pack, PackReader, PackWriter};
-use bb_lts::budget::{Exhausted, Watchdog};
+use bb_lts::budget::Exhausted;
 use bb_lts::{
-    explore, explore_baseline_with_sink, explore_compact_with_sink, explore_with, Action,
-    CodecSemantics, ExploreError, ExploreLimits, ExploreOptions, ExploreReport, Jobs, Lts,
-    Semantics, ThreadId,
+    explore, explore_baseline, explore_compact, explore_with, Action, CodecSemantics, ExploreError,
+    ExploreLimits, ExploreOptions, ExploreReport, Lts, Semantics, ThreadId,
 };
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -311,7 +310,7 @@ pub fn explore_system_with<A: ObjectAlgorithm>(
         .with("ops", bound.ops_per_thread as u64);
     let system = System::new(alg, bound);
     if opts.compact() {
-        explore_compact_with_sink(&system, opts, None).map(|(lts, _)| lts)
+        explore_compact(&system, opts).map(|(lts, _)| lts)
     } else {
         explore_with(&system, opts)
     }
@@ -341,41 +340,10 @@ pub fn explore_system_report<A: ObjectAlgorithm>(
         .with("ops", bound.ops_per_thread as u64);
     let system = System::new(alg, bound);
     if opts.compact() {
-        explore_compact_with_sink(&system, opts, None)
+        explore_compact(&system, opts)
     } else {
-        explore_baseline_with_sink(&system, opts, None)
+        explore_baseline(&system, opts)
     }
-}
-
-/// Fused variant of [`explore_system_with`]: streams the exploration's
-/// deterministic transition order through an [`bb_lts::InDegreeSink`] and
-/// returns the reverse adjacency alongside the LTS, so a downstream
-/// incremental refinement skips its predecessor-counting pass
-/// (`--fuse`). The LTS is byte-identical to [`explore_system_with`] and the
-/// table is byte-identical to [`Lts::predecessor_table`].
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] (stage `explore`) when any budget axis trips.
-pub fn explore_system_fused<A: ObjectAlgorithm>(
-    alg: &A,
-    bound: Bound,
-    opts: &ExploreOptions<'_>,
-) -> Result<(Lts, bb_lts::PredecessorTable), Exhausted> {
-    let _span = bb_obs::span("explore.system")
-        .with("object", alg.name())
-        .with("threads", bound.threads as u64)
-        .with("ops", bound.ops_per_thread as u64)
-        .with("fused", 1u64);
-    let system = System::new(alg, bound);
-    let mut sink = bb_lts::InDegreeSink::new();
-    let lts = if opts.compact() {
-        explore_compact_with_sink(&system, opts, Some(&mut sink))?.0
-    } else {
-        bb_lts::explore_with_sink(&system, opts, Some(&mut sink))?
-    };
-    let preds = sink.into_table(&lts);
-    Ok((lts, preds))
 }
 
 /// Unfolds the most general client of `alg` under `bound` into an explicit
@@ -396,60 +364,6 @@ pub fn explore_system<A: ObjectAlgorithm>(
     explore(&system, limits)
 }
 
-/// Budget-governed [`explore_system`]: the unfolding is metered against the
-/// full [`Watchdog`] budget (deadline, caps, memory, cancellation).
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] (stage `explore`) when any budget axis trips.
-#[deprecated(note = "use `explore_system_with(alg, bound, &ExploreOptions::governed(wd))`")]
-pub fn explore_system_governed<A: ObjectAlgorithm>(
-    alg: &A,
-    bound: Bound,
-    wd: &Watchdog,
-) -> Result<Lts, Exhausted> {
-    explore_system_with(alg, bound, &ExploreOptions::governed(wd))
-}
-
-/// [`explore_system`] on the parallel exploration engine: the frontier of
-/// the most general client is fanned out to `jobs` workers with a
-/// deterministic merge, so the resulting LTS is bit-identical to the
-/// sequential unfolding at any worker count.
-///
-/// # Errors
-///
-/// Returns [`ExploreError`] if the state space exceeds `limits`.
-#[deprecated(
-    note = "use `explore_system_with(alg, bound, &ExploreOptions::limits(l).with_jobs(jobs))`"
-)]
-pub fn explore_system_jobs<A: ObjectAlgorithm>(
-    alg: &A,
-    bound: Bound,
-    limits: ExploreLimits,
-    jobs: Jobs,
-) -> Result<Lts, ExploreError> {
-    explore_system_with(alg, bound, &ExploreOptions::limits(limits).with_jobs(jobs))
-        .map_err(ExploreError::from)
-}
-
-/// [`explore_system_governed`] on the parallel exploration engine (see
-/// [`explore_system_jobs`] for the determinism contract).
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] (stage `explore`) when any budget axis trips.
-#[deprecated(
-    note = "use `explore_system_with(alg, bound, &ExploreOptions::governed(wd).with_jobs(jobs))`"
-)]
-pub fn explore_system_governed_jobs<A: ObjectAlgorithm>(
-    alg: &A,
-    bound: Bound,
-    wd: &Watchdog,
-    jobs: Jobs,
-) -> Result<Lts, Exhausted> {
-    explore_system_with(alg, bound, &ExploreOptions::governed(wd).with_jobs(jobs))
-}
-
 #[cfg(test)]
 pub(crate) fn tests_no_cycle_helper(lts: &bb_lts::Lts) -> bool {
     // τ-cycle detection via the τ-SCC condensation.
@@ -462,6 +376,7 @@ mod tests {
     use super::*;
     use crate::algorithm::{MethodSpec, Outcome};
     use crate::Value;
+    use bb_lts::Jobs;
 
     /// A register with an atomic write and a two-step (read then publish)
     /// increment, to exercise interleavings.
@@ -522,52 +437,6 @@ mod tests {
                     val: Some(*shared),
                     tag: "L3",
                 }),
-            }
-        }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_options_entry_point() {
-        let bound = Bound::new(2, 1);
-        let limits = ExploreLimits::default();
-        let base = explore_system_with(&TestCounter, bound, &ExploreOptions::limits(limits))
-            .unwrap();
-        let wd = Watchdog::new(limits.into());
-        let gov = explore_system_governed(&TestCounter, bound, &wd).unwrap();
-        let jobs = explore_system_jobs(&TestCounter, bound, limits, Jobs::new(2)).unwrap();
-        let gov_jobs =
-            explore_system_governed_jobs(&TestCounter, bound, &wd, Jobs::new(2)).unwrap();
-        for other in [&gov, &jobs, &gov_jobs] {
-            assert_eq!(bb_lts::to_aut(&base), bb_lts::to_aut(other));
-        }
-    }
-
-    #[test]
-    fn fused_exploration_matches_staged_and_its_table_is_exact() {
-        // The fused explorer must build the byte-identical LTS (the sink
-        // only observes the deterministic merge stream) and its in-degree
-        // accumulation must reproduce `Lts::predecessor_table` exactly, at
-        // any worker count.
-        let bound = Bound::new(2, 2);
-        let opts = ExploreOptions::limits(ExploreLimits::default());
-        let staged = explore_system_with(&TestCounter, bound, &opts).unwrap();
-        let reference = staged.predecessor_table();
-        for jobs in [Jobs::serial(), Jobs::new(4)] {
-            let opts = ExploreOptions::limits(ExploreLimits::default()).with_jobs(jobs);
-            let (fused, preds) = explore_system_fused(&TestCounter, bound, &opts).unwrap();
-            assert_eq!(
-                bb_lts::snapshot::encode_lts(&staged),
-                bb_lts::snapshot::encode_lts(&fused),
-                "fused LTS differs at {jobs:?}"
-            );
-            for s in 0..fused.num_states() {
-                let s = bb_lts::StateId(s as u32);
-                assert_eq!(
-                    reference.of(s),
-                    preds.of(s),
-                    "streamed reverse adjacency differs at state {s:?} ({jobs:?})"
-                );
             }
         }
     }
@@ -733,14 +602,10 @@ mod tests {
     #[test]
     fn compact_engine_is_bit_identical_to_rich_engine() {
         // The compact (packed-arena) seen-set must reproduce the
-        // HashMap engine's `.aut` bytes exactly, at any worker count,
-        // staged and fused.
+        // HashMap engine's `.aut` bytes exactly, at any worker count.
         let bound = Bound::new(2, 2);
         let rich_opts = ExploreOptions::limits(ExploreLimits::default()).with_compact(false);
         let rich = explore_system_with(&TestCounter, bound, &rich_opts).unwrap();
-        let (rich_fused, rich_preds) = explore_system_fused(&TestCounter, bound, &rich_opts)
-            .unwrap();
-        assert_eq!(bb_lts::to_aut(&rich), bb_lts::to_aut(&rich_fused));
         for jobs in [Jobs::serial(), Jobs::new(4)] {
             let opts = ExploreOptions::limits(ExploreLimits::default()).with_jobs(jobs);
             assert!(opts.compact(), "compact engine must be the default");
@@ -750,12 +615,6 @@ mod tests {
                 bb_lts::to_aut(&lts),
                 "compact LTS differs at {jobs:?}"
             );
-            let (fused, preds) = explore_system_fused(&TestCounter, bound, &opts).unwrap();
-            assert_eq!(bb_lts::to_aut(&rich), bb_lts::to_aut(&fused));
-            for s in 0..fused.num_states() {
-                let s = bb_lts::StateId(s as u32);
-                assert_eq!(rich_preds.of(s), preds.of(s));
-            }
             let (reported, report) = explore_system_report(&TestCounter, bound, &opts).unwrap();
             assert_eq!(bb_lts::to_aut(&rich), bb_lts::to_aut(&reported));
             assert!(report.store.raw_bytes > 0);

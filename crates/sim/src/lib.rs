@@ -30,11 +30,9 @@ mod ptr;
 mod spec;
 
 pub use algorithm::{Footprint, MethodId, MethodSpec, ObjectAlgorithm, Outcome, ThreadPerm};
-#[allow(deprecated)]
-pub use client::{explore_system_governed, explore_system_governed_jobs, explore_system_jobs};
 pub use client::{
-    explore_system, explore_system_fused, explore_system_report, explore_system_with, Bound,
-    SysState, System, ThreadStatus,
+    explore_system, explore_system_report, explore_system_with, Bound, SysState, System,
+    ThreadStatus,
 };
 pub use heap::{Heap, HeapNode, Renaming};
 pub use pack::{Pack, PackReader, PackWriter, STATE_ENCODING_VERSION};

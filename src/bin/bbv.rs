@@ -53,7 +53,6 @@ struct Options {
     no_fallback: bool,
     jobs: Jobs,
     refine: RefineMode,
-    fuse: bool,
     reduce: ReduceMode,
     metrics: Option<String>,
     trace: Option<String>,
@@ -84,7 +83,6 @@ impl Default for Options {
             no_fallback: false,
             jobs: Jobs::available(),
             refine: RefineMode::default(),
-            fuse: false,
             reduce: ReduceMode::None,
             metrics: None,
             trace: None,
@@ -120,7 +118,6 @@ impl Options {
             refine: self.refine,
             reduce: self.reduce,
             jobs: self.jobs,
-            fuse: self.fuse,
         }
     }
 }
@@ -232,7 +229,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .ok_or("--refine needs a mode: full or incremental")?
                     .parse()?;
             }
-            "--fuse" => opts.fuse = true,
             "--reduce" => {
                 opts.reduce = it
                     .next()
@@ -289,9 +285,6 @@ fn print_usage() {
     eprintln!("           --jobs N   (worker threads; default = all cores, output identical)");
     eprintln!("           --refine full|incremental   (partition-refinement engine; default");
     eprintln!("           incremental — dirty-state worklists, identical output either way)");
-    eprintln!("           --fuse   (stream exploration straight into refinement: the BFS");
-    eprintln!("           feeds an in-degree sink and refinement reuses the accumulated");
-    eprintln!("           reverse adjacency; stdout and artifacts identical either way)");
     eprintln!("           --reduce none|sym|por|full   (state-space reduction; ≈div-preserving)");
     eprintln!("           `reduce-check <algorithm|all>` cross-checks the reduction: the");
     eprintln!("           reduced LTS must be ≈div the full one with identical verdicts");

@@ -106,6 +106,9 @@ fn unknown_algorithm_is_a_usage_error() {
 fn unknown_option_is_a_usage_error() {
     let out = bbv(&["verify", "treiber", "--no-such-flag"]);
     assert_eq!(out.status.code(), Some(3));
+    // `--fuse` was retired; it is now as unknown as any typo.
+    let out = bbv(&["verify", "treiber", "--fuse"]);
+    assert_eq!(out.status.code(), Some(3));
 }
 
 #[test]

@@ -13,10 +13,10 @@ use bbverify::algorithms::{
     specs::*, treiber::Treiber, treiber_hp_fu::TreiberHpFu,
 };
 use bbverify::bisim::{
-    partition_governed_opts, partition_opts, partition_with_history_opts,
-    partition_with_history_pre, quotient, Equivalence, PartitionOptions, RefineMode,
+    partition_governed_opts, partition_opts, partition_with_history_opts, quotient, Equivalence,
+    PartitionOptions, RefineMode,
 };
-use bbverify::core::{verify_case_lts, verify_case_lts_pre, VerifyConfig};
+use bbverify::core::{verify_case_lts, VerifyConfig};
 use bbverify::lts::{
     random_lts, to_aut, Action, Budget, ExhaustReason, ExploreLimits, Jobs, Lts, LtsBuilder,
     RandomLtsConfig, Stage, ThreadId, Watchdog,
@@ -146,53 +146,42 @@ fn verdicts_are_identical_across_engines() {
     }
 }
 
-/// The full jobs × engine × fusion sweep: partitions, round-by-round
-/// histories and quotient `.aut` bytes must be identical across
-/// `jobs ∈ {1, 2, 4}` × `refine ∈ {full, incremental}` × `fuse ∈ {off, on}`
-/// — sixty cells per LTS, all equal to the serial unfused full-engine
-/// baseline. Runs on a roster slice that includes a lock-based algorithm
-/// and a known-buggy variant (failures must replicate exactly as
-/// successes do).
+/// The full jobs × engine sweep: partitions, round-by-round histories and
+/// quotient `.aut` bytes must be identical across `jobs ∈ {1, 2, 4}` ×
+/// `refine ∈ {full, incremental}` — twelve cells per LTS, all equal to the
+/// serial full-engine baseline. Runs on a roster slice that includes a
+/// lock-based algorithm and a known-buggy variant (failures must replicate
+/// exactly as successes do).
 #[test]
-fn jobs_refine_fuse_sweep_is_bit_identical() {
+fn jobs_refine_sweep_is_bit_identical() {
     let cases: [(&str, Lts); 3] = [
         ("ms-queue", lts_of(&MsQueue::new(&[1]), 2, 2)),
         ("lazy-list", lts_of(&LazyList::new(&[1]), 2, 2)),
         ("hm-list-buggy", lts_of(&HmList::buggy(&[1]), 2, 2)),
     ];
     for (name, lts) in &cases {
-        // The fused pipeline hands refinement the reverse adjacency the
-        // exploration stream accumulated; here it is equivalently prebuilt.
-        let preds = lts.predecessor_table();
         for eq in [Equivalence::Strong, Equivalence::Branching] {
             let (p0, h0) =
                 partition_with_history_opts(lts, eq, opts(RefineMode::Full, Jobs::serial()));
             let aut0 = to_aut(&quotient(lts, &p0).lts);
             for jobs in [Jobs::serial(), Jobs::new(2), Jobs::new(4)] {
                 for mode in [RefineMode::Full, RefineMode::Incremental] {
-                    for fuse in [false, true] {
-                        let tag = format!("{name} {eq:?} {jobs:?} {mode} fuse={fuse}");
-                        let pre = fuse.then_some(&preds);
-                        let (p, h) = partition_with_history_pre(lts, eq, opts(mode, jobs), pre);
-                        assert_eq!(p0, p, "{tag}: partition differs");
-                        assert_eq!(h0.rounds, h.rounds, "{tag}: history differs");
-                        assert_eq!(
-                            aut0,
-                            to_aut(&quotient(lts, &p).lts),
-                            "{tag}: .aut bytes differ"
-                        );
-                    }
+                    let tag = format!("{name} {eq:?} {jobs:?} {mode}");
+                    let (p, h) = partition_with_history_opts(lts, eq, opts(mode, jobs));
+                    assert_eq!(p0, p, "{tag}: partition differs");
+                    assert_eq!(h0.rounds, h.rounds, "{tag}: history differs");
+                    assert_eq!(aut0, to_aut(&quotient(lts, &p).lts), "{tag}: .aut bytes differ");
                 }
             }
         }
     }
 }
 
-/// End-to-end sweep over the verification pipeline: `verify_case_lts_pre`
-/// with prebuilt reverse adjacencies (the fused path) must produce the
-/// same verdict summary as the staged path, for every jobs × engine cell.
+/// End-to-end sweep over the verification pipeline: `verify_case_lts` must
+/// produce the same verdict summary as the serial default, for every
+/// jobs × engine cell.
 #[test]
-fn fused_verdicts_match_staged_across_jobs_and_engines() {
+fn verdicts_match_across_jobs_and_engines() {
     let cases: [(&'static str, Lts, Lts); 2] = [
         (
             "ms-queue",
@@ -206,9 +195,7 @@ fn fused_verdicts_match_staged_across_jobs_and_engines() {
         ),
     ];
     for (name, imp, spec) in &cases {
-        let imp_preds = imp.predecessor_table();
-        let spec_preds = spec.predecessor_table();
-        let staged = {
+        let serial = {
             let cfg = VerifyConfig::new(Bound::new(2, 2));
             let r = verify_case_lts(name, cfg, imp, spec);
             (r.linearizable(), r.lock_free(), r.summary())
@@ -217,20 +204,12 @@ fn fused_verdicts_match_staged_across_jobs_and_engines() {
             for mode in [RefineMode::Full, RefineMode::Incremental] {
                 let cfg = VerifyConfig::new(Bound::new(2, 2))
                     .with_jobs(jobs)
-                    .with_refine(mode)
-                    .with_fuse(true);
-                let r = verify_case_lts_pre(
-                    name,
-                    cfg,
-                    imp,
-                    spec,
-                    Some(&imp_preds),
-                    Some(&spec_preds),
-                );
+                    .with_refine(mode);
+                let r = verify_case_lts(name, cfg, imp, spec);
                 assert_eq!(
-                    staged,
+                    serial,
                     (r.linearizable(), r.lock_free(), r.summary()),
-                    "{name} at {jobs:?} {mode}: fused verdict differs from staged"
+                    "{name} at {jobs:?} {mode}: verdict differs from the serial default"
                 );
             }
         }

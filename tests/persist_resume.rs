@@ -440,8 +440,8 @@ fn resume_accepts_overrides_after_recorded_argv() {
 /// `bbv resume DIR --jobs N` must accept a worker-count override without
 /// invalidating the checkpoint fingerprint: the config tag deliberately
 /// excludes `--jobs`, so a checkpoint cut at `--jobs 1` must still seed a
-/// resume at `--jobs 4` (and with `--fuse` toggled), and the resumed
-/// report must be byte-identical to an uninterrupted run.
+/// resume at `--jobs 4`, and the resumed report must be byte-identical to
+/// an uninterrupted run.
 #[test]
 fn resume_jobs_override_reuses_jobs1_checkpoint() {
     let base = bbv(
@@ -463,13 +463,12 @@ fn resume_jobs_override_reuses_jobs1_checkpoint() {
     );
     assert!(!crashed.status.success());
 
-    // Resume at --jobs 4 (+ --fuse, likewise excluded from the tag), with
-    // metrics on so seeding is observable.
+    // Resume at --jobs 4, with metrics on so seeding is observable.
     let metrics = std::env::temp_dir().join(format!("bbv-jobs-override-{}.json", std::process::id()));
     let resumed = bbv(
         &[
             "resume", ckpt.to_str().unwrap(),
-            "--jobs", "4", "--fuse", "--metrics", metrics.to_str().unwrap(),
+            "--jobs", "4", "--metrics", metrics.to_str().unwrap(),
         ],
         &[],
     );
