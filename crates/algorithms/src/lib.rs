@@ -25,6 +25,9 @@
 //! |13 | Optimistic list              | [`optimistic_list`] |
 //! |14 | Fine-grained synchronized list | [`fine_list`]     |
 //!
+//! [`roster`] names the 19 objects the tools accept and builds each one
+//! with its specification.
+//!
 //! Sequential specifications live in [`specs`]; the hand-written abstract
 //! programs of Section VI-D (coarse-grained objects with more than one
 //! atomic block, used with Theorem 5.8) live in [`abstracts`].
@@ -47,6 +50,7 @@ pub mod ms_queue;
 pub mod newcas;
 pub mod optimistic_list;
 pub mod rdcss;
+pub mod roster;
 pub mod specs;
 pub mod treiber;
 pub mod treiber_hp;

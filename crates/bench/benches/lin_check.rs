@@ -5,7 +5,8 @@
 use bb_algorithms::{ms_queue::MsQueue, specs::SeqQueue, specs::SeqStack, treiber::Treiber};
 use bb_bench::{bench_loop, lts_of};
 use bb_core::verify_linearizability;
-use bb_refine::{trace_refines, trace_refines_with, RefineOptions};
+use bb_lts::Watchdog;
+use bb_refine::{trace_refines, trace_refines_governed, RefineOptions};
 use bb_sim::AtomicSpec;
 
 fn main() {
@@ -31,7 +32,12 @@ fn main() {
             trace_refines(imp, spec)
         });
         bench_loop(&format!("direct, no antichain (ablation)/{name}"), 10, || {
-            trace_refines_with(imp, spec, RefineOptions { antichain: false })
+            trace_refines_governed(
+                imp,
+                spec,
+                RefineOptions { antichain: false },
+                &Watchdog::unlimited(),
+            )
         });
     }
 }

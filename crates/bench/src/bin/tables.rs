@@ -17,29 +17,29 @@
 //! from the paper (different front end, hardware and heap canonicalization
 //! — see DESIGN.md); the *shape* of every result is reproduced.
 
-use bb_bench::{check, lts_of_jobs, mark, try_lts_of_jobs};
+use bb_algorithms::roster::{with_case, Case, ALGORITHMS};
+use bb_bench::{check, lts_of_jobs, mark, sabotage_point};
 use bb_bisim::{
-    bisimilar_governed_jobs, partition_jobs, partition_with_stats, quotient, Equivalence,
-    PartitionOptions, RefineMode,
+    bisimilar_opts, partition_opts, partition_with_stats, quotient, Equivalence, PartitionOptions,
+    RefineMode,
 };
 use bb_core::{
-    verify_case_lts, verify_linearizability_jobs, verify_lock_freedom_jobs,
-    verify_lock_freedom_via_abstraction_jobs, VerifyConfig,
+    verify_case_lts, verify_linearizability_opts, verify_lock_freedom_opts,
+    verify_lock_freedom_via_abstraction_opts, CaseReport, VerifyConfig,
 };
 use bb_ktrace::{classify_tau_edges, KtraceLimits};
-use bb_lts::{ExploreOptions, Jobs, Lts, Watchdog};
+use bb_lts::{Exhausted, ExploreError, ExploreLimits, ExploreOptions, Jobs, Lts, Watchdog};
 use bb_reduce::scratch::ScratchPad;
 use bb_reduce::{explore_reduced, ReduceMode};
 use bb_persist::{Cache, CacheEntry};
-use bb_sim::{AtomicSpec, Bound};
+use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 use std::time::Instant;
 
 use bb_algorithms::abstracts::AbsQueue;
 use bb_algorithms::{
-    ccas::Ccas, coarse::CoarseLocked, dglm_queue::DglmQueue, fine_list::FineList, hm_list::HmList,
-    hsy_stack::HsyStack, hw_queue::HwQueue, lazy_list::LazyList, ms_queue::MsQueue,
-    newcas::NewCas, optimistic_list::OptimisticList, rdcss::Rdcss, specs::*, treiber::Treiber,
-    treiber_hp::TreiberHp, treiber_hp_fu::TreiberHpFu, two_lock_queue::TwoLockQueue,
+    ccas::Ccas, coarse::CoarseLocked, dglm_queue::DglmQueue, hm_list::HmList, hsy_stack::HsyStack,
+    hw_queue::HwQueue, lazy_list::LazyList, ms_queue::MsQueue, newcas::NewCas, rdcss::Rdcss,
+    specs::*, treiber::Treiber, treiber_hp::TreiberHp, treiber_hp_fu::TreiberHpFu,
 };
 
 fn main() {
@@ -243,6 +243,14 @@ fn guarded(name: &str, f: impl FnOnce()) {
     }
 }
 
+/// Partition options for `--jobs N`. The tables cap exploration only; their
+/// later stages run under `Watchdog::unlimited()`.
+fn popts(jobs: Jobs) -> PartitionOptions {
+    PartitionOptions::default().with_jobs(jobs)
+}
+
+const UNLIMITED: &str = "an unlimited watchdog never trips";
+
 // ------------------------------------------------------------------ Table I
 
 fn table1(jobs: Jobs) {
@@ -280,6 +288,25 @@ fn table1(jobs: Jobs) {
 
 // ----------------------------------------------------------------- Table II
 
+/// Table II's rows: the paper's label, then the roster case.
+const TABLE2: [(&str, &str, &[i64], u8, u32); 15] = [
+    ("1. Treiber stack", "treiber", &[1, 2], 2, 2),
+    ("2. Treiber stack + HP (Michael)", "treiber-hp", &[1], 2, 2),
+    ("3. Treiber stack + HP (Fu et al.)", "treiber-hp-fu", &[1], 2, 2),
+    ("4. MS lock-free queue", "ms-queue", &[1, 2], 2, 2),
+    ("5. DGLM queue", "dglm-queue", &[1, 2], 2, 2),
+    ("6. CCAS", "ccas", &[1, 2], 2, 2),
+    ("7. RDCSS", "rdcss", &[1, 2], 2, 1),
+    ("8. NewCompareAndSet", "newcas", &[1, 2], 2, 2),
+    ("9-1. HM lock-free list (buggy)", "hm-list-buggy", &[1], 2, 2),
+    ("9-2. HM lock-free list (revised)", "hm-list", &[1], 2, 2),
+    ("10. HW queue", "hw-queue", &[1], 3, 1),
+    ("11. HSY stack", "hsy-stack", &[1], 2, 2),
+    ("12. Heller et al. lazy list", "lazy-list", &[1], 2, 2),
+    ("13. Optimistic list", "optimistic-list", &[1], 2, 2),
+    ("14. Fine-grained syn. list", "fine-list", &[1], 2, 2),
+];
+
 fn table2(jobs: Jobs) {
     println!("\n=== TABLE II — verified algorithms using branching bisimulation ===\n");
     println!(
@@ -290,64 +317,26 @@ fn table2(jobs: Jobs) {
     // Each case runs fault-isolated: a panic or an exhausted exploration in
     // one row prints `inconclusive` (with the partial statistics carried by
     // the error) and the sweep continues with the remaining rows.
-    macro_rules! case {
-        ($name:expr, $alg:expr, $spec:expr, $th:expr, $op:expr, $lf:expr) => {{
-            let cfg_col = format!("{}-{}", $th, $op);
-            let outcome = bb_core::run_isolated(|| -> Result<String, bb_lts::ExploreError> {
-                let bound = Bound::new($th, $op);
-                let imp = try_lts_of_jobs(&$alg, $th, $op, jobs)?;
-                let spec = try_lts_of_jobs(&AtomicSpec::new($spec), $th, $op, jobs)?;
-                let mut cfg = VerifyConfig::new(bound).with_jobs(jobs);
-                if !$lf {
-                    cfg = cfg.linearizability_only();
-                }
-                let r = verify_case_lts($name, cfg, &imp, &spec);
-                let lf_mark = match &r.lock_freedom {
-                    None => "—".to_string(),
-                    Some(l) => check(l.lock_free).to_string(),
-                };
-                Ok(format!(
-                    "{:<40} {:>6} {:>16} {:>10} {:>12} {:>10}",
-                    $name,
-                    cfg_col,
-                    check(r.linearizable()),
-                    lf_mark,
-                    r.linearizability.impl_states,
-                    r.linearizability.impl_quotient_states,
-                ))
-            });
-            match outcome {
-                Ok(Ok(line)) => println!("{line}"),
-                Ok(Err(e)) => println!(
-                    "{:<40} {:>6} inconclusive: exploration aborted, {e}",
-                    $name,
-                    format!("{}-{}", $th, $op),
-                ),
-                Err(fault) => println!(
-                    "{:<40} {:>6} inconclusive: internal fault ({})",
-                    $name,
-                    format!("{}-{}", $th, $op),
-                    fault.lines().next().unwrap_or("panic"),
-                ),
-            }
-        }};
+    for (label, name, domain, th, op) in TABLE2 {
+        let cfg_col = format!("{th}-{op}");
+        match run_case(name, domain, Fig1::new(label, th, op, jobs)) {
+            Ok(Ok(r)) => println!(
+                "{label:<40} {cfg_col:>6} {:>16} {:>10} {:>12} {:>10}",
+                check(r.linearizable()),
+                lf_mark(&r),
+                r.linearizability.impl_states,
+                r.linearizability.impl_quotient_states,
+            ),
+            Ok(Err(e)) => println!(
+                "{label:<40} {cfg_col:>6} inconclusive: exploration aborted, {}",
+                ExploreError::from(e),
+            ),
+            Err(fault) => println!(
+                "{label:<40} {cfg_col:>6} inconclusive: internal fault ({})",
+                fault.lines().next().unwrap_or("panic"),
+            ),
+        }
     }
-
-    case!("1. Treiber stack", Treiber::new(&[1, 2]), SeqStack::new(&[1, 2]), 2, 2, true);
-    case!("2. Treiber stack + HP (Michael)", TreiberHp::new(&[1], 2), SeqStack::new(&[1]), 2, 2, true);
-    case!("3. Treiber stack + HP (Fu et al.)", TreiberHpFu::new(&[1], 2), SeqStack::new(&[1]), 2, 2, true);
-    case!("4. MS lock-free queue", MsQueue::new(&[1, 2]), SeqQueue::new(&[1, 2]), 2, 2, true);
-    case!("5. DGLM queue", DglmQueue::new(&[1, 2]), SeqQueue::new(&[1, 2]), 2, 2, true);
-    case!("6. CCAS", Ccas::new(2), SeqCcas::new(2), 2, 2, true);
-    case!("7. RDCSS", Rdcss::new(2), SeqRdcss::new(2), 2, 1, true);
-    case!("8. NewCompareAndSet", NewCas::new(2), SeqRegister::new(2), 2, 2, true);
-    case!("9-1. HM lock-free list (buggy)", HmList::buggy(&[1]), SeqSet::new(&[1]), 2, 2, true);
-    case!("9-2. HM lock-free list (revised)", HmList::revised(&[1]), SeqSet::new(&[1]), 2, 2, true);
-    case!("10. HW queue", HwQueue::for_bound(&[1], 3, 1), SeqQueue::new(&[1]), 3, 1, true);
-    case!("11. HSY stack", HsyStack::new(&[1]), SeqStack::new(&[1]), 2, 2, true);
-    case!("12. Heller et al. lazy list", LazyList::new(&[1]), SeqSet::new(&[1]), 2, 2, false);
-    case!("13. Optimistic list", OptimisticList::new(&[1]), SeqSet::new(&[1]), 2, 2, false);
-    case!("14. Fine-grained syn. list", FineList::new(&[1]), SeqSet::new(&[1]), 2, 2, false);
     println!("\n(✗ in row 3 / 10: lock-freedom violations; ✗ in row 9-1: the known");
     println!(" linearizability bug. All three counterexamples are machine-generated");
     println!(" — run `cargo run --release --example bug_hunt`.)");
@@ -368,7 +357,8 @@ fn table3(large: bool, jobs: Jobs) {
     for (th, op) in configs {
         let imp = lts_of_jobs(&MsQueue::new(&[1, 2]), th, op, jobs);
         let t0 = Instant::now();
-        let r = verify_lock_freedom_jobs(&imp, jobs);
+        let r =
+            verify_lock_freedom_opts(&imp, &Watchdog::unlimited(), popts(jobs)).expect(UNLIMITED);
         println!(
             "{:>7} {:>12} {:>10} {:>22} {:>9.2?}",
             format!("{th}-{op}"),
@@ -395,7 +385,8 @@ fn table4(large: bool, jobs: Jobs) {
     for (th, op) in configs {
         let imp = lts_of_jobs(&HmList::revised(&[1, 2]), th, op, jobs);
         let t0 = Instant::now();
-        let r = verify_lock_freedom_jobs(&imp, jobs);
+        let r =
+            verify_lock_freedom_opts(&imp, &Watchdog::unlimited(), popts(jobs)).expect(UNLIMITED);
         println!(
             "{:>7} {:>12} {:>10} {:>22} {:>9.2?}",
             format!("{th}-{op}"),
@@ -418,7 +409,7 @@ fn table5(jobs: Jobs) {
     let (th, op) = (3u8, 1u32);
     let imp = lts_of_jobs(&HwQueue::for_bound(&[1], th, op), th, op, jobs);
     let t0 = Instant::now();
-    let r = verify_lock_freedom_jobs(&imp, jobs);
+    let r = verify_lock_freedom_opts(&imp, &Watchdog::unlimited(), popts(jobs)).expect(UNLIMITED);
     println!(
         "{:>7} {:>12} {:>10} {:>22} {:>9.2?}",
         format!("{th}-{op}"),
@@ -456,26 +447,33 @@ fn table6(large: bool, jobs: Jobs) {
         let abs = lts_of_jobs(&AbsQueue::new(dom), th, op, jobs);
 
         let spec_q = {
-            let p = partition_jobs(&spec, Equivalence::Branching, jobs);
+            let p = partition_opts(&spec, Equivalence::Branching, popts(jobs));
             quotient(&spec, &p).lts.num_states()
         };
         let ms_q = {
-            let p = partition_jobs(&ms, Equivalence::Branching, jobs);
+            let p = partition_opts(&ms, Equivalence::Branching, popts(jobs));
             quotient(&ms, &p).lts.num_states()
         };
 
+        let wd = Watchdog::unlimited();
+        let via_abs = |imp: &Lts| {
+            verify_lock_freedom_via_abstraction_opts(imp, &abs, &wd, popts(jobs)).expect(UNLIMITED)
+        };
+        let lin = |imp: &Lts| {
+            verify_linearizability_opts(imp, &spec, &wd, popts(jobs)).expect(UNLIMITED)
+        };
         let t0 = Instant::now();
-        let lf_ms = verify_lock_freedom_via_abstraction_jobs(&ms, &abs, jobs);
+        let lf_ms = via_abs(&ms);
         let t_lf_ms = t0.elapsed();
         let t0 = Instant::now();
-        let lf_dglm = verify_lock_freedom_via_abstraction_jobs(&dglm, &abs, jobs);
+        let lf_dglm = via_abs(&dglm);
         let t_lf_dglm = t0.elapsed();
 
         let t0 = Instant::now();
-        let lin_ms = verify_linearizability_jobs(&ms, &spec, jobs);
+        let lin_ms = lin(&ms);
         let t_lin_ms = t0.elapsed();
         let t0 = Instant::now();
-        let lin_dglm = verify_linearizability_jobs(&dglm, &spec, jobs);
+        let lin_dglm = lin(&dglm);
         let t_lin_dglm = t0.elapsed();
 
         let lf_ok = lf_ms.concrete_lock_free == Some(true)
@@ -516,18 +514,18 @@ fn table7(jobs: Jobs) {
             let imp = lts_of_jobs(&$alg, $th, $op, jobs);
             let spec = lts_of_jobs(&AtomicSpec::new($spec), $th, $op, jobs);
             let dq = {
-                let p = partition_jobs(&imp, Equivalence::Branching, jobs);
+                let p = partition_opts(&imp, Equivalence::Branching, popts(jobs));
                 quotient(&imp, &p).lts.num_states()
             };
             let sq = {
-                let p = partition_jobs(&spec, Equivalence::Branching, jobs);
+                let p = partition_opts(&spec, Equivalence::Branching, popts(jobs));
                 quotient(&spec, &p).lts.num_states()
             };
             let wd = Watchdog::unlimited();
-            let w = bisimilar_governed_jobs(&imp, &spec, Equivalence::Weak, &wd, jobs)
-                .expect("an unlimited watchdog never trips");
-            let b = bisimilar_governed_jobs(&imp, &spec, Equivalence::Branching, &wd, jobs)
-                .expect("an unlimited watchdog never trips");
+            let w = bisimilar_opts(&imp, &spec, Equivalence::Weak, &wd, popts(jobs))
+                .expect(UNLIMITED);
+            let b = bisimilar_opts(&imp, &spec, Equivalence::Branching, &wd, popts(jobs))
+                .expect(UNLIMITED);
             println!(
                 "{:>7} {:<12} {:>10} {:>8} {:>9} {:>9} {:>5} {:>5}",
                 format!("{}-{}", $th, $op),
@@ -585,7 +583,7 @@ fn fig10(large: bool, jobs: Jobs) {
                         break;
                     }
                 };
-                let p = partition_jobs(&lts, Equivalence::Branching, jobs);
+                let p = partition_opts(&lts, Equivalence::Branching, popts(jobs));
                 let q = quotient(&lts, &p);
                 println!(
                     "{:<28} {:>4} {:>12} {:>10} {:>10.1}",
@@ -692,58 +690,64 @@ fn phases(jobs: Jobs) {
         "Object", "#Th-#Op", "explore", "bisim", "refine", "diverge", "total", "sig-recomp", "rounds"
     );
 
-    macro_rules! row {
-        ($name:expr, $alg:expr, $spec:expr, $th:expr, $op:expr) => {{
-            bb_obs::install(bb_obs::ObsConfig { progress: false, quiet: true });
-            let outcome = bb_core::run_isolated(|| -> Result<(), bb_lts::ExploreError> {
-                let imp = try_lts_of_jobs(&$alg, $th, $op, jobs)?;
-                let spec = try_lts_of_jobs(&AtomicSpec::new($spec), $th, $op, jobs)?;
-                let cfg = VerifyConfig::new(Bound::new($th, $op)).with_jobs(jobs);
-                let _ = verify_case_lts($name, cfg, &imp, &spec);
-                Ok(())
-            });
-            let session = bb_obs::finish();
-            match (outcome, session) {
-                (Ok(Ok(())), Some(s)) => {
-                    let us = |phase: &str| s.phase_total(phase).0;
-                    let counter = |name: &str| {
-                        s.counters().iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v)
-                    };
-                    println!(
-                        "{:<12} {:>7} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12} {:>7}",
-                        $name,
-                        format!("{}-{}", $th, $op),
-                        us("explore"),
-                        us("bisim"),
-                        us("refine"),
-                        us("divergence"),
-                        s.elapsed_us(),
-                        counter("bisim.signature_recomputes"),
-                        counter("bisim.rounds"),
-                    );
-                }
-                (Ok(Err(e)), _) => {
-                    println!("{:<12} {}-{} (aborted: {e})", $name, $th, $op)
-                }
-                (Err(fault), _) => println!(
-                    "{:<12} {}-{} internal fault: {}",
-                    $name,
-                    $th,
-                    $op,
-                    fault.lines().next().unwrap_or("panic")
-                ),
-                (_, None) => println!("{:<12} {}-{} (no obs session)", $name, $th, $op),
+    for (name, domain) in [("treiber", &[1, 2][..]), ("ms-queue", &[1, 2]), ("hm-list", &[1])] {
+        bb_obs::install(bb_obs::ObsConfig { progress: false, quiet: true });
+        let outcome = run_case(name, domain, Fig1::new(name, 2, 2, jobs));
+        let session = bb_obs::finish();
+        match (outcome, session) {
+            (Ok(Ok(_)), Some(s)) => {
+                let us = |phase: &str| s.phase_total(phase).0;
+                let counter = |name: &str| {
+                    s.counters().iter().find(|(n, _)| *n == name).map_or(0, |(_, v)| *v)
+                };
+                println!(
+                    "{:<12} {:>7} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12} {:>7}",
+                    name,
+                    "2-2",
+                    us("explore"),
+                    us("bisim"),
+                    us("refine"),
+                    us("divergence"),
+                    s.elapsed_us(),
+                    counter("bisim.signature_recomputes"),
+                    counter("bisim.rounds"),
+                );
             }
-        }};
+            (Ok(Err(e)), _) => println!("{name:<12} 2-2 (aborted: {})", ExploreError::from(e)),
+            (Err(fault), _) => println!(
+                "{name:<12} 2-2 internal fault: {}",
+                fault.lines().next().unwrap_or("panic")
+            ),
+            (_, None) => println!("{name:<12} 2-2 (no obs session)"),
+        }
     }
-
-    row!("treiber", Treiber::new(&[1, 2]), SeqStack::new(&[1, 2]), 2, 2);
-    row!("ms-queue", MsQueue::new(&[1, 2]), SeqQueue::new(&[1, 2]), 2, 2);
-    row!("hm-list", HmList::revised(&[1]), SeqSet::new(&[1]), 2, 2);
     println!("\n(Phases nest — `explore` and `bisim` run inside `lin`/`lockfree`, so");
     println!(" columns overlap and do not sum to `total`. `sig-recomp` counts state");
     println!(" signature recomputations across every partition-refinement round.)");
 }
+
+/// The `verdicts` rows: roster name, domain and bound.
+const VERDICT_ROWS: [(&str, &[i64], u8, u32); 19] = [
+    ("treiber", &[1, 2], 2, 2),
+    ("treiber-hp", &[1], 2, 2),
+    ("treiber-hp-fu", &[1], 2, 2),
+    ("ms-queue", &[1, 2], 2, 2),
+    ("dglm-queue", &[1, 2], 2, 2),
+    ("hw-queue", &[1], 3, 1),
+    ("ccas", &[1, 2], 2, 2),
+    ("rdcss", &[1, 2], 2, 1),
+    ("newcas", &[1, 2], 2, 2),
+    ("hm-list", &[1], 2, 2),
+    ("hm-list-buggy", &[1], 2, 2),
+    ("hsy-stack", &[1], 2, 2),
+    ("lazy-list", &[1], 2, 2),
+    ("optimistic-list", &[1], 2, 2),
+    ("fine-list", &[1], 2, 2),
+    ("two-lock-queue", &[1], 2, 2),
+    ("coarse-stack", &[1], 2, 2),
+    ("coarse-queue", &[1], 2, 2),
+    ("coarse-set", &[1], 2, 2),
+];
 
 /// Machine-diffable verdict lines: no state counts, no timings — only what
 /// must stay invariant under any sound reduction. CI runs this twice
@@ -760,110 +764,132 @@ fn verdicts(
     compact: bool,
 ) {
     let (mut hits, mut misses) = (0u32, 0u32);
-    macro_rules! case {
-        ($name:expr, $alg:expr, $spec:expr, $th:expr, $op:expr, $lf:expr) => {{
-            let key = format!(
-                "bbench{}.{}|verdict|{}|{}-{}|lf{}|reduce={reduce}|refine={refine}",
-                bb_persist::FORMAT_VERSION,
-                bb_sim::STATE_ENCODING_VERSION,
-                $name,
-                $th,
-                $op,
-                $lf,
-            );
-            if let Some(entry) = cache.as_ref().and_then(|c| c.lookup(&key)) {
-                hits += 1;
-                print!("{}", entry.stdout);
-            } else {
-                misses += 1;
-                let bound = Bound::new($th, $op);
-                let opts = ExploreOptions::limits(bb_lts::ExploreLimits::default())
-                    .with_jobs(jobs)
-                    .with_compact(compact);
-                let outcome =
-                    bb_core::run_isolated(|| -> Result<String, bb_lts::budget::Exhausted> {
-                        let (imp, spec) = if reduce == ReduceMode::None {
-                            (
-                                bb_sim::explore_system_with(&$alg, bound, &opts)?,
-                                bb_sim::explore_system_with(&AtomicSpec::new($spec), bound, &opts)?,
-                            )
-                        } else {
-                            (
-                                explore_reduced(&$alg, bound, reduce, &opts)?.0,
-                                explore_reduced(&AtomicSpec::new($spec), bound, reduce, &opts)?.0,
-                            )
-                        };
-                        let mut cfg = VerifyConfig::new(bound).with_jobs(jobs).with_refine(refine);
-                        if !$lf {
-                            cfg = cfg.linearizability_only();
-                        }
-                        let r = verify_case_lts($name, cfg, &imp, &spec);
-                        let lf_mark = match &r.lock_freedom {
-                            None => "—".to_string(),
-                            Some(l) => check(l.lock_free).to_string(),
-                        };
-                        Ok(format!(
-                            "{:<24} {}-{} lin={} lock-free={}",
-                            $name,
-                            $th,
-                            $op,
-                            check(r.linearizable()),
-                            lf_mark,
-                        ))
-                    });
-                match outcome {
-                    Ok(Ok(line)) => {
-                        println!("{line}");
-                        // Only conclusive verdicts are memoized; aborted and
-                        // faulted cases rerun every sweep.
-                        if let Some(c) = cache.as_ref() {
-                            let entry = CacheEntry {
-                                key,
-                                stdout: format!("{line}\n"),
-                                exit_code: 0,
-                                artifacts: Vec::new(),
-                            };
-                            if let Err(e) = c.store(&entry) {
-                                eprintln!("verdicts: cache store failed: {e}");
-                            }
-                        }
+    for (name, domain, th, op) in VERDICT_ROWS {
+        let lf = ALGORITHMS.iter().any(|&(n, _, nb)| n == name && nb);
+        let key = format!(
+            "bbench{}.{}|verdict|{name}|{th}-{op}|lf{lf}|reduce={reduce}|refine={refine}",
+            bb_persist::FORMAT_VERSION,
+            bb_sim::STATE_ENCODING_VERSION,
+        );
+        if let Some(entry) = cache.as_ref().and_then(|c| c.lookup(&key)) {
+            hits += 1;
+            print!("{}", entry.stdout);
+            continue;
+        }
+        misses += 1;
+        let case = Fig1 {
+            reduce,
+            refine,
+            compact,
+            ..Fig1::new(name, th, op, jobs)
+        };
+        match run_case(name, domain, case) {
+            Ok(Ok(r)) => {
+                let line = format!(
+                    "{name:<24} {th}-{op} lin={} lock-free={}",
+                    check(r.linearizable()),
+                    lf_mark(&r)
+                );
+                println!("{line}");
+                // Only conclusive verdicts are memoized; aborted and faulted
+                // cases rerun every sweep.
+                if let Some(c) = cache.as_ref() {
+                    let entry = CacheEntry {
+                        key,
+                        stdout: format!("{line}\n"),
+                        exit_code: 0,
+                        artifacts: Vec::new(),
+                    };
+                    if let Err(e) = c.store(&entry) {
+                        eprintln!("verdicts: cache store failed: {e}");
                     }
-                    Ok(Err(e)) => println!("{:<24} {}-{} inconclusive: {e}", $name, $th, $op),
-                    Err(fault) => println!(
-                        "{:<24} {}-{} internal fault: {}",
-                        $name,
-                        $th,
-                        $op,
-                        fault.lines().next().unwrap_or("panic")
-                    ),
                 }
             }
-        }};
+            Ok(Err(e)) => println!("{name:<24} {th}-{op} inconclusive: {e}"),
+            Err(fault) => println!(
+                "{name:<24} {th}-{op} internal fault: {}",
+                fault.lines().next().unwrap_or("panic")
+            ),
+        }
     }
-
-    case!("treiber", Treiber::new(&[1, 2]), SeqStack::new(&[1, 2]), 2, 2, true);
-    case!("treiber-hp", TreiberHp::new(&[1], 2), SeqStack::new(&[1]), 2, 2, true);
-    case!("treiber-hp-fu", TreiberHpFu::new(&[1], 2), SeqStack::new(&[1]), 2, 2, true);
-    case!("ms-queue", MsQueue::new(&[1, 2]), SeqQueue::new(&[1, 2]), 2, 2, true);
-    case!("dglm-queue", DglmQueue::new(&[1, 2]), SeqQueue::new(&[1, 2]), 2, 2, true);
-    case!("hw-queue", HwQueue::for_bound(&[1], 3, 1), SeqQueue::new(&[1]), 3, 1, true);
-    case!("ccas", Ccas::new(2), SeqCcas::new(2), 2, 2, true);
-    case!("rdcss", Rdcss::new(2), SeqRdcss::new(2), 2, 1, true);
-    case!("newcas", NewCas::new(2), SeqRegister::new(2), 2, 2, true);
-    case!("hm-list", HmList::revised(&[1]), SeqSet::new(&[1]), 2, 2, true);
-    case!("hm-list-buggy", HmList::buggy(&[1]), SeqSet::new(&[1]), 2, 2, true);
-    case!("hsy-stack", HsyStack::new(&[1]), SeqStack::new(&[1]), 2, 2, true);
-    case!("lazy-list", LazyList::new(&[1]), SeqSet::new(&[1]), 2, 2, false);
-    case!("optimistic-list", OptimisticList::new(&[1]), SeqSet::new(&[1]), 2, 2, false);
-    case!("fine-list", FineList::new(&[1]), SeqSet::new(&[1]), 2, 2, false);
-    case!("two-lock-queue", TwoLockQueue::new(&[1]), SeqQueue::new(&[1]), 2, 2, false);
-    case!("coarse-stack", CoarseLocked::new(SeqStack::new(&[1])), SeqStack::new(&[1]), 2, 2, false);
-    case!("coarse-queue", CoarseLocked::new(SeqQueue::new(&[1])), SeqQueue::new(&[1]), 2, 2, false);
-    case!("coarse-set", CoarseLocked::new(SeqSet::new(&[1])), SeqSet::new(&[1]), 2, 2, false);
     if cache.is_some() {
         // Stderr so the stdout stream stays byte-diffable across sweeps.
         eprintln!("verdicts cache: {hits} hit(s), {misses} miss(es)");
     }
+}
+
+// ------------------------------------------------------------ roster cases
+
+/// A roster case as the sweeps run it: explored under the default caps —
+/// reduced unless `reduce` is `none` — then both methods of Fig. 1 under an
+/// unlimited watchdog, with lock-freedom checked on the non-blocking
+/// objects only. `label` names the case in its report.
+#[derive(Clone, Copy)]
+struct Fig1 {
+    label: &'static str,
+    bound: Bound,
+    jobs: Jobs,
+    reduce: ReduceMode,
+    refine: RefineMode,
+    compact: bool,
+}
+
+impl Fig1 {
+    /// The unreduced case, on the default engine and store.
+    fn new(label: &'static str, th: u8, op: u32, jobs: Jobs) -> Self {
+        Fig1 {
+            label,
+            bound: Bound::new(th, op),
+            jobs,
+            reduce: ReduceMode::None,
+            refine: RefineMode::default(),
+            compact: true,
+        }
+    }
+}
+
+impl Case for Fig1 {
+    type Out = Result<CaseReport, Exhausted>;
+
+    fn run<A: ObjectAlgorithm, S: SequentialSpec>(
+        self,
+        alg: &A,
+        seq: &AtomicSpec<S>,
+        non_blocking: bool,
+    ) -> Self::Out {
+        sabotage_point(alg.name());
+        let Fig1 { label, bound, jobs, reduce, refine, compact } = self;
+        let opts = ExploreOptions::limits(ExploreLimits::default())
+            .with_jobs(jobs)
+            .with_compact(compact);
+        let (imp, spec) = if reduce == ReduceMode::None {
+            (explore_system_with(alg, bound, &opts)?, explore_system_with(seq, bound, &opts)?)
+        } else {
+            let imp = explore_reduced(alg, bound, reduce, &opts)?.0;
+            (imp, explore_reduced(seq, bound, reduce, &opts)?.0)
+        };
+        let mut cfg = VerifyConfig::new(bound).with_jobs(jobs).with_refine(refine);
+        if !non_blocking {
+            cfg = cfg.linearizability_only();
+        }
+        verify_case_lts(label, cfg, &imp, &spec, &Watchdog::unlimited())
+    }
+}
+
+/// Runs `case` on roster entry `name` over `domain`, fault-isolated: the
+/// outer `Err` carries a panic message.
+fn run_case(
+    name: &str,
+    domain: &[i64],
+    case: Fig1,
+) -> Result<Result<CaseReport, Exhausted>, String> {
+    let (th, op) = (case.bound.threads, case.bound.ops_per_thread);
+    bb_core::run_isolated(|| with_case(name, domain, th, op, case).expect("a roster name"))
+}
+
+/// The lock-freedom column: `—` when the check was skipped.
+fn lf_mark(r: &CaseReport) -> &'static str {
+    r.lock_freedom.as_ref().map_or("—", |l| check(l.lock_free))
 }
 
 // --------------------------------------------------- refinement engine perf

@@ -16,6 +16,13 @@ fn sabotaged(name: &str) -> bool {
     std::env::var("BB_SABOTAGE").is_ok_and(|pat| !pat.is_empty() && name.contains(&pat))
 }
 
+/// Panics when the case `name` is sabotaged (see `BB_SABOTAGE` above).
+pub fn sabotage_point(name: &str) {
+    if sabotaged(name) {
+        panic!("BB_SABOTAGE: injected fault in case `{name}`");
+    }
+}
+
 /// Explores `alg` at `threads`-`ops` with default limits, returning the
 /// structured [`ExploreError`] (with partial statistics) on explosion.
 pub fn try_lts_of<A: ObjectAlgorithm>(
@@ -34,9 +41,7 @@ pub fn try_lts_of_jobs<A: ObjectAlgorithm>(
     ops: u32,
     jobs: Jobs,
 ) -> Result<Lts, ExploreError> {
-    if sabotaged(alg.name()) {
-        panic!("BB_SABOTAGE: injected fault in case `{}`", alg.name());
-    }
+    sabotage_point(alg.name());
     let opts = ExploreOptions::limits(ExploreLimits::default()).with_jobs(jobs);
     explore_system_with(alg, Bound::new(threads, ops), &opts).map_err(ExploreError::from)
 }

@@ -11,7 +11,7 @@ use crate::signatures::{
     Equivalence, PartitionOptions, RefineStats, RefinementHistory,
 };
 use bb_lts::budget::{Exhausted, Watchdog};
-use bb_lts::{disjoint_union, Jobs, Lts, StateId};
+use bb_lts::{disjoint_union, Lts, StateId};
 
 /// The result of comparing two systems under a bisimulation equivalence.
 ///
@@ -39,14 +39,8 @@ pub struct BisimCheck {
 impl BisimCheck {
     /// Compares `left` and `right` under `eq`, retaining diagnostics.
     pub fn run(left: &Lts, right: &Lts, eq: Equivalence) -> BisimCheck {
-        BisimCheck::run_opts(left, right, eq, PartitionOptions::default())
-    }
-
-    /// [`BisimCheck::run`] with explicit [`PartitionOptions`]; the verdict,
-    /// partition, and history are identical for every option combination.
-    pub fn run_opts(left: &Lts, right: &Lts, eq: Equivalence, opts: PartitionOptions) -> BisimCheck {
         let u = disjoint_union(left, right);
-        let (p, history) = partition_with_history_opts(&u.lts, eq, opts);
+        let (p, history) = partition_with_history_opts(&u.lts, eq, PartitionOptions::default());
         let equivalent = p.same_block(u.left_initial, u.right_initial);
         BisimCheck {
             equivalent,
@@ -81,47 +75,14 @@ impl BisimCheck {
 /// This is the check used for Theorem 5.8 (with
 /// [`Equivalence::BranchingDiv`]) and the `≈`/`~w` columns of Table VII.
 pub fn bisimilar(left: &Lts, right: &Lts, eq: Equivalence) -> bool {
-    bisimilar_governed(left, right, eq, &Watchdog::unlimited())
+    bisimilar_opts(left, right, eq, &Watchdog::unlimited(), PartitionOptions::default())
         .expect("an unlimited watchdog never trips")
 }
 
-/// Budget-governed [`bisimilar`]: the underlying partition refinement is
-/// metered against `wd` (see [`partition_governed`]).
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] when the budget trips before a verdict is reached;
-/// callers must treat this as *unknown*, never as inequivalence.
-pub fn bisimilar_governed(
-    left: &Lts,
-    right: &Lts,
-    eq: Equivalence,
-    wd: &Watchdog,
-) -> Result<bool, Exhausted> {
-    bisimilar_governed_jobs(left, right, eq, wd, Jobs::serial())
-}
-
-/// [`bisimilar_governed`] with `jobs` worker threads for the signature
-/// passes (see [`partition_governed_jobs`]); the verdict is identical at
-/// any worker count.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] when the budget trips before a verdict is reached;
-/// callers must treat this as *unknown*, never as inequivalence.
-pub fn bisimilar_governed_jobs(
-    left: &Lts,
-    right: &Lts,
-    eq: Equivalence,
-    wd: &Watchdog,
-    jobs: Jobs,
-) -> Result<bool, Exhausted> {
-    bisimilar_opts(left, right, eq, wd, PartitionOptions::default().with_jobs(jobs))
-}
-
-/// [`bisimilar_governed`] with explicit [`PartitionOptions`] (worker count
-/// and refinement engine); the verdict is identical for every option
-/// combination.
+/// Budget-governed [`bisimilar`] with explicit [`PartitionOptions`] (worker
+/// count and refinement engine): the underlying partition refinement is
+/// metered against `wd` (see [`partition_governed_opts`]). The verdict is
+/// identical for every option combination.
 ///
 /// # Errors
 ///

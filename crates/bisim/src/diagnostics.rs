@@ -63,7 +63,7 @@ const MAX_DEPTH: usize = 8;
 /// Builds a distinguishing explanation for two inequivalent states of `lts`.
 ///
 /// `history` must be the refinement history that separated them (e.g. from
-/// [`partition_with_history`](crate::partition_with_history) or a
+/// [`partition_with_history_opts`](crate::partition_with_history_opts) or a
 /// [`BisimCheck`](crate::BisimCheck)).
 ///
 /// # Panics
@@ -198,7 +198,7 @@ fn target_subformula(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::signatures::partition_with_history;
+    use crate::signatures::{partition_with_history_opts, PartitionOptions};
     use bb_lts::{Action, LtsBuilder, ThreadId};
 
     #[test]
@@ -213,7 +213,8 @@ mod tests {
         b.add_transition(s0, a, s2);
         b.add_transition(s1, bb, s2);
         let lts = b.build(s0);
-        let (p, h) = partition_with_history(&lts, Equivalence::Branching);
+        let (p, h) =
+            partition_with_history_opts(&lts, Equivalence::Branching, PartitionOptions::default());
         assert!(!p.same_block(s0, s1));
         let f = distinguishing_formula(&lts, &h, Equivalence::Branching, s0, s1);
         let txt = f.to_string();
@@ -240,7 +241,8 @@ mod tests {
         b.add_transition(m0, bb, end);
         b.add_transition(m1, c, end);
         let lts = b.build(s0);
-        let (p, h) = partition_with_history(&lts, Equivalence::Branching);
+        let (p, h) =
+            partition_with_history_opts(&lts, Equivalence::Branching, PartitionOptions::default());
         assert!(!p.same_block(s0, s1));
         let f = distinguishing_formula(&lts, &h, Equivalence::Branching, s0, s1);
         let txt = f.to_string();
@@ -263,7 +265,8 @@ mod tests {
         b.add_transition(s0, a, s2);
         b.add_transition(s1, a, s2);
         let lts = b.build(s0);
-        let (p, h) = partition_with_history(&lts, Equivalence::BranchingDiv);
+        let opts = PartitionOptions::default();
+        let (p, h) = partition_with_history_opts(&lts, Equivalence::BranchingDiv, opts);
         assert!(!p.same_block(s0, s1));
         let f = distinguishing_formula(&lts, &h, Equivalence::BranchingDiv, s0, s1);
         let txt = f.to_string();
@@ -281,7 +284,8 @@ mod tests {
         b.add_transition(s0, a, s2);
         b.add_transition(s1, a, s2);
         let lts = b.build(s0);
-        let (_, h) = partition_with_history(&lts, Equivalence::Branching);
+        let (_, h) =
+            partition_with_history_opts(&lts, Equivalence::Branching, PartitionOptions::default());
         let _ = distinguishing_formula(&lts, &h, Equivalence::Branching, s0, s1);
     }
 }

@@ -55,8 +55,7 @@ mod signatures;
 pub mod snapshot;
 
 pub use compare::{
-    bisimilar, bisimilar_governed, bisimilar_governed_jobs, bisimilar_opts, bisimilar_states,
-    div_bisimilar_to_quotient, BisimCheck,
+    bisimilar, bisimilar_opts, bisimilar_states, div_bisimilar_to_quotient, BisimCheck,
 };
 pub use diagnostics::{distinguishing_formula, Formula};
 pub use divergence::{
@@ -66,8 +65,7 @@ pub use divergence::{
 pub use partition::{BlockId, Partition};
 pub use quotient::{div_quotient, div_quotient_opts, quotient, Quotient};
 pub use signatures::{
-    partition, partition_governed, partition_governed_jobs, partition_governed_opts,
-    partition_jobs, partition_opts, partition_with_history, partition_with_history_opts,
+    partition, partition_governed_opts, partition_opts, partition_with_history_opts,
     partition_with_stats, Equivalence, PartitionOptions, RefineMode, RefineStats,
     RefinementHistory,
 };

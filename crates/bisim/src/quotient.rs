@@ -1,6 +1,8 @@
 //! Quotient transition systems (Definition 5.1).
 
 use crate::partition::Partition;
+use crate::signatures::{partition_governed_opts, Equivalence, PartitionOptions};
+use bb_lts::budget::{Exhausted, Watchdog};
 use bb_lts::{ActionId, Lts, LtsBuilder, StateId};
 
 /// The quotient `Δ/≈` of an object system under a partition, per
@@ -80,15 +82,24 @@ fn project(lts: &Lts, p: &Partition) -> (LtsBuilder, Vec<StateId>) {
 /// next-free LTL/CTL* properties — progress properties like lock-freedom
 /// can be model-checked on it (Section V-B) at a fraction of the size.
 pub fn div_quotient(lts: &Lts) -> Quotient {
-    div_quotient_opts(lts, crate::signatures::PartitionOptions::default())
+    div_quotient_opts(lts, &Watchdog::unlimited(), PartitionOptions::default())
+        .expect("an unlimited watchdog never trips")
 }
 
-/// [`div_quotient`] with explicit [`PartitionOptions`](crate::PartitionOptions)
-/// for the underlying `≈div` partition; the quotient is identical for every
-/// option combination.
-pub fn div_quotient_opts(lts: &Lts, opts: crate::signatures::PartitionOptions) -> Quotient {
-    let p =
-        crate::signatures::partition_opts(lts, crate::signatures::Equivalence::BranchingDiv, opts);
+/// Budget-governed [`div_quotient`] with explicit [`PartitionOptions`]: the
+/// underlying `≈div` partition is metered against `wd` (see
+/// [`partition_governed_opts`](crate::partition_governed_opts)). The
+/// quotient is identical for every option combination.
+///
+/// # Errors
+///
+/// Returns [`Exhausted`] (stage `bisim`) when the budget trips.
+pub fn div_quotient_opts(
+    lts: &Lts,
+    wd: &Watchdog,
+    opts: PartitionOptions,
+) -> Result<Quotient, Exhausted> {
+    let p = partition_governed_opts(lts, Equivalence::BranchingDiv, wd, opts)?;
     let divergent = crate::divergence::divergent_states(lts, &p);
     let (mut b, representatives) = project(lts, &p);
     // Re-introduce divergences as block-level self-loops.
@@ -99,10 +110,10 @@ pub fn div_quotient_opts(lts: &Lts, opts: crate::signatures::PartitionOptions) -
         }
     }
     let init = StateId(p.block_of(lts.initial()).0);
-    Quotient {
+    Ok(Quotient {
         lts: b.build(init),
         representatives,
-    }
+    })
 }
 
 #[cfg(test)]

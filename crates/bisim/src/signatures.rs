@@ -1871,28 +1871,15 @@ pub fn partition_opts(lts: &Lts, eq: Equivalence, opts: PartitionOptions) -> Par
         .expect("an unlimited watchdog never trips")
 }
 
-/// Budget-governed [`partition`]: the refinement loop charges the input
-/// size against the state cap, each round's signature recomputations against
-/// the transition cap, and its signature storage against the memory cap, and
-/// observes the watchdog's deadline and cancellation token.
+/// Budget-governed [`partition_opts`]: the refinement loop charges the
+/// input size against the state cap, each round's signature recomputations
+/// against the transition cap, and its signature storage against the memory
+/// cap, and observes the watchdog's deadline and cancellation token.
 ///
 /// # Errors
 ///
 /// Returns [`Exhausted`] (stage [`Stage::Bisim`]) when the budget trips;
 /// the partial statistics describe the work done so far.
-pub fn partition_governed(
-    lts: &Lts,
-    eq: Equivalence,
-    wd: &Watchdog,
-) -> Result<Partition, Exhausted> {
-    partition_governed_opts(lts, eq, wd, PartitionOptions::default())
-}
-
-/// [`partition_governed`] with explicit [`PartitionOptions`].
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] (stage [`Stage::Bisim`]) when the budget trips.
 pub fn partition_governed_opts(
     lts: &Lts,
     eq: Equivalence,
@@ -1902,37 +1889,9 @@ pub fn partition_governed_opts(
     run_governed_opts(lts, eq, None, wd, opts, None, None)
 }
 
-/// [`partition`] with `jobs` worker threads for the per-round signature
-/// passes (the split/assignment step stays sequential). The computed
-/// partition — block ids included — is identical to the sequential run at
-/// any worker count; `Jobs::serial()` is exactly the sequential code path.
-pub fn partition_jobs(lts: &Lts, eq: Equivalence, jobs: Jobs) -> Partition {
-    partition_opts(lts, eq, PartitionOptions::default().with_jobs(jobs))
-}
-
-/// [`partition_governed`] with `jobs` worker threads (see [`partition_jobs`]
-/// for the determinism contract).
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] (stage [`Stage::Bisim`]) when the budget trips.
-pub fn partition_governed_jobs(
-    lts: &Lts,
-    eq: Equivalence,
-    wd: &Watchdog,
-    jobs: Jobs,
-) -> Result<Partition, Exhausted> {
-    partition_governed_opts(lts, eq, wd, PartitionOptions::default().with_jobs(jobs))
-}
-
-/// Like [`partition`], additionally returning the per-round history for
-/// diagnostics (distinguishing formulas).
-pub fn partition_with_history(lts: &Lts, eq: Equivalence) -> (Partition, RefinementHistory) {
-    partition_with_history_opts(lts, eq, PartitionOptions::default())
-}
-
-/// [`partition_with_history`] with explicit [`PartitionOptions`]. Both
-/// engines produce the same history, round for round.
+/// Like [`partition_opts`], additionally returning the per-round history
+/// for diagnostics (distinguishing formulas). Every option combination
+/// produces the same history, round for round.
 pub fn partition_with_history_opts(
     lts: &Lts,
     eq: Equivalence,
@@ -2128,7 +2087,8 @@ mod tests {
         let a = vis(&mut b, "a");
         b.add_transition(s0, a, s1);
         let lts = b.build(s0);
-        let (p, h) = partition_with_history(&lts, Equivalence::Branching);
+        let (p, h) =
+            partition_with_history_opts(&lts, Equivalence::Branching, PartitionOptions::default());
         assert_eq!(h.rounds.first().unwrap().num_blocks(), 1);
         assert_eq!(h.rounds.last().unwrap(), &p);
         for w in h.rounds.windows(2) {

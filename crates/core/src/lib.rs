@@ -44,15 +44,10 @@ mod verdict;
 /// error every governed stage returns.
 pub use bb_lts::budget;
 
-pub use linearizability::{
-    verify_linearizability, verify_linearizability_governed,
-    verify_linearizability_governed_jobs, verify_linearizability_jobs,
-    verify_linearizability_opts, LinReport,
-};
+pub use linearizability::{verify_linearizability, verify_linearizability_opts, LinReport};
 pub use lockfree::{
-    verify_lock_freedom, verify_lock_freedom_governed, verify_lock_freedom_governed_jobs,
-    verify_lock_freedom_jobs, verify_lock_freedom_opts, verify_lock_freedom_via_abstraction,
-    verify_lock_freedom_via_abstraction_jobs, AbstractionReport, LockFreeReport,
+    verify_lock_freedom, verify_lock_freedom_opts, verify_lock_freedom_via_abstraction,
+    verify_lock_freedom_via_abstraction_opts, AbstractionReport, LockFreeReport,
 };
 pub use progress::{
     verify_lock_freedom_ltl, verify_wait_freedom, LtlLockFreeReport, WaitFreeReport,

@@ -5,7 +5,7 @@ use bb_bisim::{
     partition_governed_opts, quotient, Equivalence, Partition, PartitionOptions, Quotient,
 };
 use bb_lts::budget::{Exhausted, Watchdog};
-use bb_lts::{Jobs, Lts};
+use bb_lts::Lts;
 use bb_refine::{trace_refines_governed, RefineOptions, Violation};
 use std::time::{Duration, Instant};
 
@@ -47,50 +47,13 @@ impl LinReport {
 /// (the most general clients must agree), otherwise refinement trivially
 /// fails.
 pub fn verify_linearizability(imp: &Lts, spec: &Lts) -> LinReport {
-    verify_linearizability_governed(imp, spec, &Watchdog::unlimited())
+    verify_linearizability_opts(imp, spec, &Watchdog::unlimited(), PartitionOptions::default())
         .expect("an unlimited watchdog never trips")
 }
 
-/// [`verify_linearizability`] with `jobs` worker threads for the quotient
-/// computations; the report is identical at any worker count.
-pub fn verify_linearizability_jobs(imp: &Lts, spec: &Lts, jobs: Jobs) -> LinReport {
-    verify_linearizability_governed_jobs(imp, spec, &Watchdog::unlimited(), jobs)
-        .expect("an unlimited watchdog never trips")
-}
-
-/// Budget-governed [`verify_linearizability`]: both quotient computations
-/// and the refinement search are metered against `wd`.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] when the budget trips before a verdict; an aborted
-/// check must be treated as *unknown*, never as a violation.
-pub fn verify_linearizability_governed(
-    imp: &Lts,
-    spec: &Lts,
-    wd: &Watchdog,
-) -> Result<LinReport, Exhausted> {
-    verify_linearizability_governed_jobs(imp, spec, wd, Jobs::serial())
-}
-
-/// [`verify_linearizability_governed`] with `jobs` worker threads for the
-/// quotient computations; the report is identical at any worker count.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] when the budget trips before a verdict; an aborted
-/// check must be treated as *unknown*, never as a violation.
-pub fn verify_linearizability_governed_jobs(
-    imp: &Lts,
-    spec: &Lts,
-    wd: &Watchdog,
-    jobs: Jobs,
-) -> Result<LinReport, Exhausted> {
-    verify_linearizability_opts(imp, spec, wd, PartitionOptions::default().with_jobs(jobs))
-}
-
-/// [`verify_linearizability_governed`] with explicit [`PartitionOptions`]
-/// (worker count and refinement engine) for the quotient computations; the
+/// Budget-governed [`verify_linearizability`] with explicit
+/// [`PartitionOptions`] (worker count and refinement engine): both quotient
+/// computations and the refinement search are metered against `wd`. The
 /// report is identical for every option combination.
 ///
 /// # Errors

@@ -3,11 +3,11 @@
 
 use crate::linearizability::branching_quotient;
 use bb_bisim::{
-    bisimilar_governed_jobs, div_bisimilar_to_quotient, divergence_witness_governed, Equivalence,
-    Lasso, Partition, PartitionOptions, Quotient,
+    bisimilar_opts, div_bisimilar_to_quotient, divergence_witness_governed, Equivalence, Lasso,
+    Partition, PartitionOptions, Quotient,
 };
 use bb_lts::budget::{Exhausted, Watchdog};
-use bb_lts::{Jobs, Lts};
+use bb_lts::Lts;
 use std::time::{Duration, Instant};
 
 /// Result of the automatic lock-freedom check (Theorem 5.9).
@@ -53,46 +53,14 @@ pub struct LockFreeReport {
 /// # }
 /// ```
 pub fn verify_lock_freedom(imp: &Lts) -> LockFreeReport {
-    verify_lock_freedom_governed(imp, &Watchdog::unlimited())
+    verify_lock_freedom_opts(imp, &Watchdog::unlimited(), PartitionOptions::default())
         .expect("an unlimited watchdog never trips")
 }
 
-/// [`verify_lock_freedom`] with `jobs` worker threads for the partition
-/// refinements; the report is identical at any worker count.
-pub fn verify_lock_freedom_jobs(imp: &Lts, jobs: Jobs) -> LockFreeReport {
-    verify_lock_freedom_governed_jobs(imp, &Watchdog::unlimited(), jobs)
-        .expect("an unlimited watchdog never trips")
-}
-
-/// Budget-governed [`verify_lock_freedom`]: the quotient, the `≈div` check
-/// and the divergence-witness search are all metered against `wd`.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] when the budget trips before a verdict; an aborted
-/// check says nothing about lock-freedom.
-pub fn verify_lock_freedom_governed(imp: &Lts, wd: &Watchdog) -> Result<LockFreeReport, Exhausted> {
-    verify_lock_freedom_governed_jobs(imp, wd, Jobs::serial())
-}
-
-/// [`verify_lock_freedom_governed`] with `jobs` worker threads for the
-/// partition refinements; the report is identical at any worker count.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] when the budget trips before a verdict; an aborted
-/// check says nothing about lock-freedom.
-pub fn verify_lock_freedom_governed_jobs(
-    imp: &Lts,
-    wd: &Watchdog,
-    jobs: Jobs,
-) -> Result<LockFreeReport, Exhausted> {
-    verify_lock_freedom_opts(imp, wd, PartitionOptions::default().with_jobs(jobs))
-}
-
-/// [`verify_lock_freedom_governed`] with explicit [`PartitionOptions`]
-/// (worker count and refinement engine) for the partition refinements; the
-/// report is identical for every option combination.
+/// Budget-governed [`verify_lock_freedom`] with explicit
+/// [`PartitionOptions`] (worker count and refinement engine): the quotient,
+/// the `≈div` check and the divergence-witness search are all metered
+/// against `wd`. The report is identical for every option combination.
 ///
 /// # Errors
 ///
@@ -173,30 +141,41 @@ pub struct AbstractionReport {
 /// `abs` is; lock-freedom of the (much smaller) abstract program is decided
 /// by Theorem 5.9.
 pub fn verify_lock_freedom_via_abstraction(imp: &Lts, abs: &Lts) -> AbstractionReport {
-    verify_lock_freedom_via_abstraction_jobs(imp, abs, Jobs::serial())
+    verify_lock_freedom_via_abstraction_opts(
+        imp,
+        abs,
+        &Watchdog::unlimited(),
+        PartitionOptions::default(),
+    )
+    .expect("an unlimited watchdog never trips")
 }
 
-/// [`verify_lock_freedom_via_abstraction`] with `jobs` worker threads for
-/// the `≈div` check; the report is identical at any worker count.
-pub fn verify_lock_freedom_via_abstraction_jobs(
+/// Budget-governed [`verify_lock_freedom_via_abstraction`] with explicit
+/// [`PartitionOptions`]: the `≈div` check and the abstract program's
+/// lock-freedom check are metered against `wd`. The report is identical for
+/// every option combination.
+///
+/// # Errors
+///
+/// Returns [`Exhausted`] when the budget trips before a verdict; an aborted
+/// check says nothing about lock-freedom.
+pub fn verify_lock_freedom_via_abstraction_opts(
     imp: &Lts,
     abs: &Lts,
-    jobs: Jobs,
-) -> AbstractionReport {
+    wd: &Watchdog,
+    opts: PartitionOptions,
+) -> Result<AbstractionReport, Exhausted> {
     let start = Instant::now();
-    let wd = Watchdog::unlimited();
-    let div_bisimilar = bisimilar_governed_jobs(imp, abs, Equivalence::BranchingDiv, &wd, jobs)
-        .expect("an unlimited watchdog never trips");
-    let abs_report = verify_lock_freedom_governed_jobs(abs, &wd, jobs)
-        .expect("an unlimited watchdog never trips");
-    AbstractionReport {
+    let div_bisimilar = bisimilar_opts(imp, abs, Equivalence::BranchingDiv, wd, opts)?;
+    let abs_report = verify_lock_freedom_opts(abs, wd, opts)?;
+    Ok(AbstractionReport {
         div_bisimilar,
         abstract_lock_free: abs_report.lock_free,
         concrete_lock_free: div_bisimilar.then_some(abs_report.lock_free),
         impl_states: imp.num_states(),
         abstract_states: abs.num_states(),
         time: start.elapsed(),
-    }
+    })
 }
 
 #[cfg(test)]

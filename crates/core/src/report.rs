@@ -121,54 +121,41 @@ where
     let opts = ExploreOptions::limits(config.limits).with_jobs(config.jobs);
     let imp = explore_system_with(alg, config.bound, &opts).map_err(ExploreError::from)?;
     let sp = explore_system_with(spec, config.bound, &opts).map_err(ExploreError::from)?;
-    Ok(verify_case_lts(alg.name(), config, &imp, &sp))
+    Ok(verify_case_lts(alg.name(), config, &imp, &sp, &Watchdog::unlimited())
+        .expect("an unlimited watchdog never trips"))
 }
 
-/// Variant of [`verify_case`] over pre-explored LTSs.
+/// Both methods of Fig. 1 over explored LTSs, metered against `wd` — the
+/// pipeline of [`verify_case`], of every rung of the governed ladder and of
+/// an unbudgeted `bbv verify`. Δ is partitioned and quotiented once; the
+/// linearizability check refines Δ/≈ against Θsp/≈ and the lock-freedom
+/// check compares Δ with the same Δ/≈. `config.limits` is not read: the
+/// LTSs are already explored.
+///
+/// # Errors
+///
+/// Returns [`Exhausted`] when the budget trips before both verdicts; an
+/// aborted check must be treated as *unknown*, never as a verdict.
 pub fn verify_case_lts(
     name: &'static str,
     config: VerifyConfig,
     imp: &Lts,
     spec: &Lts,
-) -> CaseReport {
-    let popts = PartitionOptions::default()
+    wd: &Watchdog,
+) -> Result<CaseReport, Exhausted> {
+    let opts = PartitionOptions::default()
         .with_jobs(config.jobs)
         .with_mode(config.refine);
-    check_case_lts(
-        name,
-        config.bound,
-        config.check_lock_freedom,
-        imp,
-        spec,
-        &Watchdog::unlimited(),
-        popts,
-    )
-    .expect("an unlimited watchdog never trips")
-}
-
-/// Both methods of Fig. 1 over explored LTSs — the pipeline of
-/// [`verify_case_lts`] and of every rung of the governed ladder. Δ is
-/// partitioned and quotiented once; the linearizability check refines Δ/≈
-/// against Θsp/≈ and the lock-freedom check compares Δ with the same Δ/≈.
-pub(crate) fn check_case_lts(
-    name: &'static str,
-    bound: Bound,
-    check_lock_freedom: bool,
-    imp: &Lts,
-    spec: &Lts,
-    wd: &Watchdog,
-    opts: PartitionOptions,
-) -> Result<CaseReport, Exhausted> {
     let (p_imp, q_imp) = branching_quotient(imp, wd, opts)?;
     let linearizability = verify_linearizability_pre(imp, spec, wd, opts, &q_imp)?;
-    let lock_freedom = if check_lock_freedom {
+    let lock_freedom = if config.check_lock_freedom {
         Some(verify_lock_freedom_pre(imp, wd, opts, &p_imp, &q_imp)?)
     } else {
         None
     };
     Ok(CaseReport {
         name,
-        bound,
+        bound: config.bound,
         linearizability,
         lock_freedom,
     })

@@ -22,7 +22,7 @@
 //! ladder — a blown deadline fails the remaining rungs fast — while
 //! state/transition/memory caps are per stage and reset on every rung.
 
-use crate::report::{check_case_lts, CaseReport};
+use crate::report::{verify_case_lts, CaseReport, VerifyConfig};
 use bb_bisim::PartitionOptions;
 use bb_lts::budget::{Budget, Exhausted, Watchdog};
 use bb_lts::{Jobs, Lts};
@@ -406,8 +406,14 @@ pub fn verify_case_governed_with(
     // The explored pair of the last bound tried; a later rung at the same
     // bound borrows it instead of exploring again.
     let mut cache: Option<(Bound, Lts, Lts)> = None;
+    let case = VerifyConfig {
+        check_lock_freedom: config.check_lock_freedom,
+        ..VerifyConfig::new(config.bound)
+            .with_jobs(config.jobs)
+            .with_refine(config.refine)
+    };
     let check = |bound: Bound, imp: &Lts, sp: &Lts| {
-        check_case_lts(name, bound, config.check_lock_freedom, imp, sp, &wd, popts)
+        verify_case_lts(name, VerifyConfig { bound, ..case }, imp, sp, &wd)
     };
 
     let finish = |attempts: Vec<Attempt>,

@@ -17,6 +17,7 @@
 
 use crate::mode::ReduceMode;
 use crate::reducer::{explore_reduced, ReduceStats};
+use bb_bisim::{bisimilar_opts, Equivalence, PartitionOptions};
 use bb_core::{
     verify_case_governed_with, verify_case_lts, GovernedConfig, GovernedReport, VerifyConfig,
 };
@@ -89,13 +90,14 @@ impl DifferentialReport {
     }
 }
 
-/// Runs the differential check for `alg` against `spec` at `bound`.
+/// Runs the differential check for `alg` against `spec` at `bound`. Every
+/// stage — the four explorations, both `≈div` comparisons and both
+/// pipeline runs — is metered against `wd`.
 ///
 /// # Errors
 ///
-/// Returns [`Exhausted`] when a budget axis trips during either
-/// exploration (the watchdog is unlimited here; explosion is only possible
-/// through the explorer's internal caps).
+/// Returns [`Exhausted`] when the budget trips before both verdicts; an
+/// aborted check says nothing about the reduction.
 pub fn differential_check<A, S>(
     alg: &A,
     spec: &AtomicSpec<S>,
@@ -103,28 +105,30 @@ pub fn differential_check<A, S>(
     mode: ReduceMode,
     jobs: Jobs,
     check_lock_freedom: bool,
+    wd: &Watchdog,
 ) -> Result<DifferentialReport, Exhausted>
 where
     A: ObjectAlgorithm,
     S: SequentialSpec,
 {
-    let wd = Watchdog::unlimited();
-    let opts = ExploreOptions::governed(&wd).with_jobs(jobs);
+    let opts = ExploreOptions::governed(wd).with_jobs(jobs);
 
     let full_imp = explore_system_with(alg, bound, &opts)?;
     let full_spec = explore_system_with(spec, bound, &opts)?;
     let (red_imp, stats) = explore_reduced(alg, bound, mode, &opts)?;
     let (red_spec, _) = explore_reduced(spec, bound, mode, &opts)?;
 
-    let equivalent = bb_bisim::bisimilar(&full_imp, &red_imp, bb_bisim::Equivalence::BranchingDiv)
-        && bb_bisim::bisimilar(&full_spec, &red_spec, bb_bisim::Equivalence::BranchingDiv);
+    let popts = PartitionOptions::default().with_jobs(jobs);
+    let div_bisimilar = |a, b| bisimilar_opts(a, b, Equivalence::BranchingDiv, wd, popts);
+    let equivalent =
+        div_bisimilar(&full_imp, &red_imp)? && div_bisimilar(&full_spec, &red_spec)?;
 
     let mut config = VerifyConfig::new(bound).with_jobs(jobs);
     if !check_lock_freedom {
         config = config.linearizability_only();
     }
-    let full_report = verify_case_lts(alg.name(), config, &full_imp, &full_spec);
-    let red_report = verify_case_lts(alg.name(), config, &red_imp, &red_spec);
+    let full_report = verify_case_lts(alg.name(), config, &full_imp, &full_spec, wd)?;
+    let red_report = verify_case_lts(alg.name(), config, &red_imp, &red_spec, wd)?;
 
     let full_lock_free = full_report.lock_freedom.as_ref().map(|r| r.lock_free);
     let reduced_lock_free = red_report.lock_freedom.as_ref().map(|r| r.lock_free);

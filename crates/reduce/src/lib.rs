@@ -123,6 +123,7 @@ mod tests {
             ReduceMode::Full,
             Jobs::serial(),
             false,
+            &bb_lts::Watchdog::unlimited(),
         )
         .unwrap();
         assert!(r.passed(), "{}", r.render());

@@ -84,10 +84,11 @@ impl SubsetStore {
 /// assert_eq!(r.violation.unwrap().to_pretty(), "t1.call.m");
 /// ```
 pub fn trace_refines(imp: &Lts, spec: &Lts) -> RefinementResult {
-    trace_refines_with(imp, spec, RefineOptions::default())
+    trace_refines_governed(imp, spec, RefineOptions::default(), &Watchdog::unlimited())
+        .expect("an unlimited watchdog never trips")
 }
 
-/// Tuning knobs for [`trace_refines_with`] (ablation studies).
+/// Tuning knobs for [`trace_refines_governed`] (ablation studies).
 #[derive(Debug, Clone, Copy)]
 pub struct RefineOptions {
     /// Prune the product by the subset antichain (default). Disabling it
@@ -102,17 +103,11 @@ impl Default for RefineOptions {
     }
 }
 
-/// [`trace_refines`] with explicit [`RefineOptions`].
-pub fn trace_refines_with(imp: &Lts, spec: &Lts, options: RefineOptions) -> RefinementResult {
-    trace_refines_governed(imp, spec, options, &Watchdog::unlimited())
-        .expect("an unlimited watchdog never trips")
-}
-
-/// Budget-governed [`trace_refines_with`]: every product node counts
-/// against the state cap, every scanned implementation edge against the
-/// transition cap, and interned specification subsets against the memory
-/// cap; the deadline and cancellation token are observed from the product
-/// BFS loop (stage [`Stage::Refine`]).
+/// Budget-governed [`trace_refines`] with explicit [`RefineOptions`]: every
+/// product node counts against the state cap, every scanned implementation
+/// edge against the transition cap, and interned specification subsets
+/// against the memory cap; the deadline and cancellation token are observed
+/// from the product BFS loop (stage [`Stage::Refine`]).
 ///
 /// # Errors
 ///
@@ -490,8 +485,11 @@ mod tests {
         for seed in 0..25u64 {
             let a = random_lts(seed, RandomLtsConfig::default());
             let b = random_lts(seed + 1000, RandomLtsConfig::default());
-            let with = trace_refines_with(&a, &b, RefineOptions { antichain: true });
-            let without = trace_refines_with(&a, &b, RefineOptions { antichain: false });
+            let run = |antichain| {
+                trace_refines_governed(&a, &b, RefineOptions { antichain }, &Watchdog::unlimited())
+                    .unwrap()
+            };
+            let (with, without) = (run(true), run(false));
             assert_eq!(with.holds, without.holds, "seed {seed}");
             // The antichain can only shrink the explored product.
             assert!(with.product_states <= without.product_states, "seed {seed}");

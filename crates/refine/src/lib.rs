@@ -14,7 +14,7 @@ mod inclusion;
 mod traces;
 
 pub use inclusion::{
-    trace_equivalent, trace_refines, trace_refines_governed, trace_refines_with, RefineOptions,
+    trace_equivalent, trace_refines, trace_refines_governed, RefineOptions,
     RefinementResult, Violation,
 };
 pub use traces::{enumerate_traces, trace_to_string};

@@ -38,4 +38,4 @@ pub use runner::{
     execute, CheckpointCtl, ExecResult, RunCtl, EXIT_INCONCLUSIVE, EXIT_PROVED, EXIT_REFUTED,
     EXIT_USAGE,
 };
-pub use spec::{known_algorithm, Command, JobSpec, ALGORITHMS};
+pub use spec::{known_algorithm, Command, JobSpec};

@@ -12,18 +12,13 @@
 //! back into the cache.
 
 use crate::spec::{Command, JobSpec};
-use bb_algorithms::{
-    ccas::Ccas, coarse::CoarseLocked, dglm_queue::DglmQueue, fine_list::FineList, hm_list::HmList,
-    hsy_stack::HsyStack, hw_queue::HwQueue, lazy_list::LazyList, ms_queue::MsQueue,
-    newcas::NewCas, optimistic_list::OptimisticList, rdcss::Rdcss, specs::*, treiber::Treiber,
-    treiber_hp::TreiberHp, treiber_hp_fu::TreiberHpFu, two_lock_queue::TwoLockQueue,
-};
-use bb_bisim::{partition_opts, quotient, Equivalence, PartitionOptions};
+use bb_algorithms::roster::{self, Case};
+use bb_bisim::{div_quotient_opts, partition_governed_opts, quotient, Equivalence, PartitionOptions};
 use bb_core::{
     format_lasso, run_isolated, verify_case_governed, verify_case_lts, verify_wait_freedom,
     GovernedConfig, Verdict, VerifyConfig,
 };
-use bb_lts::budget::CancelToken;
+use bb_lts::budget::{CancelToken, Exhausted};
 use bb_lts::{to_aut, to_dot, Budget, ExploreOptions, Lts, Watchdog};
 use bb_persist::{Cache, CacheEntry};
 use bb_reduce::{differential_check, explore_reduced, verify_case_reduced_governed, ReduceMode};
@@ -105,10 +100,21 @@ macro_rules! outln {
     }};
 }
 
-/// Runs `spec` to completion: checkpoint install, cache lookup, isolated
-/// dispatch, cache store. Diagnostics go to stderr as in a direct CLI run;
-/// the returned stdout/exit/artifacts are the bytes the CLI would produce.
+/// Runs `spec` to completion: validation, checkpoint install, cache
+/// lookup, isolated dispatch, cache store. Diagnostics go to stderr as in a
+/// direct CLI run; the returned stdout/exit/artifacts are the bytes the CLI
+/// would produce.
 pub fn execute(spec: &JobSpec, cache: Option<&Cache>, ctl: &RunCtl) -> ExecResult {
+    let usage_error = ExecResult {
+        stdout: String::new(),
+        exit_code: EXIT_USAGE,
+        artifacts: Vec::new(),
+        cache_hit: false,
+    };
+    if let Err(e) = spec.validate() {
+        eprintln!("error: {e}");
+        return usage_error;
+    }
     if let Some(ck) = &ctl.checkpoint {
         if let Err(e) = bb_persist::install(&ck.dir, ck.every, ck.argv.clone(), spec.config_tag())
         {
@@ -116,12 +122,7 @@ pub fn execute(spec: &JobSpec, cache: Option<&Cache>, ctl: &RunCtl) -> ExecResul
                 "error: could not open checkpoint directory {}: {e}",
                 ck.dir.display()
             );
-            return ExecResult {
-                stdout: String::new(),
-                exit_code: EXIT_USAGE,
-                artifacts: Vec::new(),
-                cache_hit: false,
-            };
+            return usage_error;
         }
     }
     let key = spec.cache_key();
@@ -184,41 +185,28 @@ fn budget_of(spec: &JobSpec, ctl: &RunCtl) -> Budget {
 }
 
 fn dispatch_named(spec: &JobSpec, ctl: &RunCtl, out: &mut RunOutput) -> i32 {
-    let d = &spec.domain;
-    let dsize = d.len() as i64;
-    let th = spec.threads;
-    let ops = spec.ops;
-    match spec.algorithm.as_str() {
-        "treiber" => dispatch(&Treiber::new(d), &AtomicSpec::new(SeqStack::new(d)), spec, ctl, true, out),
-        "treiber-hp" => dispatch(&TreiberHp::new(d, th), &AtomicSpec::new(SeqStack::new(d)), spec, ctl, true, out),
-        "treiber-hp-fu" => dispatch(&TreiberHpFu::new(d, th), &AtomicSpec::new(SeqStack::new(d)), spec, ctl, true, out),
-        "ms-queue" => dispatch(&MsQueue::new(d), &AtomicSpec::new(SeqQueue::new(d)), spec, ctl, true, out),
-        "dglm-queue" => dispatch(&DglmQueue::new(d), &AtomicSpec::new(SeqQueue::new(d)), spec, ctl, true, out),
-        "hw-queue" => dispatch(
-            &HwQueue::for_bound(d, th, ops),
-            &AtomicSpec::new(SeqQueue::new(d)),
-            spec,
-            ctl,
-            true,
-            out,
-        ),
-        "ccas" => dispatch(&Ccas::new(dsize), &AtomicSpec::new(SeqCcas::new(dsize)), spec, ctl, true, out),
-        "rdcss" => dispatch(&Rdcss::new(dsize), &AtomicSpec::new(SeqRdcss::new(dsize)), spec, ctl, true, out),
-        "newcas" => dispatch(&NewCas::new(dsize), &AtomicSpec::new(SeqRegister::new(dsize)), spec, ctl, true, out),
-        "hm-list" => dispatch(&HmList::revised(d), &AtomicSpec::new(SeqSet::new(d)), spec, ctl, true, out),
-        "hm-list-buggy" => dispatch(&HmList::buggy(d), &AtomicSpec::new(SeqSet::new(d)), spec, ctl, true, out),
-        "hsy-stack" => dispatch(&HsyStack::new(d), &AtomicSpec::new(SeqStack::new(d)), spec, ctl, true, out),
-        "lazy-list" => dispatch(&LazyList::new(d), &AtomicSpec::new(SeqSet::new(d)), spec, ctl, false, out),
-        "optimistic-list" => dispatch(&OptimisticList::new(d), &AtomicSpec::new(SeqSet::new(d)), spec, ctl, false, out),
-        "fine-list" => dispatch(&FineList::new(d), &AtomicSpec::new(SeqSet::new(d)), spec, ctl, false, out),
-        "two-lock-queue" => dispatch(&TwoLockQueue::new(d), &AtomicSpec::new(SeqQueue::new(d)), spec, ctl, false, out),
-        "coarse-stack" => dispatch(&CoarseLocked::new(SeqStack::new(d)), &AtomicSpec::new(SeqStack::new(d)), spec, ctl, false, out),
-        "coarse-queue" => dispatch(&CoarseLocked::new(SeqQueue::new(d)), &AtomicSpec::new(SeqQueue::new(d)), spec, ctl, false, out),
-        "coarse-set" => dispatch(&CoarseLocked::new(SeqSet::new(d)), &AtomicSpec::new(SeqSet::new(d)), spec, ctl, false, out),
-        other => {
-            eprintln!("unknown algorithm `{other}`; try `bbv list`");
-            EXIT_USAGE
-        }
+    let case = Dispatch { spec, ctl, out };
+    roster::with_case(&spec.algorithm, &spec.domain, spec.threads, spec.ops, case)
+        .expect("a validated spec names a roster entry")
+}
+
+/// [`dispatch`] as a roster visitor.
+struct Dispatch<'a> {
+    spec: &'a JobSpec,
+    ctl: &'a RunCtl,
+    out: &'a mut RunOutput,
+}
+
+impl Case for Dispatch<'_> {
+    type Out = i32;
+
+    fn run<A: ObjectAlgorithm, S: SequentialSpec>(
+        self,
+        alg: &A,
+        seq: &AtomicSpec<S>,
+        non_blocking: bool,
+    ) -> i32 {
+        dispatch(alg, seq, self.spec, self.ctl, non_blocking, self.out)
     }
 }
 
@@ -270,10 +258,7 @@ fn explore_or_inconclusive<A: ObjectAlgorithm>(
             }
             Ok(lts)
         }
-        Err(e) => {
-            eprintln!("inconclusive: {e}");
-            Err(EXIT_INCONCLUSIVE)
-        }
+        Err(e) => Err(inconclusive(&e)),
     }
 }
 
@@ -287,24 +272,26 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
 ) -> i32 {
     let bound = Bound::new(spec.threads, spec.ops);
 
-    if spec.command == Command::ReduceCheck {
-        return reduce_check(alg, seq, spec, bound, non_blocking, out);
-    }
     if spec.command == Command::Verify && spec.budgeted() {
         return verify_governed(alg, seq, spec, ctl, bound, non_blocking, out);
     }
-
+    // One watchdog meters every stage of the run, so the caller's cancel
+    // token and the spec's caps reach each of them.
     let wd = Watchdog::new(budget_of(spec, ctl));
+    let popts = PartitionOptions::default()
+        .with_jobs(spec.jobs)
+        .with_mode(spec.refine);
+    if spec.command == Command::ReduceCheck {
+        return reduce_check(alg, seq, spec, bound, non_blocking, &wd, out);
+    }
+
     let imp = match explore_or_inconclusive(alg, bound, &wd, spec, ctl) {
         Ok(l) => l,
         Err(c) => return c,
     };
 
     if spec.command == Command::Check {
-        let Some(raw) = &spec.formula else {
-            eprintln!("`check` needs --formula \"...\"; e.g. --formula \"G F (ret | done)\"");
-            return EXIT_USAGE;
-        };
+        let raw = spec.formula.as_deref().expect("a validated `check` has a formula");
         let formula = match bb_ltl::parse(raw) {
             Ok(f) => f,
             Err(e) => {
@@ -314,18 +301,13 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
         };
         // Model check on the divergence-preserving quotient: it is
         // ≈div-bisimilar to the object, so all next-free LTL carries over.
-        let q = bb_bisim::div_quotient_opts(
-            &imp,
-            PartitionOptions::default()
-                .with_jobs(spec.jobs)
-                .with_mode(spec.refine),
-        );
+        let q = match div_quotient_opts(&imp, &wd, popts) {
+            Ok(q) => q,
+            Err(e) => return inconclusive(&e),
+        };
         let result = match bb_ltl::check_governed(&q.lts, &formula, &wd) {
             Ok(r) => r,
-            Err(e) => {
-                eprintln!("inconclusive: {e}");
-                return EXIT_INCONCLUSIVE;
-            }
+            Err(e) => return inconclusive(&e),
         };
         outln!(out, "algorithm : {}", alg.name());
         outln!(out, "formula   : {formula}");
@@ -346,10 +328,10 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
     }
 
     if spec.command == Command::Quotient {
-        let popts = PartitionOptions::default()
-            .with_jobs(spec.jobs)
-            .with_mode(spec.refine);
-        let p = partition_opts(&imp, Equivalence::Branching, popts);
+        let p = match partition_governed_opts(&imp, Equivalence::Branching, &wd, popts) {
+            Ok(p) => p,
+            Err(e) => return inconclusive(&e),
+        };
         let q = quotient(&imp, &p);
         outln!(out, "algorithm : {}", alg.name());
         outln!(out, "bound     : {}-{}", bound.threads, bound.ops_per_thread);
@@ -378,7 +360,10 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
     if !spec.check_lock_freedom || !non_blocking {
         cfg = cfg.linearizability_only();
     }
-    let report = verify_case_lts(alg.name(), cfg, &imp, &sp);
+    let report = match verify_case_lts(alg.name(), cfg, &imp, &sp, &wd) {
+        Ok(r) => r,
+        Err(e) => return inconclusive(&e),
+    };
     outln!(out, "{}", report.summary());
     if let Some(v) = &report.linearizability.violation {
         outln!(out, "non-linearizable history:");
@@ -418,6 +403,7 @@ fn reduce_check<A: ObjectAlgorithm, S: SequentialSpec>(
     spec: &JobSpec,
     bound: Bound,
     non_blocking: bool,
+    wd: &Watchdog,
     out: &mut RunOutput,
 ) -> i32 {
     let mode = if spec.reduce == ReduceMode::None {
@@ -426,7 +412,7 @@ fn reduce_check<A: ObjectAlgorithm, S: SequentialSpec>(
         spec.reduce
     };
     let lock_freedom = spec.check_lock_freedom && non_blocking;
-    match differential_check(alg, seq, bound, mode, spec.jobs, lock_freedom) {
+    match differential_check(alg, seq, bound, mode, spec.jobs, lock_freedom, wd) {
         Ok(r) => {
             outln!(out, "{}", r.render());
             if r.passed() {
@@ -435,11 +421,14 @@ fn reduce_check<A: ObjectAlgorithm, S: SequentialSpec>(
                 EXIT_REFUTED
             }
         }
-        Err(e) => {
-            eprintln!("inconclusive: {e}");
-            EXIT_INCONCLUSIVE
-        }
+        Err(e) => inconclusive(&e),
     }
+}
+
+/// Reports a budget exhaustion on stderr: the run is inconclusive.
+fn inconclusive(e: &Exhausted) -> i32 {
+    eprintln!("inconclusive: {e}");
+    EXIT_INCONCLUSIVE
 }
 
 /// The budget-governed `verify` path: run the fallback ladder and map the

@@ -19,33 +19,12 @@ use bb_reduce::ReduceMode;
 use std::fmt::Write as _;
 use std::time::Duration;
 
-/// The benchmark roster: every named algorithm `bbv` and the daemon accept,
-/// with a one-line description for `bbv list`.
-pub const ALGORITHMS: &[(&str, &str)] = &[
-    ("treiber", "Treiber lock-free stack"),
-    ("treiber-hp", "Treiber stack + hazard pointers (Michael 2004)"),
-    ("treiber-hp-fu", "Treiber stack + revised HP (Fu et al.; lock-freedom bug)"),
-    ("ms-queue", "Michael-Scott lock-free queue"),
-    ("dglm-queue", "Doherty-Groves-Luchangco-Moir queue"),
-    ("hw-queue", "Herlihy-Wing queue (lock-freedom violation)"),
-    ("ccas", "conditional CAS (Turon et al.)"),
-    ("rdcss", "restricted double-compare single-swap (Harris et al.)"),
-    ("newcas", "NewCompareAndSet register (Figs. 3/4)"),
-    ("hm-list", "Harris-Michael lock-free list (revised)"),
-    ("hm-list-buggy", "Harris-Michael list, first printing (linearizability bug)"),
-    ("hsy-stack", "Hendler-Shavit-Yerushalmi elimination stack"),
-    ("lazy-list", "Heller et al. lazy list (lock-based)"),
-    ("optimistic-list", "optimistic list (lock-based)"),
-    ("fine-list", "fine-grained hand-over-hand list (lock-based)"),
-    ("two-lock-queue", "two-lock MS queue (blocking; extension)"),
-    ("coarse-stack", "coarse-locked stack baseline (extension)"),
-    ("coarse-queue", "coarse-locked queue baseline (extension)"),
-    ("coarse-set", "coarse-locked set baseline (extension)"),
-];
-
-/// Whether `name` (dashes canonical) is on the roster.
+/// Whether `name` (dashes canonical) is on the roster
+/// ([`bb_algorithms::roster::ALGORITHMS`]).
 pub fn known_algorithm(name: &str) -> bool {
-    ALGORITHMS.iter().any(|(n, _)| *n == name)
+    bb_algorithms::roster::ALGORITHMS
+        .iter()
+        .any(|(n, ..)| *n == name)
 }
 
 /// The verification command a job runs.
@@ -95,7 +74,7 @@ impl std::fmt::Display for Command {
 pub struct JobSpec {
     /// The command to run.
     pub command: Command,
-    /// Canonical algorithm name (dashes, see [`ALGORITHMS`]).
+    /// Canonical algorithm name (dashes, see [`known_algorithm`]).
     pub algorithm: String,
     /// Client threads of the most general client.
     pub threads: u8,
@@ -402,8 +381,9 @@ impl JobSpec {
     }
 
     /// Structural validation shared by every entry path (CLI, protocol,
-    /// journal replay): the algorithm must be on the roster and `check`
-    /// needs a formula.
+    /// journal replay): the algorithm must be on the roster, `check` needs a
+    /// formula, and the wait-freedom diagnosis is only run by an unbudgeted
+    /// `verify`.
     pub fn validate(&self) -> Result<(), String> {
         if !known_algorithm(&self.algorithm) {
             return Err(format!(
@@ -412,7 +392,10 @@ impl JobSpec {
             ));
         }
         if self.command == Command::Check && self.formula.is_none() {
-            return Err("`check` needs a formula".into());
+            return Err("`check` needs a formula, e.g. --formula \"G F (ret | done)\"".into());
+        }
+        if self.wait_freedom && (self.command != Command::Verify || self.budgeted()) {
+            return Err("--wait-freedom works only on `verify` without a budget flag".into());
         }
         Ok(())
     }
@@ -449,6 +432,8 @@ mod tests {
     use super::*;
     use bb_obs::json::parse;
 
+    /// A budgeted spec with every optional member set but `wait_freedom`,
+    /// which only an unbudgeted `verify` honours.
     fn sample() -> JobSpec {
         JobSpec {
             command: Command::Verify,
@@ -457,7 +442,7 @@ mod tests {
             ops: 3,
             domain: vec![1, 2, -7],
             check_lock_freedom: false,
-            wait_freedom: true,
+            wait_freedom: false,
             formula: Some("G F (ret | done)".into()),
             timeout: Some(Duration::from_millis(1500)),
             max_states: Some(1_000_000),
@@ -472,11 +457,19 @@ mod tests {
 
     #[test]
     fn json_roundtrip_preserves_spec_and_cache_key() {
-        let spec = sample();
-        let back = JobSpec::from_json(&parse(&spec.to_json()).unwrap()).unwrap();
-        assert_eq!(back, spec);
-        assert_eq!(back.cache_key(), spec.cache_key());
-        assert_eq!(back.config_tag(), spec.config_tag());
+        let wait_freedom = JobSpec {
+            wait_freedom: true,
+            timeout: None,
+            max_states: None,
+            max_memory: None,
+            ..sample()
+        };
+        for spec in [sample(), wait_freedom] {
+            let back = JobSpec::from_json(&parse(&spec.to_json()).unwrap()).unwrap();
+            assert_eq!(back, spec);
+            assert_eq!(back.cache_key(), spec.cache_key());
+            assert_eq!(back.config_tag(), spec.config_tag());
+        }
     }
 
     #[test]
@@ -549,6 +542,19 @@ mod tests {
             .is_err());
         assert!(JobSpec::from_json(&parse(r#"{"algorithm": "treiber", "fuse": true}"#).unwrap())
             .is_err());
+        // Wait-freedom is diagnosed only by an unbudgeted `verify`.
+        let wf = r#""algorithm": "hw-queue", "wait_freedom": true"#;
+        for other in [
+            r#""timeout_ns": 60000000000"#,
+            r#""max_memory": 100000000"#,
+            r#""command": "quotient""#,
+            r#""command": "check", "formula": "G F ret""#,
+            r#""command": "reduce-check""#,
+        ] {
+            let spec = format!("{{{wf}, {other}}}");
+            assert!(JobSpec::from_json(&parse(&spec).unwrap()).is_err(), "{spec}");
+        }
+        assert!(JobSpec::from_json(&parse(&format!("{{{wf}}}")).unwrap()).is_ok());
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //! refuted, `2` the verification was inconclusive (budget exhausted or an
 //! internal fault), `3` usage or parse error.
 
+use bbverify::algorithms::roster::ALGORITHMS;
 use bbverify::serve::{
     discover_addr, execute, CheckpointCtl, Client, Command, JobSpec, RunCtl, ServeConfig,
-    ALGORITHMS, EXIT_PROVED, EXIT_REFUTED, EXIT_USAGE,
+    EXIT_PROVED, EXIT_REFUTED, EXIT_USAGE,
 };
 use bbverify::bisim::RefineMode;
 use bbverify::lts::Jobs;
@@ -282,6 +283,7 @@ fn print_usage() {
     eprintln!("  options: --threads N  --ops N  --domain 1,2");
     eprintln!("           --no-lock-freedom  --wait-freedom  --dot FILE  --aut FILE");
     eprintln!("           --formula \"G F (ret | done)\"   (for `check`)");
+    eprintln!("           --wait-freedom runs on `verify` without a budget flag only");
     eprintln!("           --jobs N   (worker threads; default = all cores, output identical)");
     eprintln!("           --refine full|incremental   (partition-refinement engine; default");
     eprintln!("           incremental — dirty-state worklists, identical output either way)");
@@ -331,7 +333,7 @@ fn main_dispatch(args: &[String]) -> i32 {
     match args.first().map(String::as_str) {
         Some("list") => {
             println!("available algorithms:");
-            for (name, desc) in ALGORITHMS {
+            for (name, desc, _) in ALGORITHMS {
                 println!("  {name:<18} {desc}");
             }
             EXIT_PROVED
@@ -451,7 +453,7 @@ fn cache_admin(args: &[String]) -> i32 {
 /// roster, reporting every algorithm and returning the worst exit code.
 fn reduce_check_all(extra: &[String]) -> i32 {
     let mut worst = EXIT_PROVED;
-    for (name, _) in ALGORITHMS {
+    for (name, ..) in ALGORITHMS {
         let mut args: Vec<String> = vec![name.to_string()];
         args.extend(extra.iter().cloned());
         worst = worst.max(run(&args, Command::ReduceCheck));

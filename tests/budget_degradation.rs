@@ -14,8 +14,8 @@
 
 use bbverify::algorithms::{ms_queue::MsQueue, specs::SeqQueue, treiber::Treiber};
 use bbverify::bisim::{
-    bisimilar, bisimilar_governed, divergence_witness, divergence_witness_governed, partition,
-    partition_governed, Equivalence,
+    bisimilar, bisimilar_opts, divergence_witness, divergence_witness_governed, partition,
+    partition_governed_opts, Equivalence, PartitionOptions,
 };
 use bbverify::core::{verify_case_governed, GovernedConfig};
 use bbverify::lts::{
@@ -62,13 +62,14 @@ fn explore_exhausts_cleanly_on_expired_deadline() {
 #[test]
 fn bisim_refinement_exhausts_cleanly() {
     let lts = msq_lts();
+    let opts = PartitionOptions::default();
     let wd = tiny(Budget::unlimited().with_max_transitions(5));
-    let err = partition_governed(&lts, Equivalence::Branching, &wd).unwrap_err();
+    let err = partition_governed_opts(&lts, Equivalence::Branching, &wd, opts).unwrap_err();
     assert_eq!(err.stage, Stage::Bisim);
     assert_eq!(err.reason, ExhaustReason::TransitionCap);
 
     let wd = tiny(Budget::unlimited().with_max_memory_bytes(64));
-    let err = partition_governed(&lts, Equivalence::Branching, &wd).unwrap_err();
+    let err = partition_governed_opts(&lts, Equivalence::Branching, &wd, opts).unwrap_err();
     assert_eq!(err.stage, Stage::Bisim);
     assert_eq!(err.reason, ExhaustReason::Memory);
 }
@@ -111,8 +112,10 @@ fn ltl_check_exhausts_cleanly() {
 fn cancellation_trips_every_stage() {
     let lts = msq_lts();
     for make in [
-        (|lts: &Lts, wd: &Watchdog| partition_governed(lts, Equivalence::Branching, wd).err())
-            as fn(&Lts, &Watchdog) -> _,
+        (|lts: &Lts, wd: &Watchdog| {
+            partition_governed_opts(lts, Equivalence::Branching, wd, PartitionOptions::default())
+                .err()
+        }) as fn(&Lts, &Watchdog) -> _,
         |lts, wd| divergence_witness_governed(lts, wd).err(),
         |lts, wd| check_governed(lts, &lock_freedom(), wd).err(),
     ] {
@@ -209,12 +212,13 @@ fn budgeted_runs_never_report_a_wrong_verdict() {
         let b = arb_lts(case + 100_000);
         let wd = Watchdog::new(arb_budget(case));
 
-        if let Ok(p) = partition_governed(&a, Equivalence::Branching, &wd) {
+        let opts = PartitionOptions::default();
+        if let Ok(p) = partition_governed_opts(&a, Equivalence::Branching, &wd, opts) {
             let full = partition(&a, Equivalence::Branching);
             assert_eq!(p.num_blocks(), full.num_blocks(), "case {case}");
         }
         let wd = Watchdog::new(arb_budget(case));
-        if let Ok(eq) = bisimilar_governed(&a, &b, Equivalence::Branching, &wd) {
+        if let Ok(eq) = bisimilar_opts(&a, &b, Equivalence::Branching, &wd, opts) {
             assert_eq!(eq, bisimilar(&a, &b, Equivalence::Branching), "case {case}");
         }
         let wd = Watchdog::new(arb_budget(case));
@@ -242,10 +246,11 @@ fn generous_budget_agrees_with_unbudgeted_primitives() {
         let generous =
             || Watchdog::new(Budget::unlimited().with_max_states(1_000_000).with_max_transitions(10_000_000));
 
-        let p = partition_governed(&a, Equivalence::Branching, &generous())
+        let opts = PartitionOptions::default();
+        let p = partition_governed_opts(&a, Equivalence::Branching, &generous(), opts)
             .expect("generous budget completes");
         assert_eq!(p.num_blocks(), partition(&a, Equivalence::Branching).num_blocks());
-        let eq = bisimilar_governed(&a, &b, Equivalence::Branching, &generous()).unwrap();
+        let eq = bisimilar_opts(&a, &b, Equivalence::Branching, &generous(), opts).unwrap();
         assert_eq!(eq, bisimilar(&a, &b, Equivalence::Branching));
         let r = trace_refines_governed(&a, &b, RefineOptions::default(), &generous()).unwrap();
         assert_eq!(r.holds, trace_refines(&a, &b).holds);

@@ -208,6 +208,28 @@ fn wait_freedom_flag_reports_starvation() {
     assert!(text.contains("spin forever"), "{text}");
 }
 
+/// `--wait-freedom` runs only on an unbudgeted `verify`. Anywhere else it
+/// would be dropped silently, so it is a usage error instead.
+#[test]
+fn wait_freedom_where_it_cannot_run_is_a_usage_error() {
+    let base = ["hw-queue", "--threads", "2", "--ops", "1", "--domain", "1", "--wait-freedom"];
+    for extra in [
+        &["verify", "--timeout", "60s"][..],
+        &["verify", "--max-states", "1e6"],
+        &["quotient"],
+        &["check", "--formula", "G F (ret | done)"],
+        &["reduce-check"],
+    ] {
+        let (command, flags) = extra.split_at(1);
+        let args: Vec<&str> = command.iter().chain(&base).chain(flags).copied().collect();
+        let out = bbv(&args);
+        assert_eq!(out.status.code(), Some(3), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--wait-freedom"), "{args:?}: {err}");
+    }
+}
+
 #[test]
 fn check_subcommand_with_parsed_formula() {
     let out = bbv(&[

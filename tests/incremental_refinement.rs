@@ -139,7 +139,7 @@ fn verdicts_are_identical_across_engines() {
     for (name, imp, spec) in &cases {
         let run = |mode: RefineMode| {
             let cfg = VerifyConfig::new(Bound::new(2, 2)).with_refine(mode);
-            let r = verify_case_lts(name, cfg, imp, spec);
+            let r = verify_case_lts(name, cfg, imp, spec, &Watchdog::unlimited()).unwrap();
             (r.linearizable(), r.lock_free(), r.summary())
         };
         assert_eq!(run(RefineMode::Full), run(RefineMode::Incremental), "{name}");
@@ -197,7 +197,7 @@ fn verdicts_match_across_jobs_and_engines() {
     for (name, imp, spec) in &cases {
         let serial = {
             let cfg = VerifyConfig::new(Bound::new(2, 2));
-            let r = verify_case_lts(name, cfg, imp, spec);
+            let r = verify_case_lts(name, cfg, imp, spec, &Watchdog::unlimited()).unwrap();
             (r.linearizable(), r.lock_free(), r.summary())
         };
         for jobs in [Jobs::serial(), Jobs::new(2), Jobs::new(4)] {
@@ -205,7 +205,7 @@ fn verdicts_match_across_jobs_and_engines() {
                 let cfg = VerifyConfig::new(Bound::new(2, 2))
                     .with_jobs(jobs)
                     .with_refine(mode);
-                let r = verify_case_lts(name, cfg, imp, spec);
+                let r = verify_case_lts(name, cfg, imp, spec, &Watchdog::unlimited()).unwrap();
                 assert_eq!(
                     serial,
                     (r.linearizable(), r.lock_free(), r.summary()),

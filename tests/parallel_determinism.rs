@@ -6,7 +6,7 @@
 //! same structured `Exhausted` error the sequential engine reports.
 
 use bbverify::algorithms::{ms_queue::MsQueue, specs::SeqStack, treiber::Treiber};
-use bbverify::bisim::{partition, partition_jobs, Equivalence};
+use bbverify::bisim::{partition, partition_opts, Equivalence, PartitionOptions};
 use bbverify::lts::{
     random_lts, to_aut, Budget, CancelToken, ExhaustReason, ExploreLimits, ExploreOptions, Jobs,
     RandomLtsConfig, Watchdog,
@@ -56,7 +56,8 @@ fn partition_is_identical_at_any_worker_count_on_random_systems() {
         ] {
             let reference = partition(&lts, eq);
             for jobs in [1, 2, 4] {
-                let p = partition_jobs(&lts, eq, Jobs::new(jobs));
+                let opts = PartitionOptions::default().with_jobs(Jobs::new(jobs));
+                let p = partition_opts(&lts, eq, opts);
                 assert_eq!(
                     reference.assignment(),
                     p.assignment(),
@@ -95,7 +96,8 @@ fn real_algorithms_explore_bit_identically_at_any_worker_count() {
         assert_eq!(to_aut(&seq_spec), to_aut(&par_spec), "{jobs} jobs");
 
         let p_seq = partition(&seq_treiber, Equivalence::Branching);
-        let p_par = partition_jobs(&par_treiber, Equivalence::Branching, j);
+        let popts = PartitionOptions::default().with_jobs(j);
+        let p_par = partition_opts(&par_treiber, Equivalence::Branching, popts);
         assert_eq!(p_seq.assignment(), p_par.assignment(), "{jobs} jobs");
     }
 }

@@ -19,7 +19,7 @@ use bbverify::algorithms::{
     newcas::NewCas, optimistic_list::OptimisticList, rdcss::Rdcss, specs::*, treiber::Treiber,
     treiber_hp::TreiberHp, treiber_hp_fu::TreiberHpFu, two_lock_queue::TwoLockQueue,
 };
-use bbverify::lts::{to_aut, ExploreOptions, Jobs};
+use bbverify::lts::{to_aut, ExploreOptions, Jobs, Watchdog};
 use bbverify::reduce::{differential_check, explore_reduced, DifferentialReport, ReduceMode};
 use bbverify::sim::{AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 
@@ -39,8 +39,9 @@ fn check<A: ObjectAlgorithm, S: SequentialSpec>(
         mode,
         Jobs::available(),
         lock_freedom,
+        &Watchdog::unlimited(),
     )
-    .expect("exploration fits in the default budget");
+    .expect("an unlimited watchdog never trips");
     assert!(r.passed(), "{}", r.render());
     r
 }
