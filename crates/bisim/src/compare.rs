@@ -4,11 +4,10 @@
 //! the disjoint union (as in Definition 5.5 for `≈div`).
 
 use crate::diagnostics::{distinguishing_formula, Formula};
-use crate::partition::{BlockId, Partition};
-use crate::quotient::Quotient;
+use crate::partition::Partition;
 use crate::signatures::{
-    partition, partition_governed_opts, partition_with_history_opts, run_governed_opts,
-    Equivalence, PartitionOptions, RefineStats, RefinementHistory,
+    partition, partition_governed_opts, partition_with_history_opts, Equivalence, PartitionOptions,
+    RefinementHistory,
 };
 use bb_lts::budget::{Exhausted, Watchdog};
 use bb_lts::{disjoint_union, Lts, StateId};
@@ -115,71 +114,6 @@ pub fn bisimilar_opts(
     Ok(p.same_block(u.left_initial, u.right_initial))
 }
 
-/// Theorem 5.9's check `lts ≈div lts/≈`, started from what the `≈`
-/// partition already decided: returns whether the check holds, with the
-/// work accounting of its refinement.
-///
-/// `p` must be the branching partition of `lts` (as [`partition`] computes
-/// it) and `q` the quotient [`quotient`](fn@crate::quotient)`(lts, p)`. Each
-/// state `s` is `≈` to its block `[s]` (Definition 5.1), so `{B ∪ {[B]}}` is
-/// exactly `≈` on the disjoint union. Since `≈div ⊆ ≈`, refining the union
-/// from that partition ends at the same coarsest `≈div` partition as
-/// refining from the universal one, and the verdict equals
-/// [`bisimilar_opts`]`(lts, &q.lts, BranchingDiv, ..)`. When `lts` has no
-/// τ-cycle the first round splits nothing.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] when the budget trips before a verdict is reached;
-/// callers must treat this as *unknown*, never as inequivalence.
-///
-/// # Panics
-///
-/// Panics if `p` does not partition the states of `lts`, or `q` does not
-/// have one state per block of `p`.
-pub fn div_bisimilar_to_quotient(
-    lts: &Lts,
-    p: &Partition,
-    q: &Quotient,
-    wd: &Watchdog,
-    opts: PartitionOptions,
-) -> Result<(bool, RefineStats), Exhausted> {
-    assert_eq!(
-        p.num_states(),
-        lts.num_states(),
-        "partition does not match LTS"
-    );
-    assert_eq!(
-        q.lts.num_states(),
-        p.num_blocks(),
-        "quotient does not match partition"
-    );
-    let u = disjoint_union(lts, &q.lts);
-    let mut stats = RefineStats::default();
-    let div = run_governed_opts(
-        &u.lts,
-        Equivalence::BranchingDiv,
-        None,
-        wd,
-        opts,
-        Some(&mut stats),
-        Some(&lifted(p)),
-    )?;
-    Ok((div.same_block(u.left_initial, u.right_initial), stats))
-}
-
-/// The partition `p` of a system lifted to the disjoint union of the system
-/// and its quotient: quotient state `i` is block `i`, so it joins block `i`.
-fn lifted(p: &Partition) -> Partition {
-    let block_of = p
-        .assignment()
-        .iter()
-        .copied()
-        .chain((0..p.num_blocks() as u32).map(BlockId))
-        .collect();
-    Partition::new(block_of, p.num_blocks())
-}
-
 /// Returns `true` iff states `a` and `b` of the same system are related
 /// under `eq` — e.g. the `s1 ≈ s3` queries of the MS-queue analysis in
 /// Section III/VII.
@@ -256,33 +190,6 @@ mod tests {
         let bad = BisimCheck::run(&spec, &other, Equivalence::Branching);
         assert!(!bad.equivalent);
         assert!(bad.diagnosis().is_some());
-    }
-
-    /// Refining `Δ ⊎ Δ/≈` from the lifted `≈` partition reaches the same
-    /// `≈div` partition as the universal start, block ids included.
-    #[test]
-    fn lifted_start_reaches_the_universal_fixpoint() {
-        use crate::signatures::{partition_opts, RefineMode};
-        use bb_lts::{random_lts, RandomLtsConfig};
-        let wd = Watchdog::unlimited();
-        for seed in 0..16 {
-            let lts = random_lts(seed, RandomLtsConfig::default());
-            for mode in [RefineMode::Full, RefineMode::Incremental] {
-                let opts = PartitionOptions::default().with_mode(mode);
-                let p = partition_opts(&lts, Equivalence::Branching, opts);
-                let q = crate::quotient::quotient(&lts, &p);
-                let u = disjoint_union(&lts, &q.lts);
-                let eq = Equivalence::BranchingDiv;
-                let from_lifted =
-                    run_governed_opts(&u.lts, eq, None, &wd, opts, None, Some(&lifted(&p)));
-                let from_universal = partition_opts(&u.lts, eq, opts);
-                assert_eq!(
-                    from_lifted.unwrap(),
-                    from_universal,
-                    "seed {seed} at {mode}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -54,9 +54,7 @@ mod quotient;
 mod signatures;
 pub mod snapshot;
 
-pub use compare::{
-    bisimilar, bisimilar_opts, bisimilar_states, div_bisimilar_to_quotient, BisimCheck,
-};
+pub use compare::{bisimilar, bisimilar_opts, bisimilar_states, BisimCheck};
 pub use diagnostics::{distinguishing_formula, Formula};
 pub use divergence::{
     divergence_witness, divergence_witness_governed, divergent_states, has_tau_cycle,

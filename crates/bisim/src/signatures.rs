@@ -29,7 +29,6 @@ use crate::partition::{canonical_from_labels, BlockId, Partition};
 use crate::snapshot;
 use bb_lts::budget::{ExhaustReason, Exhausted, Meter, Stage, Watchdog};
 use bb_lts::{tarjan_scc, tarjan_scc_region, Jobs, Lts, PredecessorTable, StateId, TauClosure};
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -579,8 +578,7 @@ fn refine_once(
 }
 
 /// The reference engine: every round recomputes all signatures and splits
-/// every block. Refinement starts from `init` (the universal partition when
-/// `None`) unless a checkpoint `seed` overrides it.
+/// every block.
 #[allow(clippy::too_many_arguments)]
 fn run_full(
     lts: &Lts,
@@ -591,7 +589,6 @@ fn run_full(
     stats: Option<&mut RefineStats>,
     persist: Option<&PersistHook>,
     seed: Option<(Partition, u64)>,
-    init: Option<&Partition>,
 ) -> Result<Partition, Exhausted> {
     let n = lts.num_states();
     let span = bb_obs::span("bisim")
@@ -606,9 +603,9 @@ fn run_full(
         return Err(meter.exhausted(ExhaustReason::StateCap));
     }
     let ctx = Ctx::with_jobs(lts, eq, jobs);
-    let mut p = init.cloned().unwrap_or_else(|| Partition::universal(n));
+    let mut p = Partition::universal(n);
     let mut round = 0usize;
-    // A checkpoint seed replaces the initial partition: each round is a pure
+    // A checkpoint seed replaces the universal start: each round is a pure
     // function of the current partition, so re-entering at the checkpointed
     // round converges to the identical fixpoint, block ids included.
     // Seeding is disabled on history runs (the coarser prefix would be
@@ -1713,9 +1710,7 @@ impl<'c, 'a> Incremental<'c, 'a> {
 }
 
 /// The incremental engine (see the module docs and DESIGN.md § "Incremental
-/// refinement"). Refinement starts from `init` (the universal partition when
-/// `None`).
-#[allow(clippy::too_many_arguments)]
+/// refinement").
 fn run_incremental(
     lts: &Lts,
     eq: Equivalence,
@@ -1724,7 +1719,6 @@ fn run_incremental(
     jobs: Jobs,
     stats: Option<&mut RefineStats>,
     persist: Option<&PersistHook>,
-    init: Option<&Partition>,
 ) -> Result<Partition, Exhausted> {
     let n = lts.num_states();
     let span = bb_obs::span("bisim")
@@ -1737,11 +1731,11 @@ fn run_incremental(
         return Err(meter.exhausted(ExhaustReason::StateCap));
     }
     let ctx = Ctx::with_jobs(lts, eq, jobs);
-    let start = init.map_or_else(|| Cow::Owned(Partition::universal(n)), Cow::Borrowed);
+    let start = Partition::universal(n);
     let mut eng = Incremental::new(&ctx, &start);
     let mut rounds: Vec<Partition> = Vec::new();
     if history.is_some() {
-        rounds.push(start.into_owned());
+        rounds.push(start);
     }
     let mut mem_accounted = 0usize;
     let mut round = 0usize;
@@ -1806,18 +1800,14 @@ fn run_incremental(
     Ok(p)
 }
 
-/// The governed refinement behind every public entry point. `init` is the
-/// partition refinement starts from (the universal one when `None`); it must
-/// be coarser than the requested equivalence, and then the result — block
-/// ids included — is the same as from the universal start.
-pub(crate) fn run_governed_opts(
+/// The governed refinement behind every public entry point.
+fn run_governed_opts(
     lts: &Lts,
     eq: Equivalence,
     history: Option<&mut Vec<Partition>>,
     wd: &Watchdog,
     opts: PartitionOptions,
     stats: Option<&mut RefineStats>,
-    init: Option<&Partition>,
 ) -> Result<Partition, Exhausted> {
     // Every governed refinement call in the workspace funnels through here,
     // so this is the one place checkpointing hooks in. `begin_refine` is
@@ -1841,14 +1831,12 @@ pub(crate) fn run_governed_opts(
     // not record. Both engines produce bit-identical partitions, so the
     // verdict and every artifact are unaffected by the reroute.
     if seed.is_some() {
-        return run_full(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), seed, None);
+        return run_full(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), seed);
     }
     match opts.mode {
-        RefineMode::Full => {
-            run_full(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), None, init)
-        }
+        RefineMode::Full => run_full(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), None),
         RefineMode::Incremental => {
-            run_incremental(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), init)
+            run_incremental(lts, eq, history, wd, opts.jobs, stats, hook.as_ref())
         }
     }
 }
@@ -1867,7 +1855,7 @@ pub fn partition(lts: &Lts, eq: Equivalence) -> Partition {
 /// refinement engine). Every option combination computes the same partition,
 /// block ids included.
 pub fn partition_opts(lts: &Lts, eq: Equivalence, opts: PartitionOptions) -> Partition {
-    run_governed_opts(lts, eq, None, &Watchdog::unlimited(), opts, None, None)
+    run_governed_opts(lts, eq, None, &Watchdog::unlimited(), opts, None)
         .expect("an unlimited watchdog never trips")
 }
 
@@ -1886,7 +1874,7 @@ pub fn partition_governed_opts(
     wd: &Watchdog,
     opts: PartitionOptions,
 ) -> Result<Partition, Exhausted> {
-    run_governed_opts(lts, eq, None, wd, opts, None, None)
+    run_governed_opts(lts, eq, None, wd, opts, None)
 }
 
 /// Like [`partition_opts`], additionally returning the per-round history
@@ -1898,16 +1886,8 @@ pub fn partition_with_history_opts(
     opts: PartitionOptions,
 ) -> (Partition, RefinementHistory) {
     let mut rounds = Vec::new();
-    let p = run_governed_opts(
-        lts,
-        eq,
-        Some(&mut rounds),
-        &Watchdog::unlimited(),
-        opts,
-        None,
-        None,
-    )
-    .expect("an unlimited watchdog never trips");
+    let p = run_governed_opts(lts, eq, Some(&mut rounds), &Watchdog::unlimited(), opts, None)
+        .expect("an unlimited watchdog never trips");
     (p, RefinementHistory { rounds })
 }
 
@@ -1919,16 +1899,8 @@ pub fn partition_with_stats(
     opts: PartitionOptions,
 ) -> (Partition, RefineStats) {
     let mut stats = RefineStats::default();
-    let p = run_governed_opts(
-        lts,
-        eq,
-        None,
-        &Watchdog::unlimited(),
-        opts,
-        Some(&mut stats),
-        None,
-    )
-    .expect("an unlimited watchdog never trips");
+    let p = run_governed_opts(lts, eq, None, &Watchdog::unlimited(), opts, Some(&mut stats))
+        .expect("an unlimited watchdog never trips");
     (p, stats)
 }
 

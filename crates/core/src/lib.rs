@@ -10,6 +10,8 @@
 //!   branching bisimilarity between `Δ` and its own quotient (fully
 //!   automatic), or between `Δ` and a hand-written abstract program, and
 //!   conclude lock-freedom from the divergence-free quotient (Lemma 5.7).
+//!   Against its own quotient the check is one τ-cycle search over `Δ`
+//!   (Lemma 5.6).
 //!
 //! The entry points take explicit LTSs (produced by
 //! [`bb_sim::explore_system`]) so they compose with any front end; the

@@ -1,9 +1,7 @@
 //! Linearizability checking on branching-bisimulation quotients
 //! (Theorem 5.3).
 
-use bb_bisim::{
-    partition_governed_opts, quotient, Equivalence, Partition, PartitionOptions, Quotient,
-};
+use bb_bisim::{partition_governed_opts, quotient, Equivalence, PartitionOptions, Quotient};
 use bb_lts::budget::{Exhausted, Watchdog};
 use bb_lts::Lts;
 use bb_refine::{trace_refines_governed, RefineOptions, Violation};
@@ -66,7 +64,7 @@ pub fn verify_linearizability_opts(
     wd: &Watchdog,
     opts: PartitionOptions,
 ) -> Result<LinReport, Exhausted> {
-    let (_, q_imp) = branching_quotient(imp, wd, opts)?;
+    let q_imp = branching_quotient(imp, wd, opts)?;
     verify_linearizability_pre(imp, spec, wd, opts, &q_imp)
 }
 
@@ -107,16 +105,15 @@ pub(crate) fn verify_linearizability_pre(
     })
 }
 
-/// The branching partition of `lts` and its quotient (Definition 5.1) —
-/// computed once per verify and read by both checks.
+/// The branching quotient of `lts` (Definition 5.1) — computed once per
+/// verify and read by both checks.
 pub(crate) fn branching_quotient(
     lts: &Lts,
     wd: &Watchdog,
     opts: PartitionOptions,
-) -> Result<(Partition, Quotient), Exhausted> {
+) -> Result<Quotient, Exhausted> {
     let p = partition_governed_opts(lts, Equivalence::Branching, wd, opts)?;
-    let q = quotient(lts, &p);
-    Ok((p, q))
+    Ok(quotient(lts, &p))
 }
 
 #[cfg(test)]

@@ -1,10 +1,9 @@
 //! Lock-freedom checking via divergence-sensitive branching bisimulation
 //! (Theorems 5.8 and 5.9).
 
-use crate::linearizability::branching_quotient;
 use bb_bisim::{
-    bisimilar_opts, div_bisimilar_to_quotient, divergence_witness_governed, Equivalence, Lasso,
-    Partition, PartitionOptions, Quotient,
+    bisimilar_opts, divergence_witness_governed, partition_governed_opts, Equivalence, Lasso,
+    PartitionOptions,
 };
 use bb_lts::budget::{Exhausted, Watchdog};
 use bb_lts::Lts;
@@ -19,21 +18,22 @@ pub struct LockFreeReport {
     pub impl_states: usize,
     /// `|Δ/≈|`.
     pub quotient_states: usize,
-    /// Whether `Δ ≈div Δ/≈` held (fails exactly when a divergence exists).
-    pub div_bisimilar_to_quotient: bool,
     /// A τ-cycle witness (Fig. 9 style) when lock-freedom is violated.
     pub divergence: Option<Lasso>,
-    /// Wall-clock time of the `≈div` check and the witness search (Δ/≈ is
-    /// an input of the check).
+    /// Wall-clock time of the divergence search (the `≈` partition that
+    /// gives `|Δ/≈|` is computed before it and not timed here).
     pub time: Duration,
 }
 
-/// Automatically checks lock-freedom of `imp` (Theorem 5.9): compute the
-/// branching-bisimulation quotient `Δ/≈`, check `Δ ≈div Δ/≈`, and conclude.
+/// Automatically checks lock-freedom of `imp` (Theorem 5.9): `imp` is
+/// lock-free iff `Δ ≈div Δ/≈`.
 ///
-/// By Lemma 5.7 the quotient of a finite system has no infinite τ-path, so
-/// `Δ ≈div Δ/≈` fails exactly when `Δ` has a reachable divergence — i.e. a
-/// τ-cycle (Lemma 5.6), which is returned as a lasso witness.
+/// The check needs no second refinement. By Lemma 5.7 the quotient of a
+/// finite system has no τ-cycle, and by Lemma 5.6 a τ-cycle of `Δ` stays
+/// inside one `≈`-class. So `Δ ≈div Δ/≈` fails exactly when `Δ` has a
+/// reachable τ-cycle, which one Tarjan pass over the τ-edges finds
+/// ([`divergence_witness_governed`]) and which is returned as a lasso
+/// witness. `|Δ/≈|`, the number of `≈`-classes, is computed for the report.
 ///
 /// ```
 /// use bb_algorithms::hw_queue::HwQueue;
@@ -58,9 +58,9 @@ pub fn verify_lock_freedom(imp: &Lts) -> LockFreeReport {
 }
 
 /// Budget-governed [`verify_lock_freedom`] with explicit
-/// [`PartitionOptions`] (worker count and refinement engine): the quotient,
-/// the `≈div` check and the divergence-witness search are all metered
-/// against `wd`. The report is identical for every option combination.
+/// [`PartitionOptions`] (worker count and refinement engine): the `≈`
+/// partition and the divergence search are both metered against `wd`. The
+/// report is identical for every option combination.
 ///
 /// # Errors
 ///
@@ -71,16 +71,12 @@ pub fn verify_lock_freedom_opts(
     wd: &Watchdog,
     opts: PartitionOptions,
 ) -> Result<LockFreeReport, Exhausted> {
-    let (p, q) = branching_quotient(imp, wd, opts)?;
-    verify_lock_freedom_pre(imp, wd, opts, &p, &q)
+    let p = partition_governed_opts(imp, Equivalence::Branching, wd, opts)?;
+    verify_lock_freedom_pre(imp, wd, p.num_blocks())
 }
 
-/// [`verify_lock_freedom_opts`] given the implementation's branching
-/// partition `imp_partition` and its quotient `imp_quotient` = Δ/≈, which a
-/// verify computes once and shares with the linearizability check. The
-/// `≈div` refinement of Δ ⊎ Δ/≈ starts from `≈` lifted to the union (see
-/// [`div_bisimilar_to_quotient`]); the report is identical to refining from
-/// the universal partition.
+/// [`verify_lock_freedom_opts`] given `|Δ/≈|` = `quotient_states`, which a
+/// verify computes once for the linearizability check.
 ///
 /// # Errors
 ///
@@ -88,30 +84,18 @@ pub fn verify_lock_freedom_opts(
 pub(crate) fn verify_lock_freedom_pre(
     imp: &Lts,
     wd: &Watchdog,
-    opts: PartitionOptions,
-    imp_partition: &Partition,
-    imp_quotient: &Quotient,
+    quotient_states: usize,
 ) -> Result<LockFreeReport, Exhausted> {
     let span = bb_obs::span("lockfree").with("impl_states", imp.num_states());
     let start = Instant::now();
-    let (div_bisim, _) = div_bisimilar_to_quotient(imp, imp_partition, imp_quotient, wd, opts)?;
-    let divergence = if div_bisim {
-        None
-    } else {
-        let w = divergence_witness_governed(imp, wd)?;
-        debug_assert!(
-            w.is_some(),
-            "Δ ≉div Δ/≈ for a finite system implies a reachable τ-cycle"
-        );
-        w
-    };
-    span.record("lock_free", u64::from(div_bisim));
-    span.record("quotient_states", imp_quotient.lts.num_states());
+    let divergence = divergence_witness_governed(imp, wd)?;
+    let lock_free = divergence.is_none();
+    span.record("lock_free", u64::from(lock_free));
+    span.record("quotient_states", quotient_states);
     Ok(LockFreeReport {
-        lock_free: div_bisim,
+        lock_free,
         impl_states: imp.num_states(),
-        quotient_states: imp_quotient.lts.num_states(),
-        div_bisimilar_to_quotient: div_bisim,
+        quotient_states,
         divergence,
         time: start.elapsed(),
     })
@@ -122,8 +106,8 @@ pub(crate) fn verify_lock_freedom_pre(
 pub struct AbstractionReport {
     /// Whether `Δ ≈div ΔAbs` held.
     pub div_bisimilar: bool,
-    /// Whether the abstract program is lock-free (checked by Theorem 5.9 on
-    /// the abstract system).
+    /// Whether the abstract program is lock-free (Theorem 5.9 on the
+    /// abstract system: it has no reachable τ-cycle).
     pub abstract_lock_free: bool,
     /// The conclusion for the concrete object: `Some(lock_free)` when the
     /// abstraction applies (`div_bisimilar`), `None` when it does not.
@@ -152,7 +136,7 @@ pub fn verify_lock_freedom_via_abstraction(imp: &Lts, abs: &Lts) -> AbstractionR
 
 /// Budget-governed [`verify_lock_freedom_via_abstraction`] with explicit
 /// [`PartitionOptions`]: the `≈div` check and the abstract program's
-/// lock-freedom check are metered against `wd`. The report is identical for
+/// divergence search are metered against `wd`. The report is identical for
 /// every option combination.
 ///
 /// # Errors
@@ -167,11 +151,11 @@ pub fn verify_lock_freedom_via_abstraction_opts(
 ) -> Result<AbstractionReport, Exhausted> {
     let start = Instant::now();
     let div_bisimilar = bisimilar_opts(imp, abs, Equivalence::BranchingDiv, wd, opts)?;
-    let abs_report = verify_lock_freedom_opts(abs, wd, opts)?;
+    let abstract_lock_free = divergence_witness_governed(abs, wd)?.is_none();
     Ok(AbstractionReport {
         div_bisimilar,
-        abstract_lock_free: abs_report.lock_free,
-        concrete_lock_free: div_bisimilar.then_some(abs_report.lock_free),
+        abstract_lock_free,
+        concrete_lock_free: div_bisimilar.then_some(abstract_lock_free),
         impl_states: imp.num_states(),
         abstract_states: abs.num_states(),
         time: start.elapsed(),

@@ -127,10 +127,11 @@ where
 
 /// Both methods of Fig. 1 over explored LTSs, metered against `wd` — the
 /// pipeline of [`verify_case`], of every rung of the governed ladder and of
-/// an unbudgeted `bbv verify`. Δ is partitioned and quotiented once; the
-/// linearizability check refines Δ/≈ against Θsp/≈ and the lock-freedom
-/// check compares Δ with the same Δ/≈. `config.limits` is not read: the
-/// LTSs are already explored.
+/// an unbudgeted `bbv verify`. Δ is partitioned and quotiented once, and
+/// the linearizability check refines Δ/≈ against Θsp/≈. The lock-freedom
+/// check is one τ-cycle search over Δ (see
+/// [`verify_lock_freedom`](crate::verify_lock_freedom)). `config.limits` is
+/// not read: the LTSs are already explored.
 ///
 /// # Errors
 ///
@@ -146,10 +147,10 @@ pub fn verify_case_lts(
     let opts = PartitionOptions::default()
         .with_jobs(config.jobs)
         .with_mode(config.refine);
-    let (p_imp, q_imp) = branching_quotient(imp, wd, opts)?;
+    let q_imp = branching_quotient(imp, wd, opts)?;
     let linearizability = verify_linearizability_pre(imp, spec, wd, opts, &q_imp)?;
     let lock_freedom = if config.check_lock_freedom {
-        Some(verify_lock_freedom_pre(imp, wd, opts, &p_imp, &q_imp)?)
+        Some(verify_lock_freedom_pre(imp, wd, q_imp.lts.num_states())?)
     } else {
         None
     };

@@ -382,7 +382,10 @@ impl JobSpec {
 
     /// Structural validation shared by every entry path (CLI, protocol,
     /// journal replay): the algorithm must be on the roster, `check` needs a
-    /// formula, and the wait-freedom diagnosis is only run by an unbudgeted
+    /// formula, and an option the command would ignore is an error. A
+    /// formula is read only by `check`, `--no-lock-freedom` only by
+    /// `verify` and `reduce-check`, `--no-fallback` only by a budgeted
+    /// `verify`, and the wait-freedom diagnosis only by an unbudgeted
     /// `verify`.
     pub fn validate(&self) -> Result<(), String> {
         if !known_algorithm(&self.algorithm) {
@@ -393,6 +396,17 @@ impl JobSpec {
         }
         if self.command == Command::Check && self.formula.is_none() {
             return Err("`check` needs a formula, e.g. --formula \"G F (ret | done)\"".into());
+        }
+        if self.formula.is_some() && self.command != Command::Check {
+            return Err("--formula works only on `check`".into());
+        }
+        if !self.check_lock_freedom
+            && !matches!(self.command, Command::Verify | Command::ReduceCheck)
+        {
+            return Err("--no-lock-freedom works only on `verify` and `reduce-check`".into());
+        }
+        if self.no_fallback && (self.command != Command::Verify || !self.budgeted()) {
+            return Err("--no-fallback works only on `verify` with a budget flag".into());
         }
         if self.wait_freedom && (self.command != Command::Verify || self.budgeted()) {
             return Err("--wait-freedom works only on `verify` without a budget flag".into());
@@ -432,8 +446,9 @@ mod tests {
     use super::*;
     use bb_obs::json::parse;
 
-    /// A budgeted spec with every optional member set but `wait_freedom`,
-    /// which only an unbudgeted `verify` honours.
+    /// A budgeted `verify` with every optional member set but `formula`,
+    /// which only `check` honours, and `wait_freedom`, which only an
+    /// unbudgeted `verify` honours.
     fn sample() -> JobSpec {
         JobSpec {
             command: Command::Verify,
@@ -443,7 +458,7 @@ mod tests {
             domain: vec![1, 2, -7],
             check_lock_freedom: false,
             wait_freedom: false,
-            formula: Some("G F (ret | done)".into()),
+            formula: None,
             timeout: Some(Duration::from_millis(1500)),
             max_states: Some(1_000_000),
             max_transitions: None,
@@ -462,9 +477,17 @@ mod tests {
             timeout: None,
             max_states: None,
             max_memory: None,
+            no_fallback: false,
             ..sample()
         };
-        for spec in [sample(), wait_freedom] {
+        let check = JobSpec {
+            command: Command::Check,
+            formula: Some("G F (ret | done)".into()),
+            check_lock_freedom: true,
+            no_fallback: false,
+            ..sample()
+        };
+        for spec in [sample(), wait_freedom, check] {
             let back = JobSpec::from_json(&parse(&spec.to_json()).unwrap()).unwrap();
             assert_eq!(back, spec);
             assert_eq!(back.cache_key(), spec.cache_key());
@@ -555,6 +578,33 @@ mod tests {
             assert!(JobSpec::from_json(&parse(&spec).unwrap()).is_err(), "{spec}");
         }
         assert!(JobSpec::from_json(&parse(&format!("{{{wf}}}")).unwrap()).is_ok());
+        // A member the command would ignore is rejected: a formula outside
+        // `check`, `lock_freedom: false` outside `verify` and `reduce-check`,
+        // and `no_fallback` outside a budgeted `verify`.
+        let t = r#""algorithm": "treiber""#;
+        for bad in [
+            r#""formula": "G F ret""#,
+            r#""command": "reduce-check", "formula": "G F ret""#,
+            r#""command": "quotient", "lock_freedom": false, "formula": "G F ret""#,
+            r#""command": "quotient", "lock_freedom": false"#,
+            r#""command": "check", "formula": "G F ret", "lock_freedom": false"#,
+            r#""no_fallback": true"#,
+            r#""command": "quotient", "no_fallback": true"#,
+            r#""command": "quotient", "max_states": 1000, "no_fallback": true"#,
+            r#""command": "reduce-check", "max_states": 1000, "no_fallback": true"#,
+        ] {
+            let spec = format!("{{{t}, {bad}}}");
+            assert!(JobSpec::from_json(&parse(&spec).unwrap()).is_err(), "{spec}");
+        }
+        for good in [
+            r#""command": "check", "formula": "G F ret""#,
+            r#""lock_freedom": false"#,
+            r#""command": "reduce-check", "lock_freedom": false"#,
+            r#""max_states": 1000, "no_fallback": true"#,
+        ] {
+            let spec = format!("{{{t}, {good}}}");
+            assert!(JobSpec::from_json(&parse(&spec).unwrap()).is_ok(), "{spec}");
+        }
     }
 
     #[test]

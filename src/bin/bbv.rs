@@ -60,7 +60,7 @@ struct Options {
     progress: bool,
     quiet: bool,
     checkpoint: Option<String>,
-    checkpoint_every: u64,
+    checkpoint_every: Option<u64>,
     cache: Option<String>,
     compact: bool,
     spill: Option<String>,
@@ -90,7 +90,7 @@ impl Default for Options {
             progress: false,
             quiet: false,
             checkpoint: None,
-            checkpoint_every: 8,
+            checkpoint_every: None,
             cache: None,
             compact: true,
             spill: None,
@@ -246,8 +246,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 opts.checkpoint = Some(it.next().ok_or("--checkpoint needs a directory")?.clone())
             }
             "--checkpoint-every" => {
-                opts.checkpoint_every =
-                    parse_count(it.next().ok_or("--checkpoint-every needs a round count")?)? as u64
+                opts.checkpoint_every = Some(parse_count(
+                    it.next().ok_or("--checkpoint-every needs a round count")?,
+                )? as u64)
             }
             "--cache" => {
                 opts.cache = Some(it.next().ok_or("--cache needs a directory")?.clone())
@@ -264,6 +265,9 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             other => return Err(format!("unknown option `{other}`")),
         }
+    }
+    if opts.checkpoint_every.is_some() && opts.checkpoint.is_none() {
+        return Err("--checkpoint-every needs --checkpoint DIR".into());
     }
     Ok(opts)
 }
@@ -282,7 +286,8 @@ fn print_usage() {
     eprintln!("       bbv metrics [--lint]   (print the exposition; --lint checks the format)");
     eprintln!("  options: --threads N  --ops N  --domain 1,2");
     eprintln!("           --no-lock-freedom  --wait-freedom  --dot FILE  --aut FILE");
-    eprintln!("           --formula \"G F (ret | done)\"   (for `check`)");
+    eprintln!("           --formula \"G F (ret | done)\"   (for `check` only)");
+    eprintln!("           --no-lock-freedom works on `verify` and `reduce-check` only");
     eprintln!("           --wait-freedom runs on `verify` without a budget flag only");
     eprintln!("           --jobs N   (worker threads; default = all cores, output identical)");
     eprintln!("           --refine full|incremental   (partition-refinement engine; default");
@@ -297,7 +302,7 @@ fn print_usage() {
     eprintln!("           observability is output-neutral: stdout, .aut files and exit");
     eprintln!("           codes are byte-identical with or without these flags");
     eprintln!("  budget:  --timeout 30s  --max-states 1e6  --max-transitions 1e7");
-    eprintln!("           --max-memory 2e9  --no-fallback");
+    eprintln!("           --max-memory 2e9  --no-fallback   (`verify` with a budget flag only)");
     eprintln!("           --spill DIR     (spill cold seen-set segments to disk when memory");
     eprintln!("           nears the cap; verdicts and artifacts stay byte-identical)");
     eprintln!("           --compact on|off   (bit-packed arena seen-set; default on — `off`");
@@ -308,7 +313,8 @@ fn print_usage() {
     eprintln!("  persist: --checkpoint DIR       (cut crash-safe checkpoints; `bbv resume DIR`");
     eprintln!("           replays the recorded invocation, seeds every completed section and");
     eprintln!("           converges to the byte-identical verdict of an uninterrupted run)");
-    eprintln!("           --checkpoint-every N   (also cut every N refinement rounds; default 8)");
+    eprintln!("           --checkpoint-every N   (with --checkpoint: also cut every N refinement");
+    eprintln!("           rounds; default 8)");
     eprintln!("           --cache DIR            (content-addressed result cache: conclusive");
     eprintln!("           verdicts and quotient artifacts replay byte-identically on a hit;");
     eprintln!("           corrupt entries are detected and recomputed, never trusted)");
@@ -565,7 +571,7 @@ fn run_spec(spec: &JobSpec, opts: &Options, argv_tail: &[String]) -> i32 {
         argv.extend(argv_tail.iter().cloned());
         ctl.checkpoint = Some(CheckpointCtl {
             dir: PathBuf::from(dir),
-            every: opts.checkpoint_every,
+            every: opts.checkpoint_every.unwrap_or(8),
             argv,
         });
     }

@@ -231,6 +231,31 @@ fn wait_freedom_where_it_cannot_run_is_a_usage_error() {
 }
 
 #[test]
+fn options_a_command_would_ignore_are_usage_errors() {
+    let base = ["treiber", "--threads", "2", "--ops", "1", "--domain", "1"];
+    let formula = ["--formula", "G F (ret | done)"];
+    for (extra, named) in [
+        (&["verify", formula[0], formula[1]][..], "--formula"),
+        (&["reduce-check", formula[0], formula[1]], "--formula"),
+        (&["quotient", "--no-lock-freedom", formula[0], formula[1]], "--formula"),
+        (&["quotient", "--no-lock-freedom"], "--no-lock-freedom"),
+        (&["check", formula[0], formula[1], "--no-lock-freedom"], "--no-lock-freedom"),
+        (&["verify", "--no-fallback"], "--no-fallback"),
+        (&["quotient", "--no-fallback"], "--no-fallback"),
+        (&["quotient", "--max-states", "1e6", "--no-fallback"], "--no-fallback"),
+        (&["verify", "--checkpoint-every", "1"], "--checkpoint-every"),
+    ] {
+        let (command, flags) = extra.split_at(1);
+        let args: Vec<&str> = command.iter().chain(&base).chain(flags).copied().collect();
+        let out = bbv(&args);
+        assert_eq!(out.status.code(), Some(3), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(named), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn check_subcommand_with_parsed_formula() {
     let out = bbv(&[
         "check",

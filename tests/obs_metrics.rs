@@ -166,11 +166,10 @@ fn histograms_appear_on_reduced_runs() {
 
 /// Δ is partitioned once per verify, on the unbudgeted path and on the
 /// governed ladder alike: exactly one Branching `bisim` span covers |Δ|.
-/// The `≈div` check starts from the lifted `≈` partition, so on a
-/// τ-cycle-free object its `BranchingDiv` span confirms in one round — and
-/// that start is not a checkpoint seed.
+/// Lock-freedom is one τ-cycle search: no `BranchingDiv` refinement runs,
+/// and the `lockfree` span has exactly one `divergence` child.
 #[test]
-fn delta_is_partitioned_once_and_div_check_runs_one_round() {
+fn delta_is_partitioned_once_and_lock_freedom_is_one_divergence_pass() {
     for budget in [&[][..], &["--max-states", "1e7"][..]] {
         let m = tmp(&format!("once_{}.json", budget.len()));
         let mut args = vec![
@@ -183,30 +182,45 @@ fn delta_is_partitioned_once_and_div_check_runs_one_round() {
         let _ = std::fs::remove_file(&m);
         let spans = doc.get("spans").and_then(JsonValue::as_array).unwrap();
         let field = |s: &JsonValue, k: &str| s.get("fields").unwrap().get(k).cloned();
+        let id = |s: &JsonValue| s.get("id").and_then(JsonValue::as_u64);
+        let mut lockfree = None;
         let mut delta = None;
-        // (eq, states, rounds) of every partition refinement.
+        // (eq, states) of every partition refinement.
         let mut bisims = Vec::new();
+        // Parent ids of the `divergence` spans.
+        let mut divergence_parents = Vec::new();
         for s in spans {
             match s.get("name").and_then(JsonValue::as_str) {
-                Some("lockfree") => delta = field(s, "impl_states").and_then(|v| v.as_u64()),
+                Some("lockfree") => {
+                    lockfree = id(s);
+                    delta = field(s, "impl_states").and_then(|v| v.as_u64());
+                }
                 Some("bisim") => bisims.push((
                     field(s, "eq").and_then(|v| v.as_str().map(str::to_owned)).unwrap(),
                     field(s, "states").and_then(|v| v.as_u64()).unwrap(),
-                    field(s, "rounds").and_then(|v| v.as_u64()).unwrap(),
                 )),
+                Some("divergence") => {
+                    divergence_parents.push(s.get("parent").and_then(JsonValue::as_u64))
+                }
                 _ => {}
             }
         }
         let delta = delta.expect("a lockfree span");
-        let over_delta = bisims.iter().filter(|(eq, n, _)| eq == "Branching" && *n == delta);
+        let over_delta = bisims.iter().filter(|(eq, n)| eq == "Branching" && *n == delta);
         assert_eq!(over_delta.count(), 1, "{budget:?}: Branching partitions of |Δ| = {delta}");
-        let div: Vec<_> = bisims.iter().filter(|(eq, _, _)| eq == "BranchingDiv").collect();
-        assert_eq!(div.len(), 1, "{budget:?}: one ≈div check in {bisims:?}");
-        assert_eq!(div[0].2, 1, "{budget:?}: ≈div rounds");
+        assert!(
+            bisims.iter().all(|(eq, _)| eq != "BranchingDiv"),
+            "{budget:?}: no ≈div refinement in {bisims:?}"
+        );
+        assert_eq!(
+            divergence_parents,
+            [lockfree],
+            "{budget:?}: one divergence pass, under the lockfree span"
+        );
         let seed_hits = doc
             .get("counters")
             .and_then(|c| c.get("persist.seed_hits"))
             .and_then(JsonValue::as_u64);
-        assert_eq!(seed_hits, Some(0), "{budget:?}: a lifted start is not a checkpoint seed");
+        assert_eq!(seed_hits, Some(0), "{budget:?}: no checkpoint seeds a plain run");
     }
 }
