@@ -8,9 +8,7 @@
 //! verify linearizable against `AtomicSpec<S>` for every `S`.
 
 use bb_lts::ThreadId;
-use bb_sim::{
-    Footprint, MethodId, MethodSpec, ObjectAlgorithm, Outcome, SequentialSpec, ThreadPerm, Value,
-};
+use bb_sim::{MethodId, MethodSpec, ObjectAlgorithm, Outcome, SequentialSpec, Value};
 
 /// A sequential object protected by a single global lock.
 #[derive(Debug, Clone)]
@@ -156,29 +154,6 @@ impl<S: SequentialSpec> ObjectAlgorithm for CoarseLocked<S> {
                 val: *val,
                 tag: "",
             }),
-        }
-    }
-
-    fn footprint(&self, _shared: &Shared<S>, frame: &Frame, _t: ThreadId) -> Footprint {
-        match frame {
-            // A thread at `Apply` or `Release` holds the global lock: no
-            // co-enabled step of another thread can touch the protected
-            // object (contenders at `Acquire` are blocked), and the unlock
-            // itself only *enables* contenders, so both steps commute with
-            // everything co-enabled. `Acquire` races on the lock word.
-            Frame::Apply { .. } | Frame::Release { .. } => Footprint::Owned,
-            _ => Footprint::Global,
-        }
-    }
-
-    fn rename_threads(
-        &self,
-        shared: &mut Shared<S>,
-        _frames: &mut [&mut Frame],
-        perm: &ThreadPerm,
-    ) {
-        if let Some(owner) = shared.lock {
-            shared.lock = Some(perm.apply(owner));
         }
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::list_node::ListNode;
 use bb_lts::ThreadId;
-use bb_sim::{Footprint, Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, Value, EMPTY};
+use bb_sim::{Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, Value, EMPTY};
 
 /// The MS queue over a finite enqueue-value domain.
 #[derive(Debug, Clone)]
@@ -335,17 +335,6 @@ impl ObjectAlgorithm for MsQueue {
                 val: *val,
                 tag: "",
             }),
-        }
-    }
-
-    fn footprint(&self, _shared: &Shared, frame: &Frame, _t: ThreadId) -> Footprint {
-        match frame {
-            // L1 allocates a node unreachable to other threads until the L8
-            // CAS links it. Unlike the Treiber stack, reads of `next` fields
-            // (L6, L20) stay `Global`: a linked node's `next` is written
-            // *after* publication by the L8 CAS, so they genuinely race.
-            Frame::EnqAlloc { .. } => Footprint::Private,
-            _ => Footprint::Global,
         }
     }
 

@@ -14,7 +14,7 @@
 
 use crate::list_node::ListNode;
 use bb_lts::ThreadId;
-use bb_sim::{Footprint, Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, Value, EMPTY};
+use bb_sim::{Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, Value, EMPTY};
 
 /// The Treiber stack over a finite push-value domain.
 #[derive(Debug, Clone)]
@@ -206,20 +206,6 @@ impl ObjectAlgorithm for Treiber {
                 val: *val,
                 tag: "",
             }),
-        }
-    }
-
-    fn footprint(&self, _shared: &Shared, frame: &Frame, _t: ThreadId) -> Footprint {
-        match frame {
-            // L1 allocates a node no other thread can reach until the CAS at
-            // L4 publishes it (the canonical heap renaming makes allocation
-            // order immaterial).
-            Frame::PushAlloc { .. } => Footprint::Private,
-            // L12 reads `t.next`. Node links are written only at L3, before
-            // publication, and never afterwards — a reachable node's `next`
-            // is immutable, so the read commutes with every co-enabled step.
-            Frame::PopNext { .. } => Footprint::Private,
-            _ => Footprint::Global,
         }
     }
 

@@ -16,9 +16,7 @@
 
 use crate::list_node::ListNode;
 use bb_lts::ThreadId;
-use bb_sim::{
-    Footprint, Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, ThreadPerm, Value, EMPTY,
-};
+use bb_sim::{Heap, MethodId, MethodSpec, ObjectAlgorithm, Outcome, Ptr, Value, EMPTY};
 
 /// Treiber stack + hazard pointers for a fixed number of threads.
 #[derive(Debug, Clone)]
@@ -305,31 +303,6 @@ impl ObjectAlgorithm for TreiberHp {
                 tag: "",
             }),
         }
-    }
-
-    fn footprint(&self, _shared: &Shared, frame: &Frame, _t: ThreadId) -> Footprint {
-        match frame {
-            // P1 allocates a node no other thread can reach before the P3
-            // CAS publishes it.
-            Frame::PushAlloc { .. } => Footprint::Private,
-            // H4 reads `t.next`: node links are written only pre-publication
-            // (P2), and `t` is covered by our validated hazard pointer, so
-            // no concurrent scan can free it — an immutable-location read.
-            Frame::PopNext { .. } => Footprint::Private,
-            // H7 pushes onto our own retired list; `rlist[me]` is read and
-            // written by thread `me` alone (scans only consult `hp`).
-            Frame::PopRetire { .. } => Footprint::Private,
-            // Hazard-pointer writes (H2, H6) and the scan's read of every
-            // slot (H8) race with other threads' scans/writes: Global.
-            _ => Footprint::Global,
-        }
-    }
-
-    fn rename_threads(&self, shared: &mut Shared, _frames: &mut [&mut Frame], perm: &ThreadPerm) {
-        // Per-thread slots travel with their owner; every cross-thread use
-        // is slot-symmetric (`scan` treats `hp` as a set).
-        perm.apply_vec(&mut shared.hp);
-        perm.apply_vec(&mut shared.rlist);
     }
 
     fn canonicalize(&self, shared: &mut Shared, frames: &mut [&mut Frame]) {

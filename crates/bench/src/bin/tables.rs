@@ -5,17 +5,17 @@
 //! cargo run --release -p bb-bench --bin tables -- table3 --large
 //! ```
 //!
-//! Subcommands: `table1` … `table7`, `fig10`, `all`, plus two reduction
-//! sweeps: `reduce` (reduction-factor table, `--reduce none` vs `full`) and
-//! `verdicts` (machine-diffable verdict lines; run once per `--reduce` mode
-//! and diff — CI does exactly that), and `phases` (per-phase wall-clock
-//! breakdown of the verification pipeline, collected through bb-obs spans
-//! — the EXPERIMENTS.md observability table). The `--large` flag
-//! extends the sweeps towards the paper's original configurations (minutes
-//! of runtime instead of seconds); `--jobs N` runs exploration and
-//! refinement on N worker threads (deterministic — only timings change). Absolute state counts and times differ
-//! from the paper (different front end, hardware and heap canonicalization
-//! — see DESIGN.md); the *shape* of every result is reproduced.
+//! Subcommands: `table1` … `table7`, `fig10`, `all`, plus `verdicts`
+//! (machine-diffable verdict lines; run once per `--refine` engine or
+//! `--compact` store and diff — CI does exactly that), and `phases`
+//! (per-phase wall-clock breakdown of the verification pipeline, collected
+//! through bb-obs spans — the EXPERIMENTS.md observability table). The
+//! `--large` flag extends the sweeps towards the paper's original
+//! configurations (minutes of runtime instead of seconds); `--jobs N` runs
+//! exploration and refinement on N worker threads (deterministic — only
+//! timings change). Absolute state counts and times differ from the paper
+//! (different front end, hardware and heap canonicalization — see
+//! DESIGN.md); the *shape* of every result is reproduced.
 
 use bb_algorithms::roster::{with_case, Case, ALGORITHMS};
 use bb_bench::{check, lts_of_jobs, mark, sabotage_point};
@@ -29,17 +29,15 @@ use bb_core::{
 };
 use bb_ktrace::{classify_tau_edges, KtraceLimits};
 use bb_lts::{Exhausted, ExploreError, ExploreLimits, ExploreOptions, Jobs, Lts, Watchdog};
-use bb_reduce::scratch::ScratchPad;
-use bb_reduce::{explore_reduced, ReduceMode};
 use bb_persist::{Cache, CacheEntry};
 use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 use std::time::Instant;
 
 use bb_algorithms::abstracts::AbsQueue;
 use bb_algorithms::{
-    ccas::Ccas, coarse::CoarseLocked, dglm_queue::DglmQueue, hm_list::HmList, hsy_stack::HsyStack,
-    hw_queue::HwQueue, lazy_list::LazyList, ms_queue::MsQueue, newcas::NewCas, rdcss::Rdcss,
-    specs::*, treiber::Treiber, treiber_hp::TreiberHp, treiber_hp_fu::TreiberHpFu,
+    ccas::Ccas, dglm_queue::DglmQueue, hm_list::HmList, hsy_stack::HsyStack, hw_queue::HwQueue,
+    lazy_list::LazyList, ms_queue::MsQueue, newcas::NewCas, rdcss::Rdcss, specs::*,
+    treiber::Treiber, treiber_hp::TreiberHp, treiber_hp_fu::TreiberHpFu,
 };
 
 fn main() {
@@ -47,13 +45,6 @@ fn main() {
     let large = args.iter().any(|a| a == "--large");
     let jobs = match parse_jobs(&args) {
         Ok(j) => j,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(3);
-        }
-    };
-    let reduce = match parse_reduce(&args) {
-        Ok(m) => m,
         Err(e) => {
             eprintln!("error: {e}");
             std::process::exit(3);
@@ -82,8 +73,7 @@ fn main() {
     };
     let cmd = args.first().map(String::as_str).unwrap_or("all");
     match cmd {
-        "reduce" => guarded("reduce", || reduce_table(large, jobs)),
-        "verdicts" => guarded("verdicts", || verdicts(reduce, refine, jobs, cache, compact)),
+        "verdicts" => guarded("verdicts", || verdicts(refine, jobs, cache, compact)),
         "perf" => {
             let against = match parse_against(&args) {
                 Ok(a) => a,
@@ -118,24 +108,13 @@ fn main() {
         other => {
             eprintln!("unknown subcommand `{other}`");
             eprintln!(
-                "usage: tables [table1..table7|fig10|reduce|verdicts|phases|perf|all] \
-                 [--large] [--jobs N] [--reduce none|sym|por|full] \
-                 [--refine full|incremental] [--compact on|off] [--out FILE] \
-                 [--cache DIR] [--against BASELINE.json] [--max-regress PCT]"
+                "usage: tables [table1..table7|fig10|verdicts|phases|perf|all] \
+                 [--large] [--jobs N] [--refine full|incremental] [--compact on|off] \
+                 [--out FILE] [--cache DIR] [--against BASELINE.json] [--max-regress PCT]"
             );
             std::process::exit(3);
         }
     }
-}
-
-/// Parses `--reduce MODE` (default: no reduction).
-fn parse_reduce(args: &[String]) -> Result<ReduceMode, String> {
-    let Some(pos) = args.iter().position(|a| a == "--reduce") else {
-        return Ok(ReduceMode::None);
-    };
-    args.get(pos + 1)
-        .ok_or("--reduce needs a mode: none, sym, por, full")?
-        .parse()
 }
 
 /// Parses `--refine MODE` (default: the engine default, incremental).
@@ -614,68 +593,6 @@ fn fig10(large: bool, jobs: Jobs) {
     println!(" trend of Fig. 10; the paper reports 2–3 orders of magnitude at 2-10.)");
 }
 
-// ---------------------------------------------------- on-the-fly reduction
-
-fn reduce_table(large: bool, jobs: Jobs) {
-    println!("\n=== On-the-fly reduction — `--reduce none` vs `--reduce full` ===");
-    println!("(ample-set POR + thread-symmetry; both `≈div`-preserving, so every");
-    println!(" verdict is unchanged — `tables verdicts` cross-checks that)\n");
-    println!(
-        "{:<28} {:>7} {:>12} {:>12} {:>12} {:>12} {:>8} {:>8} {:>10}",
-        "Object", "#Th-#Op", "|Δ| st", "|Δ| tr", "red st", "red tr", "st ×", "tr ×", "time"
-    );
-
-    macro_rules! row {
-        ($name:expr, $alg:expr, $th:expr, $op:expr) => {{
-            let opts = ExploreOptions::limits(bb_lts::ExploreLimits {
-                max_states: 20_000_000,
-                max_transitions: 80_000_000,
-            })
-            .with_jobs(jobs);
-            let outcome = (|| -> Result<_, bb_lts::budget::Exhausted> {
-                let full = bb_sim::explore_system_with(&$alg, Bound::new($th, $op), &opts)?;
-                let t0 = Instant::now();
-                let (red, _) = explore_reduced(&$alg, Bound::new($th, $op), ReduceMode::Full, &opts)?;
-                Ok((full, red, t0.elapsed()))
-            })();
-            match outcome {
-                Ok((full, red, dt)) => println!(
-                    "{:<28} {:>7} {:>12} {:>12} {:>12} {:>12} {:>8.2} {:>8.2} {:>9.2?}",
-                    $name,
-                    format!("{}-{}", $th, $op),
-                    full.num_states(),
-                    full.num_transitions(),
-                    red.num_states(),
-                    red.num_transitions(),
-                    full.num_states() as f64 / red.num_states().max(1) as f64,
-                    full.num_transitions() as f64 / red.num_transitions().max(1) as f64,
-                    dt,
-                ),
-                Err(e) => println!("{:<28} {:>7} (aborted: {e})", $name, format!("{}-{}", $th, $op)),
-            }
-        }};
-    }
-
-    row!("Treiber stack", Treiber::new(&[1]), 2, 2);
-    row!("Treiber stack", Treiber::new(&[1]), 3, 2);
-    row!("MS lock-free queue", MsQueue::new(&[1]), 2, 2);
-    row!("MS lock-free queue", MsQueue::new(&[1]), 2, 3);
-    row!("Coarse-locked set", CoarseLocked::new(SeqSet::new(&[1])), 2, 2);
-    row!("Coarse-locked set", CoarseLocked::new(SeqSet::new(&[1])), 3, 2);
-    row!("Scratch pad (per-thread slots)", ScratchPad::new(&[1, 2], 4), 4, 2);
-    row!("Scratch pad (per-thread slots)", ScratchPad::new(&[1, 2], 5), 5, 2);
-    if large {
-        row!("Treiber stack", Treiber::new(&[1]), 3, 3);
-        row!("MS lock-free queue", MsQueue::new(&[1]), 3, 2);
-        row!("Coarse-locked set", CoarseLocked::new(SeqSet::new(&[1])), 3, 3);
-        row!("Scratch pad (per-thread slots)", ScratchPad::new(&[1, 2], 6), 6, 1);
-    }
-    println!("\n(POR prunes interleavings of private/owned τ-steps — it mostly removes");
-    println!(" transitions and defers call branching; symmetry merges states that only");
-    println!(" differ by a permutation of per-thread data, which is where the state-");
-    println!(" count factor comes from on objects with per-thread slots.)");
-}
-
 // ------------------------------------------------------ per-phase breakdown
 
 /// Per-phase wall-clock breakdown of the full verification pipeline
@@ -750,14 +667,14 @@ const VERDICT_ROWS: [(&str, &[i64], u8, u32); 19] = [
 ];
 
 /// Machine-diffable verdict lines: no state counts, no timings — only what
-/// must stay invariant under any sound reduction. CI runs this twice
-/// (`--reduce none` / `--reduce full`) and diffs the output byte-for-byte.
+/// must stay invariant under the refinement engine and the state store. CI
+/// runs this per `--refine` engine and per `--compact` store and diffs the
+/// output byte-for-byte.
 ///
 /// With `--cache DIR`, each conclusive verdict line is memoized per case; a
 /// second sweep replays every line byte-identically from the cache (CI runs
 /// the roster twice and requires the second pass to be all hits).
 fn verdicts(
-    reduce: ReduceMode,
     refine: RefineMode,
     jobs: Jobs,
     cache: Option<Cache>,
@@ -766,8 +683,9 @@ fn verdicts(
     let (mut hits, mut misses) = (0u32, 0u32);
     for (name, domain, th, op) in VERDICT_ROWS {
         let lf = ALGORITHMS.iter().any(|&(n, _, nb)| n == name && nb);
+        // `reduce=none` stays so cache entries of earlier versions still hit.
         let key = format!(
-            "bbench{}.{}|verdict|{name}|{th}-{op}|lf{lf}|reduce={reduce}|refine={refine}",
+            "bbench{}.{}|verdict|{name}|{th}-{op}|lf{lf}|reduce=none|refine={refine}",
             bb_persist::FORMAT_VERSION,
             bb_sim::STATE_ENCODING_VERSION,
         );
@@ -778,7 +696,6 @@ fn verdicts(
         }
         misses += 1;
         let case = Fig1 {
-            reduce,
             refine,
             compact,
             ..Fig1::new(name, th, op, jobs)
@@ -820,28 +737,26 @@ fn verdicts(
 
 // ------------------------------------------------------------ roster cases
 
-/// A roster case as the sweeps run it: explored under the default caps —
-/// reduced unless `reduce` is `none` — then both methods of Fig. 1 under an
-/// unlimited watchdog, with lock-freedom checked on the non-blocking
-/// objects only. `label` names the case in its report.
+/// A roster case as the sweeps run it: explored under the default caps,
+/// then both methods of Fig. 1 under an unlimited watchdog, with
+/// lock-freedom checked on the non-blocking objects only. `label` names the
+/// case in its report.
 #[derive(Clone, Copy)]
 struct Fig1 {
     label: &'static str,
     bound: Bound,
     jobs: Jobs,
-    reduce: ReduceMode,
     refine: RefineMode,
     compact: bool,
 }
 
 impl Fig1 {
-    /// The unreduced case, on the default engine and store.
+    /// The case on the default engine and store.
     fn new(label: &'static str, th: u8, op: u32, jobs: Jobs) -> Self {
         Fig1 {
             label,
             bound: Bound::new(th, op),
             jobs,
-            reduce: ReduceMode::None,
             refine: RefineMode::default(),
             compact: true,
         }
@@ -858,16 +773,12 @@ impl Case for Fig1 {
         non_blocking: bool,
     ) -> Self::Out {
         sabotage_point(alg.name());
-        let Fig1 { label, bound, jobs, reduce, refine, compact } = self;
+        let Fig1 { label, bound, jobs, refine, compact } = self;
         let opts = ExploreOptions::limits(ExploreLimits::default())
             .with_jobs(jobs)
             .with_compact(compact);
-        let (imp, spec) = if reduce == ReduceMode::None {
-            (explore_system_with(alg, bound, &opts)?, explore_system_with(seq, bound, &opts)?)
-        } else {
-            let imp = explore_reduced(alg, bound, reduce, &opts)?.0;
-            (imp, explore_reduced(seq, bound, reduce, &opts)?.0)
-        };
+        let imp = explore_system_with(alg, bound, &opts)?;
+        let spec = explore_system_with(seq, bound, &opts)?;
         let mut cfg = VerifyConfig::new(bound).with_jobs(jobs).with_refine(refine);
         if !non_blocking {
             cfg = cfg.linearizability_only();

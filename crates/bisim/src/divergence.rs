@@ -116,6 +116,10 @@ pub fn divergence_witness_governed(
         }
     });
     meter.add_transitions(lts.num_transitions())?;
+    // No cyclic τ-SCC, no τ-cycle: the common, lock-free case needs no BFS.
+    if !cond.cyclic.contains(&true) {
+        return Ok(None);
+    }
 
     // BFS from the initial state over all transitions, looking for the first
     // state whose τ-SCC is cyclic.

@@ -56,6 +56,5 @@ pub use progress::{
 };
 pub use report::{format_lasso, verify_case, verify_case_lts, CaseReport, VerifyConfig};
 pub use verdict::{
-    run_isolated, verify_case_governed, verify_case_governed_with, Attempt, GovernedConfig,
-    GovernedReport, PairExplorer, Rung, Verdict,
+    run_isolated, verify_case_governed, Attempt, GovernedConfig, GovernedReport, Rung, Verdict,
 };

@@ -298,14 +298,19 @@ fn reduced_bound(b: Bound) -> Option<Bound> {
 
 /// The explored (implementation, specification) pair at `bound`, lent out
 /// of `cache`. On a miss the cache is refilled from a checkpoint seed or,
-/// failing that, from `explorer`; the pair is never copied.
-fn explore_pair<'c>(
-    name: &str,
+/// failing that, by exploring both systems with `opts`; the pair is never
+/// copied.
+fn explore_pair<'c, A, S>(
+    alg: &A,
+    spec: &AtomicSpec<S>,
     bound: Bound,
     cache: &'c mut Option<(Bound, Lts, Lts)>,
-    wd: &Watchdog,
-    explorer: &PairExplorer<'_>,
-) -> Result<(&'c Lts, &'c Lts), Exhausted> {
+    opts: &ExploreOptions<'_>,
+) -> Result<(&'c Lts, &'c Lts), Exhausted>
+where
+    A: ObjectAlgorithm,
+    S: SequentialSpec,
+{
     if !cache.as_ref().is_some_and(|(b, _, _)| *b == bound) {
         // No later rung returns to another bound, so its pair can go
         // before this one is built.
@@ -313,14 +318,15 @@ fn explore_pair<'c>(
         // Completed explorations are the coarsest checkpoint unit: a
         // resumed run reloads them from the session instead of
         // re-exploring. Section names encode the pipeline position; the
-        // session's config tag pins everything else (case, reduce mode,
+        // session's config tag pins everything else (case, refine mode,
         // ...), so a section can never seed a different setup.
         let persist = bb_persist::active();
         // The state-encoding version is part of the section identity: a
         // checkpointed LTS from an older encoding must never seed a run
         // whose (version-bumped) encoding could enumerate differently.
         let tag = format!(
-            "{name}/e{}/b{}-{}",
+            "{}/e{}/b{}-{}",
+            alg.name(),
             bb_sim::STATE_ENCODING_VERSION,
             bound.threads,
             bound.ops_per_thread
@@ -332,7 +338,8 @@ fn explore_pair<'c>(
         let (imp, sp) = match seeded {
             Some(pair) => pair,
             None => {
-                let (imp, sp) = explorer(bound, wd)?;
+                let imp = explore_system_with(alg, bound, opts)?;
+                let sp = explore_system_with(spec, bound, opts)?;
                 if let Some(p) = persist.as_ref() {
                     p.offer_lts(&format!("{tag}/imp"), &imp);
                     p.offer_lts(&format!("{tag}/spec"), &sp);
@@ -352,11 +359,6 @@ fn strong_reduce(lts: &Lts, wd: &Watchdog, opts: PartitionOptions) -> Result<Lts
     Ok(bb_bisim::quotient(lts, &p).lts)
 }
 
-/// An explorer producing the (implementation, specification) LTS pair for
-/// a bound under a watchdog's budget — the plug point of
-/// [`verify_case_governed_with`].
-pub type PairExplorer<'a> = dyn Fn(Bound, &Watchdog) -> Result<(Lts, Lts), Exhausted> + 'a;
-
 /// Verifies `alg` against `spec` under a resource budget, degrading
 /// gracefully through the fallback ladder instead of running away or
 /// panicking. See the module docs for the ladder and its soundness
@@ -370,35 +372,16 @@ where
     A: ObjectAlgorithm,
     S: SequentialSpec,
 {
-    let spill_dir = config.spill_dir.as_deref().map(bb_persist::SpillDir::new);
-    let explorer = |bound: Bound, wd: &Watchdog| {
-        let mut opts = ExploreOptions::governed(wd)
-            .with_jobs(config.jobs)
-            .with_compact(config.compact);
-        if let Some(sd) = spill_dir.as_ref() {
-            opts = opts.with_spill(sd);
-        }
-        let imp = explore_system_with(alg, bound, &opts)?;
-        let sp = explore_system_with(spec, bound, &opts)?;
-        Ok((imp, sp))
-    };
-    verify_case_governed_with(alg.name(), config, &explorer)
-}
-
-/// The fallback ladder of [`verify_case_governed`] over an arbitrary
-/// explorer: `explorer(bound, wd)` must produce the (implementation,
-/// specification) LTS pair for `bound` under the watchdog's budget.
-///
-/// This is the plug point for alternative state-space constructions —
-/// `bb-reduce` passes an explorer that builds the partial-order/symmetry
-/// reduced systems, reusing the rungs and verdict scoping unchanged.
-pub fn verify_case_governed_with(
-    name: &'static str,
-    config: &GovernedConfig,
-    explorer: &PairExplorer<'_>,
-) -> GovernedReport {
     let start = Instant::now();
+    let name = alg.name();
     let wd = Watchdog::new(config.budget.clone());
+    let spill_dir = config.spill_dir.as_deref().map(bb_persist::SpillDir::new);
+    let mut eopts = ExploreOptions::governed(&wd)
+        .with_jobs(config.jobs)
+        .with_compact(config.compact);
+    if let Some(sd) = spill_dir.as_ref() {
+        eopts = eopts.with_spill(sd);
+    }
     let popts = PartitionOptions::default()
         .with_jobs(config.jobs)
         .with_mode(config.refine);
@@ -438,7 +421,7 @@ pub fn verify_case_governed_with(
         .with("rung", "direct")
         .with("threads", config.bound.threads as u64)
         .with("ops", config.bound.ops_per_thread as u64);
-    let direct = explore_pair(name, config.bound, &mut cache, &wd, explorer)
+    let direct = explore_pair(alg, spec, config.bound, &mut cache, &eopts)
         .and_then(|(imp, sp)| check(config.bound, imp, sp));
     rung_span.record("ok", u64::from(direct.is_ok()));
     drop(rung_span);
@@ -472,7 +455,7 @@ pub fn verify_case_governed_with(
                 .with("rung", "strong-reduction")
                 .with("threads", config.bound.threads as u64)
                 .with("ops", config.bound.ops_per_thread as u64);
-            let strong = explore_pair(name, config.bound, &mut cache, &wd, explorer).and_then(
+            let strong = explore_pair(alg, spec, config.bound, &mut cache, &eopts).and_then(
                 |(imp, sp)| {
                     let imp_r = strong_reduce(imp, &wd, popts)?;
                     let sp_r = strong_reduce(sp, &wd, popts)?;
@@ -517,7 +500,7 @@ pub fn verify_case_governed_with(
                 .with("rung", "reduced-bound")
                 .with("threads", small.threads as u64)
                 .with("ops", small.ops_per_thread as u64);
-            let reduced = explore_pair(name, small, &mut cache, &wd, explorer)
+            let reduced = explore_pair(alg, spec, small, &mut cache, &eopts)
                 .and_then(|(imp, sp)| check(small, imp, sp));
             rung_span.record("ok", u64::from(reduced.is_ok()));
             drop(rung_span);

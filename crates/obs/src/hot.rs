@@ -2,10 +2,10 @@
 //! log2-bucket histograms.
 //!
 //! These live in the innermost loops (signature recomputation, τ-closure
-//! construction, ample-set selection, symmetry canonicalization, the
-//! parallel shard merge), so the design rule is: **one relaxed load when
-//! recording is off, one relaxed RMW when it is on**. No locks, no
-//! allocation, no branches on anything but the global enable flag.
+//! construction, the seen-set probe, the parallel shard merge), so the
+//! design rule is: **one relaxed load when recording is off, one relaxed
+//! RMW when it is on**. No locks, no allocation, no branches on anything
+//! but the global enable flag.
 //!
 //! Every instrument is registered in a static table so `install` can reset
 //! them and `finish` can snapshot them without the hot paths knowing.
@@ -108,8 +108,8 @@ impl Gauge {
 /// catch-all for anything larger.
 const HIST_BUCKETS: usize = 33;
 
-/// A lock-free power-of-two histogram for size distributions (symmetry
-/// orbit sizes, per-shard imbalance percentages).
+/// A lock-free power-of-two histogram for size distributions (seen-set
+/// probe lengths, per-shard imbalance percentages).
 pub struct Histogram {
     name: &'static str,
     buckets: [AtomicU64; HIST_BUCKETS],
@@ -208,16 +208,6 @@ pub static SIG_CACHE_HITS: Counter = Counter::new("bisim.sig_cache_hits");
 pub static SIG_CONDENSATION_REUSES: Counter = Counter::new("bisim.condensation_reuses");
 /// τ-closure (condensed SCC reachability) constructions.
 pub static TAU_CLOSURE_BUILDS: Counter = Counter::new("lts.tau_closure_builds");
-/// States where a singleton ample set was taken (POR hit).
-pub static AMPLE_HITS: Counter = Counter::new("reduce.ample_hits");
-/// States fully expanded because no ample candidate existed (POR miss).
-pub static AMPLE_MISSES: Counter = Counter::new("reduce.ample_misses");
-/// Ample candidates discarded by the C3/divergence proviso.
-pub static AMPLE_FALLBACKS: Counter = Counter::new("reduce.ample_proviso_fallbacks");
-/// States merged into a previously seen symmetry-canonical representative.
-pub static SYM_MERGES: Counter = Counter::new("reduce.sym_merges");
-/// States whose orbit exceeded the cap and were left uncanonicalized.
-pub static SYM_SKIPS: Counter = Counter::new("reduce.sym_skips");
 /// Product states expanded by the antichain trace-refinement check.
 pub static REFINE_PRODUCT_STATES: Counter = Counter::new("refine.product_states");
 /// Distinct spec-subset vectors interned by trace refinement.
@@ -258,8 +248,6 @@ pub static EXPLORE_STORE_BYTES: Gauge = Gauge::new("explore.store_bytes");
 /// compression plus varint framing; 100 = no compression).
 pub static COMPACT_COMPRESSION_PCT: Gauge = Gauge::new("compact.compression_pct");
 
-/// Symmetry orbit sizes searched during canonicalization.
-pub static ORBIT_SIZE: Histogram = Histogram::new("reduce.sym.orbit_size");
 /// Per-level shard imbalance in the parallel engine: `max_chunk * 100 /
 /// mean_chunk` for each level fan-out (100 = perfectly balanced).
 pub static SHARD_IMBALANCE: Histogram = Histogram::new("explore.shard_imbalance_pct");
@@ -273,18 +261,13 @@ pub static JOURNAL_FSYNC_US: Histogram = Histogram::new("serve.journal_fsync_us"
 /// (0 = direct hit; long tails indicate index pressure).
 pub static SEEN_PROBE_LEN: Histogram = Histogram::new("explore.seen_probe_len");
 
-static COUNTERS: [&Counter; 25] = [
+static COUNTERS: [&Counter; 20] = [
     &SIG_STATE_RECOMPUTES,
     &SIG_ROUNDS,
     &SIG_DIRTY_STATES,
     &SIG_CACHE_HITS,
     &SIG_CONDENSATION_REUSES,
     &TAU_CLOSURE_BUILDS,
-    &AMPLE_HITS,
-    &AMPLE_MISSES,
-    &AMPLE_FALLBACKS,
-    &SYM_MERGES,
-    &SYM_SKIPS,
     &REFINE_PRODUCT_STATES,
     &REFINE_SUBSETS,
     &LTL_PRODUCT_STATES,
@@ -307,8 +290,7 @@ static GAUGES: [&Gauge; 3] = [
     &COMPACT_COMPRESSION_PCT,
 ];
 
-static HISTOGRAMS: [&Histogram; 5] = [
-    &ORBIT_SIZE,
+static HISTOGRAMS: [&Histogram; 4] = [
     &SHARD_IMBALANCE,
     &REFINE_SHARD_IMBALANCE,
     &JOURNAL_FSYNC_US,

@@ -4,7 +4,7 @@
 //! workspace. It provides three things:
 //!
 //! 1. **Hierarchical phase spans** — [`span`] opens a named region
-//!    (`explore`, `reduce`, `bisim`, `bisim.round`, `refine`, `ltl`, …) that
+//!    (`explore`, `bisim`, `bisim.round`, `refine`, `ltl`, …) that
 //!    records wall-clock and arbitrary `u64`/string fields. Parentage follows
 //!    the per-thread open-span stack, so `bisim.round` spans nest under
 //!    `bisim`, which nests under `lin`, and so on.
@@ -832,11 +832,11 @@ mod tests {
             progress: false,
             quiet: true, // don't spam test stderr
         });
-        diag!("reduction {} [{}]: demo", "full", "treiber");
+        diag!("persist: {} [{}]: demo", "cache", "treiber");
         let session = finish().expect("session");
         let trace = session.trace_ndjson();
         assert!(trace.contains("\"ev\": \"diag\""));
-        assert!(trace.contains("reduction full [treiber]: demo"));
+        assert!(trace.contains("persist: cache [treiber]: demo"));
         set_quiet(false);
     }
 

@@ -296,14 +296,14 @@ mod tests {
             &[("state", "queued", 3), ("state", "running", 1)],
         );
         w.histogram(
-            "bb_orbit_size",
-            "Symmetry orbit sizes.",
+            "bb_probe_len",
+            "Seen-set probe lengths.",
             &snap(vec![(1, 2), (4, 5), (16, 1)], 9, 31),
         );
         let doc = w.finish();
         lint(&doc).unwrap();
-        assert!(doc.contains("bb_orbit_size_bucket{le=\"+Inf\"} 8"));
-        assert!(doc.contains("bb_orbit_size_sum 31"));
+        assert!(doc.contains("bb_probe_len_bucket{le=\"+Inf\"} 8"));
+        assert!(doc.contains("bb_probe_len_sum 31"));
         assert!(doc.contains("bb_jobs{state=\"queued\"} 3"));
     }
 

@@ -3,7 +3,7 @@
 //! Two halves:
 //!
 //! * [`runner`] — the shared execution core. Every verification mode
-//!   (verify / quotient / check / reduce-check, all 19 roster algorithms)
+//!   (verify / quotient / check, all 19 roster algorithms)
 //!   runs through [`runner::execute`] from a declarative [`spec::JobSpec`],
 //!   with the bb-persist result cache consulted before computing and
 //!   written after. The `bbv` CLI calls the same function the daemon's

@@ -21,7 +21,6 @@ use bb_core::{
 use bb_lts::budget::{CancelToken, Exhausted};
 use bb_lts::{to_aut, to_dot, Budget, ExploreOptions, Lts, Watchdog};
 use bb_persist::{Cache, CacheEntry};
-use bb_reduce::{differential_check, explore_reduced, verify_case_reduced_governed, ReduceMode};
 use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 use std::path::PathBuf;
 
@@ -213,9 +212,6 @@ impl Case for Dispatch<'_> {
 /// Explores under the spec budget; exhaustion is an inconclusive outcome
 /// (exit 2), reported with the exhausted stage and its partial statistics.
 ///
-/// With `--reduce`, exploration unfolds the reduced system instead and the
-/// reducer counters go to stderr (stdout stays diffable across modes).
-///
 /// With a checkpoint session installed, a previously completed section
 /// seeds the LTS directly, and a freshly explored one is offered back
 /// (stage boundaries are always cut points).
@@ -243,15 +239,7 @@ fn explore_or_inconclusive<A: ObjectAlgorithm>(
     if let Some(sd) = spill.as_ref() {
         eo = eo.with_spill(sd);
     }
-    let result = if spec.reduce != ReduceMode::None {
-        explore_reduced(alg, bound, spec.reduce, &eo).map(|(lts, stats)| {
-            bb_obs::diag!("reduction {} [{}]: {stats}", spec.reduce, alg.name());
-            lts
-        })
-    } else {
-        explore_system_with(alg, bound, &eo)
-    };
-    match result {
+    match explore_system_with(alg, bound, &eo) {
         Ok(lts) => {
             if let Some(p) = persist.as_ref() {
                 p.offer_lts(&section, &lts);
@@ -281,9 +269,6 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
     let popts = PartitionOptions::default()
         .with_jobs(spec.jobs)
         .with_mode(spec.refine);
-    if spec.command == Command::ReduceCheck {
-        return reduce_check(alg, seq, spec, bound, non_blocking, &wd, out);
-    }
 
     let imp = match explore_or_inconclusive(alg, bound, &wd, spec, ctl) {
         Ok(l) => l,
@@ -394,37 +379,6 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
     }
 }
 
-/// `reduce-check`: run the differential harness — full and reduced state
-/// spaces must be `≈div` with identical verdicts. `--reduce` selects the
-/// layer under test (default: `full`, both layers).
-fn reduce_check<A: ObjectAlgorithm, S: SequentialSpec>(
-    alg: &A,
-    seq: &AtomicSpec<S>,
-    spec: &JobSpec,
-    bound: Bound,
-    non_blocking: bool,
-    wd: &Watchdog,
-    out: &mut RunOutput,
-) -> i32 {
-    let mode = if spec.reduce == ReduceMode::None {
-        ReduceMode::Full
-    } else {
-        spec.reduce
-    };
-    let lock_freedom = spec.check_lock_freedom && non_blocking;
-    match differential_check(alg, seq, bound, mode, spec.jobs, lock_freedom, wd) {
-        Ok(r) => {
-            outln!(out, "{}", r.render());
-            if r.passed() {
-                EXIT_PROVED
-            } else {
-                EXIT_REFUTED
-            }
-        }
-        Err(e) => inconclusive(&e),
-    }
-}
-
 /// Reports a budget exhaustion on stderr: the run is inconclusive.
 fn inconclusive(e: &Exhausted) -> i32 {
     eprintln!("inconclusive: {e}");
@@ -455,11 +409,7 @@ fn verify_governed<A: ObjectAlgorithm, S: SequentialSpec>(
     if spec.no_fallback {
         config = config.no_fallback();
     }
-    let report = if spec.reduce == ReduceMode::None {
-        verify_case_governed(alg, seq, &config)
-    } else {
-        verify_case_reduced_governed(alg, seq, spec.reduce, &config)
-    };
+    let report = verify_case_governed(alg, seq, &config);
     {
         use std::fmt::Write as _;
         let _ = write!(out.stdout, "{}", report.render());

@@ -3,7 +3,7 @@
 //!
 //! A [`JobSpec`] captures everything that determines a command's stdout,
 //! artifacts and exit code — the algorithm, bound, property selection,
-//! reduce/refine modes and budgets — plus the one knob that provably does
+//! refine mode and budgets — plus the one knob that provably does
 //! *not* ([`jobs`](JobSpec::jobs), excluded from
 //! [`cache_key`](JobSpec::cache_key) because results are bit-identical at
 //! any worker count). The same struct round-trips through the `bb-serve/v1` JSON
@@ -15,7 +15,6 @@
 use bb_bisim::RefineMode;
 use bb_lts::{Budget, ExploreLimits, Jobs};
 use bb_obs::json::{write_str, JsonValue};
-use bb_reduce::ReduceMode;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -36,8 +35,6 @@ pub enum Command {
     Quotient,
     /// Next-free LTL model checking on the quotient.
     Check,
-    /// Differential reduction soundness harness.
-    ReduceCheck,
 }
 
 impl Command {
@@ -47,7 +44,6 @@ impl Command {
             Command::Verify => "verify",
             Command::Quotient => "quotient",
             Command::Check => "check",
-            Command::ReduceCheck => "reduce-check",
         }
     }
 
@@ -57,7 +53,6 @@ impl Command {
             "verify" => Some(Command::Verify),
             "quotient" => Some(Command::Quotient),
             "check" => Some(Command::Check),
-            "reduce-check" => Some(Command::ReduceCheck),
             _ => None,
         }
     }
@@ -100,8 +95,6 @@ pub struct JobSpec {
     pub no_fallback: bool,
     /// Partition-refinement engine (output-identical either way).
     pub refine: RefineMode,
-    /// State-space reduction mode.
-    pub reduce: ReduceMode,
     /// Worker threads (output-identical at any count; not in the cache key).
     pub jobs: Jobs,
 }
@@ -123,7 +116,6 @@ impl Default for JobSpec {
             max_memory: None,
             no_fallback: false,
             refine: RefineMode::default(),
-            reduce: ReduceMode::None,
             jobs: Jobs::available(),
         }
     }
@@ -156,8 +148,7 @@ impl JobSpec {
     }
 
     /// Whether this command's outcome is memoized in the result cache.
-    /// Only whole verdicts and quotients are; `check`/`reduce-check` always
-    /// run (they are the harnesses that *establish* trust).
+    /// Only whole verdicts and quotients are; `check` always runs.
     pub fn cacheable(&self) -> bool {
         matches!(self.command, Command::Verify | Command::Quotient)
     }
@@ -169,8 +160,9 @@ impl JobSpec {
     /// resume with a raised budget or a different worker count must still
     /// seed the recorded sections.
     pub fn config_tag(&self) -> u64 {
+        // `reduce=none` stays so checkpoints of earlier versions still match.
         let desc = format!(
-            "bbp{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce={}|refine={}",
+            "bbp{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce=none|refine={}",
             bb_persist::FORMAT_VERSION,
             bb_sim::STATE_ENCODING_VERSION,
             self.command,
@@ -181,7 +173,6 @@ impl JobSpec {
             self.check_lock_freedom,
             self.wait_freedom,
             self.formula,
-            self.reduce,
             self.refine,
         );
         bb_lts::snapshot::fnv1a(0, desc.as_bytes())
@@ -193,8 +184,9 @@ impl JobSpec {
     /// excluded: results are bit-identical at any worker count, so a `-j 4`
     /// run hits the entry a `-j 1` run stored.
     pub fn cache_key(&self) -> String {
+        // `reduce=none` stays so cache entries of earlier versions still hit.
         format!(
-            "bbc{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce={}|refine={}|budget=({:?},{:?},{:?},{:?},nf{})",
+            "bbc{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce=none|refine={}|budget=({:?},{:?},{:?},{:?},nf{})",
             bb_persist::FORMAT_VERSION,
             bb_sim::STATE_ENCODING_VERSION,
             self.command,
@@ -205,7 +197,6 @@ impl JobSpec {
             self.check_lock_freedom,
             self.wait_freedom,
             self.formula,
-            self.reduce,
             self.refine,
             self.timeout,
             self.max_states,
@@ -250,9 +241,6 @@ impl JobSpec {
             argv.push("--no-fallback".into());
         }
         argv_push(&mut argv, "--refine", self.refine.to_string());
-        if self.reduce != ReduceMode::None {
-            argv_push(&mut argv, "--reduce", self.reduce.to_string());
-        }
         argv_push(&mut argv, "--jobs", self.jobs.get().to_string());
         argv
     }
@@ -297,7 +285,7 @@ impl JobSpec {
         if self.no_fallback {
             s.push_str(", \"no_fallback\": true");
         }
-        let _ = write!(s, ", \"refine\": \"{}\", \"reduce\": \"{}\"", self.refine, self.reduce);
+        let _ = write!(s, ", \"refine\": \"{}\"", self.refine);
         let _ = write!(s, ", \"jobs\": {}", self.jobs.get());
         s.push('}');
         s
@@ -363,8 +351,12 @@ impl JobSpec {
                 "refine" => {
                     spec.refine = val.as_str().ok_or("refine must be a string")?.parse()?;
                 }
+                // Specs written before the reduction layer was retired carry
+                // `"reduce": "none"`; any other mode cannot run.
                 "reduce" => {
-                    spec.reduce = val.as_str().ok_or("reduce must be a string")?.parse()?;
+                    if val.as_str() != Some("none") {
+                        return Err("reduce: only `none` is supported".into());
+                    }
                 }
                 "jobs" => {
                     let n = as_usize(val, key)?;
@@ -384,9 +376,8 @@ impl JobSpec {
     /// journal replay): the algorithm must be on the roster, `check` needs a
     /// formula, and an option the command would ignore is an error. A
     /// formula is read only by `check`, `--no-lock-freedom` only by
-    /// `verify` and `reduce-check`, `--no-fallback` only by a budgeted
-    /// `verify`, and the wait-freedom diagnosis only by an unbudgeted
-    /// `verify`.
+    /// `verify`, `--no-fallback` only by a budgeted `verify`, and the
+    /// wait-freedom diagnosis only by an unbudgeted `verify`.
     pub fn validate(&self) -> Result<(), String> {
         if !known_algorithm(&self.algorithm) {
             return Err(format!(
@@ -400,10 +391,8 @@ impl JobSpec {
         if self.formula.is_some() && self.command != Command::Check {
             return Err("--formula works only on `check`".into());
         }
-        if !self.check_lock_freedom
-            && !matches!(self.command, Command::Verify | Command::ReduceCheck)
-        {
-            return Err("--no-lock-freedom works only on `verify` and `reduce-check`".into());
+        if !self.check_lock_freedom && self.command != Command::Verify {
+            return Err("--no-lock-freedom works only on `verify`".into());
         }
         if self.no_fallback && (self.command != Command::Verify || !self.budgeted()) {
             return Err("--no-fallback works only on `verify` with a budget flag".into());
@@ -465,7 +454,6 @@ mod tests {
             max_memory: Some(2_000_000_000),
             no_fallback: true,
             refine: RefineMode::default(),
-            reduce: ReduceMode::None,
             jobs: Jobs::new(4),
         }
     }
@@ -516,7 +504,7 @@ mod tests {
         let spec = sample();
         let bumped = |v: u32| {
             let desc = format!(
-                "bbp{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce={}|refine={}",
+                "bbp{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce=none|refine={}",
                 bb_persist::FORMAT_VERSION,
                 v,
                 spec.command,
@@ -527,7 +515,6 @@ mod tests {
                 spec.check_lock_freedom,
                 spec.wait_freedom,
                 spec.formula,
-                spec.reduce,
                 spec.refine,
             );
             bb_lts::snapshot::fnv1a(0, desc.as_bytes())
@@ -572,26 +559,29 @@ mod tests {
             r#""max_memory": 100000000"#,
             r#""command": "quotient""#,
             r#""command": "check", "formula": "G F ret""#,
-            r#""command": "reduce-check""#,
         ] {
             let spec = format!("{{{wf}, {other}}}");
             assert!(JobSpec::from_json(&parse(&spec).unwrap()).is_err(), "{spec}");
         }
         assert!(JobSpec::from_json(&parse(&format!("{{{wf}}}")).unwrap()).is_ok());
         // A member the command would ignore is rejected: a formula outside
-        // `check`, `lock_freedom: false` outside `verify` and `reduce-check`,
-        // and `no_fallback` outside a budgeted `verify`.
+        // `check`, `lock_freedom: false` outside `verify`, and `no_fallback`
+        // outside a budgeted `verify`. The retired reduction layer leaves
+        // `"reduce": "none"` as the only accepted mode and no `reduce-check`.
         let t = r#""algorithm": "treiber""#;
         for bad in [
             r#""formula": "G F ret""#,
-            r#""command": "reduce-check", "formula": "G F ret""#,
             r#""command": "quotient", "lock_freedom": false, "formula": "G F ret""#,
             r#""command": "quotient", "lock_freedom": false"#,
             r#""command": "check", "formula": "G F ret", "lock_freedom": false"#,
             r#""no_fallback": true"#,
             r#""command": "quotient", "no_fallback": true"#,
             r#""command": "quotient", "max_states": 1000, "no_fallback": true"#,
-            r#""command": "reduce-check", "max_states": 1000, "no_fallback": true"#,
+            r#""reduce": "por""#,
+            r#""reduce": "full""#,
+            r#""reduce": null"#,
+            r#""command": "reduce-check""#,
+            r#""command": "reduce-check", "lock_freedom": false"#,
         ] {
             let spec = format!("{{{t}, {bad}}}");
             assert!(JobSpec::from_json(&parse(&spec).unwrap()).is_err(), "{spec}");
@@ -599,8 +589,8 @@ mod tests {
         for good in [
             r#""command": "check", "formula": "G F ret""#,
             r#""lock_freedom": false"#,
-            r#""command": "reduce-check", "lock_freedom": false"#,
             r#""max_states": 1000, "no_fallback": true"#,
+            r#""reduce": "none""#,
         ] {
             let spec = format!("{{{t}, {good}}}");
             assert!(JobSpec::from_json(&parse(&spec).unwrap()).is_ok(), "{spec}");

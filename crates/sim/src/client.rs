@@ -138,9 +138,8 @@ impl<'a, A: ObjectAlgorithm> System<'a, A> {
     }
 
     /// Canonicalizes a system state in place (heap GC + pointer renaming
-    /// across the shared state and every live frame). Exposed so reduction
-    /// layers can re-canonicalize after transforming a state.
-    pub fn canonicalize_state(&self, st: &mut SysState<A::Shared, A::Frame>) {
+    /// across the shared state and every live frame).
+    fn canonicalize(&self, st: &mut SysState<A::Shared, A::Frame>) {
         let SysState { shared, threads } = st;
         let mut frames: Vec<&mut A::Frame> = threads
             .iter_mut()
@@ -152,16 +151,10 @@ impl<'a, A: ObjectAlgorithm> System<'a, A> {
         self.alg.canonicalize(shared, &mut frames);
     }
 
-    fn canonicalize(&self, st: &mut SysState<A::Shared, A::Frame>) {
-        self.canonicalize_state(st);
-    }
-
     /// Appends the outgoing steps contributed by thread `ti` (0-based) in
-    /// `state` — the building block [`Semantics::successors`] loops over,
-    /// exposed so the ample-set selector in `bb-reduce` can expand a single
-    /// thread without enumerating the whole state.
+    /// `state` — the building block [`Semantics::successors`] loops over.
     #[allow(clippy::type_complexity)]
-    pub fn thread_successors(
+    fn thread_successors(
         &self,
         state: &SysState<A::Shared, A::Frame>,
         ti: usize,
@@ -292,9 +285,7 @@ where
 /// Unfolds the most general client of `alg` under `bound` into an explicit
 /// LTS, with budget and worker count chosen by `opts`.
 ///
-/// This is the single entry point behind every `explore_system*` variant;
-/// it is also where reduction layers (`bb-reduce`) plug in, by wrapping the
-/// [`System`] semantics before handing it to [`bb_lts::explore_with`].
+/// This is the single entry point behind every `explore_system*` variant.
 ///
 /// # Errors
 ///
@@ -439,20 +430,6 @@ mod tests {
                 }),
             }
         }
-    }
-
-    #[test]
-    fn thread_successors_partitions_successors() {
-        // Union of per-thread successor sets == the Semantics::successors set.
-        let system = System::new(&TestCounter, Bound::new(2, 1));
-        let init = Semantics::initial_state(&system);
-        let mut whole = Vec::new();
-        Semantics::successors(&system, &init, &mut whole);
-        let mut pieces = Vec::new();
-        for ti in 0..init.threads.len() {
-            system.thread_successors(&init, ti, &mut pieces);
-        }
-        assert_eq!(format!("{whole:?}"), format!("{pieces:?}"));
     }
 
     #[test]

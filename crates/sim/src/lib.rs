@@ -29,7 +29,7 @@ mod pack;
 mod ptr;
 mod spec;
 
-pub use algorithm::{Footprint, MethodId, MethodSpec, ObjectAlgorithm, Outcome, ThreadPerm};
+pub use algorithm::{MethodId, MethodSpec, ObjectAlgorithm, Outcome};
 pub use client::{
     explore_system, explore_system_report, explore_system_with, Bound, SysState, System,
     ThreadStatus,

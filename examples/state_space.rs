@@ -1,9 +1,6 @@
 //! State-space reduction under ≈-quotienting (the Fig. 10 experiment in
 //! miniature): fix 2 threads, vary operations, and watch the quotient stay
-//! orders of magnitude smaller than the object system. Each row also shows
-//! the *on-the-fly* reduction (`--reduce full`: ample-set POR +
-//! thread-symmetry), which shrinks the LTS **before** quotienting without
-//! changing any verdict.
+//! orders of magnitude smaller than the object system.
 //!
 //! ```sh
 //! cargo run --release --example state_space [max_ops]
@@ -12,38 +9,25 @@
 use bbverify::algorithms::{ms_queue::MsQueue, treiber::Treiber, treiber_hp::TreiberHp};
 use bbverify::bisim::{partition, quotient, Equivalence};
 use bbverify::lts::ExploreOptions;
-use bbverify::reduce::{explore_reduced, ReduceMode};
 use bbverify::sim::{explore_system_with, Bound, ObjectAlgorithm};
 
 fn sweep<A: ObjectAlgorithm>(name: &str, alg: &A, max_ops: u32) {
     println!("{name}: 2 threads, 1..={max_ops} ops");
-    println!(
-        "{:>5} {:>12} {:>12} {:>10} {:>10}  reduction counters",
-        "#op", "|Δ|", "|Δ reduced|", "|Δ/≈|", "factor"
-    );
+    println!("{:>5} {:>12} {:>10} {:>10}", "#op", "|Δ|", "|Δ/≈|", "factor");
     for ops in 1..=max_ops {
         let bound = Bound::new(2, ops);
-        let opts = ExploreOptions::new();
-        let lts = match explore_system_with(alg, bound, &opts) {
+        let lts = match explore_system_with(alg, bound, &ExploreOptions::new()) {
             Ok(lts) => lts,
             Err(e) => {
                 println!("{ops:>5} (exploration aborted: {e})");
                 break;
             }
         };
-        let (reduced, stats) = match explore_reduced(alg, bound, ReduceMode::Full, &opts) {
-            Ok(r) => r,
-            Err(e) => {
-                println!("{ops:>5} (reduced exploration aborted: {e})");
-                break;
-            }
-        };
         let p = partition(&lts, Equivalence::Branching);
         let q = quotient(&lts, &p);
         println!(
-            "{ops:>5} {:>12} {:>12} {:>10} {:>10.1}  {stats}",
+            "{ops:>5} {:>12} {:>10} {:>10.1}",
             lts.num_states(),
-            reduced.num_states(),
             q.lts.num_states(),
             lts.num_states() as f64 / q.lts.num_states() as f64
         );
@@ -60,6 +44,5 @@ fn main() {
     sweep("Treiber stack + HP", &TreiberHp::new(&[1], 2), max_ops);
     sweep("MS lock-free queue", &MsQueue::new(&[1]), max_ops);
     println!("The ≈-quotient factor grows with the number of operations —");
-    println!("the trend behind Fig. 10 of the paper. The on-the-fly column is");
-    println!("computed *during* exploration (sound up to ≈div; see DESIGN.md).");
+    println!("the trend behind Fig. 10 of the paper.");
 }

@@ -30,7 +30,6 @@ use bbverify::serve::{
 };
 use bbverify::bisim::RefineMode;
 use bbverify::lts::Jobs;
-use bbverify::reduce::ReduceMode;
 use bb_obs::json::JsonValue;
 use bb_persist::Cache;
 use std::path::{Path, PathBuf};
@@ -54,7 +53,6 @@ struct Options {
     no_fallback: bool,
     jobs: Jobs,
     refine: RefineMode,
-    reduce: ReduceMode,
     metrics: Option<String>,
     trace: Option<String>,
     progress: bool,
@@ -84,7 +82,6 @@ impl Default for Options {
             no_fallback: false,
             jobs: Jobs::available(),
             refine: RefineMode::default(),
-            reduce: ReduceMode::None,
             metrics: None,
             trace: None,
             progress: false,
@@ -117,7 +114,6 @@ impl Options {
             max_memory: self.max_memory,
             no_fallback: self.no_fallback,
             refine: self.refine,
-            reduce: self.reduce,
             jobs: self.jobs,
         }
     }
@@ -160,7 +156,9 @@ fn parse_count(raw: &str) -> Result<usize, String> {
     Ok(v as usize)
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
+/// Parses the options of `command`. An option the command would ignore is
+/// an error naming it, as `JobSpec::validate` does for the spec's knobs.
+fn parse_options(args: &[String], command: Command) -> Result<Options, String> {
     let mut opts = Options::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -230,12 +228,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .ok_or("--refine needs a mode: full or incremental")?
                     .parse()?;
             }
-            "--reduce" => {
-                opts.reduce = it
-                    .next()
-                    .ok_or("--reduce needs a mode: none, sym, por, full")?
-                    .parse()?;
-            }
             "--metrics" => {
                 opts.metrics = Some(it.next().ok_or("--metrics needs a path")?.clone())
             }
@@ -269,11 +261,18 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     if opts.checkpoint_every.is_some() && opts.checkpoint.is_none() {
         return Err("--checkpoint-every needs --checkpoint DIR".into());
     }
+    if command != Command::Quotient {
+        for (flag, set) in [("--dot", opts.dot.is_some()), ("--aut", opts.aut.is_some())] {
+            if set {
+                return Err(format!("{flag} works only on `quotient`"));
+            }
+        }
+    }
     Ok(opts)
 }
 
 fn print_usage() {
-    eprintln!("usage: bbv <list|verify|quotient|check|reduce-check> [algorithm|all] [options]");
+    eprintln!("usage: bbv <list|verify|quotient|check> [algorithm] [options]");
     eprintln!("       bbv resume <checkpoint-dir> [extra options]");
     eprintln!("       bbv cache <stats|verify|gc> <cache-dir> [--json]");
     eprintln!("       bbv serve [--dir D] [--addr H:P] [--workers N] [--queue N] [--cache DIR]");
@@ -287,14 +286,12 @@ fn print_usage() {
     eprintln!("  options: --threads N  --ops N  --domain 1,2");
     eprintln!("           --no-lock-freedom  --wait-freedom  --dot FILE  --aut FILE");
     eprintln!("           --formula \"G F (ret | done)\"   (for `check` only)");
-    eprintln!("           --no-lock-freedom works on `verify` and `reduce-check` only");
+    eprintln!("           --no-lock-freedom works on `verify` only");
+    eprintln!("           --dot and --aut write the quotient: `quotient` only");
     eprintln!("           --wait-freedom runs on `verify` without a budget flag only");
     eprintln!("           --jobs N   (worker threads; default = all cores, output identical)");
     eprintln!("           --refine full|incremental   (partition-refinement engine; default");
     eprintln!("           incremental — dirty-state worklists, identical output either way)");
-    eprintln!("           --reduce none|sym|por|full   (state-space reduction; ≈div-preserving)");
-    eprintln!("           `reduce-check <algorithm|all>` cross-checks the reduction: the");
-    eprintln!("           reduced LTS must be ≈div the full one with identical verdicts");
     eprintln!("  observe: --metrics FILE   (phase spans + counters as one JSON document)");
     eprintln!("           --trace FILE     (per-span event stream, NDJSON)");
     eprintln!("           --progress       (stderr heartbeat: states/sec, frontier depth)");
@@ -357,15 +354,14 @@ fn main_dispatch(args: &[String]) -> i32 {
         Some("top") => top_cmd(&args[1..]),
         Some("jobs") => jobs_cmd(&args[1..]),
         Some("metrics") => metrics_cmd(&args[1..]),
-        Some(cmd @ ("verify" | "quotient" | "check" | "reduce-check")) => {
+        Some(cmd @ ("verify" | "quotient" | "check")) => {
             let command = Command::parse(cmd).expect("matched command words parse");
-            if command == Command::ReduceCheck && args.get(1).map(String::as_str) == Some("all") {
-                reduce_check_all(&args[2..])
-            } else {
-                run(&args[1..], command)
-            }
+            run(&args[1..], command)
         }
-        _ => {
+        other => {
+            if let Some(cmd) = other {
+                eprintln!("error: unknown command `{cmd}`");
+            }
             print_usage();
             EXIT_USAGE
         }
@@ -455,18 +451,6 @@ fn cache_admin(args: &[String]) -> i32 {
     }
 }
 
-/// `bbv reduce-check all`: sweep the differential check over the whole
-/// roster, reporting every algorithm and returning the worst exit code.
-fn reduce_check_all(extra: &[String]) -> i32 {
-    let mut worst = EXIT_PROVED;
-    for (name, ..) in ALGORITHMS {
-        let mut args: Vec<String> = vec![name.to_string()];
-        args.extend(extra.iter().cloned());
-        worst = worst.max(run(&args, Command::ReduceCheck));
-    }
-    worst
-}
-
 /// Writes the artifacts the current flags ask for (quotient `--dot`/`--aut`)
 /// through the atomic writer. Called for live, cache-replayed and served
 /// runs alike, so a hit honours the paths of *this* invocation, not the
@@ -501,7 +485,6 @@ fn write_obs_outputs(session: &bb_obs::Session, opts: &Options, algorithm: &str,
         ("threads", u64::from(opts.threads).into()),
         ("ops", u64::from(opts.ops).into()),
         ("jobs", opts.jobs.get().into()),
-        ("reduce", opts.reduce.to_string().into()),
     ];
     if let Some(path) = &opts.metrics {
         let json = session.metrics_json(&meta);
@@ -523,7 +506,7 @@ fn run(args: &[String], command: Command) -> i32 {
         eprintln!("missing algorithm name; try `bbv list`");
         return EXIT_USAGE;
     };
-    let opts = match parse_options(&args[1..]) {
+    let opts = match parse_options(&args[1..], command) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
@@ -705,13 +688,19 @@ fn client_submit(args: &[String]) -> i32 {
     };
     let (command, name_idx) = match c.rest.first().map(String::as_str).and_then(Command::parse) {
         Some(cmd) => (cmd, 1),
+        // Two leading words with no command among them: the first was meant
+        // as one.
+        None if c.rest.get(1).is_some_and(|a| !a.starts_with('-')) => {
+            eprintln!("error: unknown command `{}`", c.rest[0]);
+            return EXIT_USAGE;
+        }
         None => (Command::Verify, 0),
     };
     let Some(name) = c.rest.get(name_idx) else {
-        eprintln!("usage: bbv submit [verify|quotient|check|reduce-check] <algorithm> [options]");
+        eprintln!("usage: bbv submit [verify|quotient|check] <algorithm> [options]");
         return EXIT_USAGE;
     };
-    let opts = match parse_options(&c.rest[name_idx + 1..]) {
+    let opts = match parse_options(&c.rest[name_idx + 1..], command) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");

@@ -15,8 +15,6 @@
 //! * [`algorithms`] — the 14 benchmark data structures, their sequential
 //!   specifications and abstract programs.
 //! * [`core`] — the two verification methods of Fig. 1.
-//! * [`reduce`] — on-the-fly partial-order + thread-symmetry reduction
-//!   with a differential `≈div` equivalence harness.
 //! * [`serve`] — verification-as-a-service: the shared job runner and the
 //!   `bbv serve` daemon (queue, journal, cache-backed admission, live
 //!   progress streaming).
@@ -44,7 +42,6 @@ pub use bb_core as core;
 pub use bb_ktrace as ktrace;
 pub use bb_lts as lts;
 pub use bb_ltl as ltl;
-pub use bb_reduce as reduce;
 pub use bb_refine as refine;
 pub use bb_serve as serve;
 pub use bb_sim as sim;

@@ -106,9 +106,21 @@ fn unknown_algorithm_is_a_usage_error() {
 fn unknown_option_is_a_usage_error() {
     let out = bbv(&["verify", "treiber", "--no-such-flag"]);
     assert_eq!(out.status.code(), Some(3));
-    // `--fuse` was retired; it is now as unknown as any typo.
-    let out = bbv(&["verify", "treiber", "--fuse"]);
-    assert_eq!(out.status.code(), Some(3));
+    // `--fuse`, `--reduce` and `reduce-check` were retired; they are now as
+    // unknown as any typo, and the error names them.
+    for (args, named) in [
+        (&["verify", "treiber", "--fuse"][..], "--fuse"),
+        (&["verify", "treiber", "--reduce", "none"], "--reduce"),
+        (&["verify", "treiber", "--reduce", "por"], "--reduce"),
+        (&["reduce-check", "treiber"], "reduce-check"),
+        (&["submit", "reduce-check", "treiber"], "reduce-check"),
+    ] {
+        let out = bbv(args);
+        assert_eq!(out.status.code(), Some(3), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(named), "{args:?}: {err}");
+    }
 }
 
 #[test]
@@ -218,7 +230,6 @@ fn wait_freedom_where_it_cannot_run_is_a_usage_error() {
         &["verify", "--max-states", "1e6"],
         &["quotient"],
         &["check", "--formula", "G F (ret | done)"],
-        &["reduce-check"],
     ] {
         let (command, flags) = extra.split_at(1);
         let args: Vec<&str> = command.iter().chain(&base).chain(flags).copied().collect();
@@ -230,13 +241,19 @@ fn wait_freedom_where_it_cannot_run_is_a_usage_error() {
     }
 }
 
+/// An option a command would ignore is a usage error naming it, direct and
+/// submitted alike (`submit` rejects it before contacting a daemon).
+/// `--dot` and `--aut` write the quotient, so only `quotient` takes them.
 #[test]
 fn options_a_command_would_ignore_are_usage_errors() {
     let base = ["treiber", "--threads", "2", "--ops", "1", "--domain", "1"];
     let formula = ["--formula", "G F (ret | done)"];
+    let tmp = std::env::temp_dir();
+    let aut = tmp.join(format!("bbv_cli_ignored_{}.aut", std::process::id()));
+    let dot = tmp.join(format!("bbv_cli_ignored_{}.dot", std::process::id()));
+    let (aut, dot) = (aut.to_str().unwrap(), dot.to_str().unwrap());
     for (extra, named) in [
         (&["verify", formula[0], formula[1]][..], "--formula"),
-        (&["reduce-check", formula[0], formula[1]], "--formula"),
         (&["quotient", "--no-lock-freedom", formula[0], formula[1]], "--formula"),
         (&["quotient", "--no-lock-freedom"], "--no-lock-freedom"),
         (&["check", formula[0], formula[1], "--no-lock-freedom"], "--no-lock-freedom"),
@@ -244,8 +261,13 @@ fn options_a_command_would_ignore_are_usage_errors() {
         (&["quotient", "--no-fallback"], "--no-fallback"),
         (&["quotient", "--max-states", "1e6", "--no-fallback"], "--no-fallback"),
         (&["verify", "--checkpoint-every", "1"], "--checkpoint-every"),
+        (&["verify", "--aut", aut], "--aut"),
+        (&["verify", "--dot", dot], "--dot"),
+        (&["check", formula[0], formula[1], "--aut", aut], "--aut"),
+        (&["submit", "verify", "--aut", aut], "--aut"),
     ] {
-        let (command, flags) = extra.split_at(1);
+        let words = if extra[0] == "submit" { 2 } else { 1 };
+        let (command, flags) = extra.split_at(words);
         let args: Vec<&str> = command.iter().chain(&base).chain(flags).copied().collect();
         let out = bbv(&args);
         assert_eq!(out.status.code(), Some(3), "{args:?}");
@@ -253,6 +275,8 @@ fn options_a_command_would_ignore_are_usage_errors() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(named), "{args:?}: {err}");
     }
+    assert!(!std::path::Path::new(aut).exists(), "a rejected run wrote {aut}");
+    assert!(!std::path::Path::new(dot).exists(), "a rejected run wrote {dot}");
 }
 
 #[test]
@@ -287,39 +311,29 @@ fn check_rejects_bad_formula_as_usage_error() {
     assert_eq!(out.status.code(), Some(3));
 }
 
+/// A state cap the requested bound exhausts hands the run to the ladder's
+/// reduced-bound rung, whose verdict row is the one a direct run at that
+/// bound prints, proved and refuted alike.
 #[test]
 fn verify_with_reduction_matches_unreduced_verdict() {
-    let base = bbv(&["verify", "treiber", "--threads", "2", "--ops", "1", "--domain", "1"]);
-    for mode in ["sym", "por", "full"] {
+    // (algorithm, state cap, exit code of the capped run, of the direct run)
+    for (algo, cap, code, unreduced_code) in [("treiber", "300", 2, 0), ("hw-queue", "400", 1, 1)] {
         let out = bbv(&[
-            "verify", "treiber", "--threads", "2", "--ops", "1", "--domain", "1", "--reduce", mode,
+            "verify", algo, "--threads", "2", "--ops", "2", "--domain", "1", "--max-states", cap,
         ]);
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(out.status.code(), Some(code), "{algo}: {}", String::from_utf8_lossy(&out.stderr));
         let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.contains("lin=✓"), "--reduce {mode}: {text}");
-        // The reduction counters go to stderr; the verdict on stdout must
-        // carry the same marks as the unreduced run.
-        let base_text = String::from_utf8_lossy(&base.stdout);
-        assert_eq!(
-            base_text.contains("lock-free=✓"),
-            text.contains("lock-free=✓"),
-            "--reduce {mode} changed the lock-freedom verdict"
+        assert!(text.contains("answered by the reduced-bound rung at bound 2-1"), "{algo}: {text}");
+
+        let unreduced = bbv(&["verify", algo, "--threads", "2", "--ops", "1", "--domain", "1"]);
+        assert_eq!(unreduced.status.code(), Some(unreduced_code), "{algo}");
+        let unreduced_text = String::from_utf8_lossy(&unreduced.stdout);
+        let row = unreduced_text.lines().next().expect("a verdict row");
+        assert!(
+            text.lines().any(|line| line == row),
+            "{algo}: the reduced-bound rung's row differs from {row:?}:\n{text}"
         );
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("reduction"), "--reduce {mode}: {err}");
     }
-}
-
-#[test]
-fn reduce_check_passes_and_bad_mode_is_usage_error() {
-    let out = bbv(&["reduce-check", "treiber", "--threads", "2", "--ops", "1", "--domain", "1"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("≈div ok"), "{text}");
-    assert!(text.contains("verdicts ok"), "{text}");
-
-    let out = bbv(&["verify", "treiber", "--reduce", "nope"]);
-    assert_eq!(out.status.code(), Some(3));
 }
 
 /// `--compact off` selects the rich seen-set whether or not a budget flag

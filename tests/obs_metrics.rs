@@ -48,7 +48,7 @@ fn metrics_document_has_the_v1_schema() {
 
     let meta = doc.get("meta").and_then(JsonValue::as_object).expect("meta object");
     let meta_keys: Vec<&str> = meta.iter().map(|(k, _)| k.as_str()).collect();
-    assert_eq!(meta_keys, ["command", "algorithm", "threads", "ops", "jobs", "reduce"]);
+    assert_eq!(meta_keys, ["command", "algorithm", "threads", "ops", "jobs"]);
     assert_eq!(doc.get("meta").unwrap().get("command").unwrap().as_str(), Some("verify"));
     assert_eq!(doc.get("meta").unwrap().get("algorithm").unwrap().as_str(), Some("ms-queue"));
 
@@ -143,21 +143,26 @@ fn trace_is_valid_ndjson_with_matched_begin_end() {
     assert!(saw_histograms, "trace ends with a histograms summary event");
 }
 
+/// A run the governed ladder answers at a reduced bound still writes the
+/// `histograms` member: the seen-set probe lengths of its explorations, as
+/// `[upper_bound, count]` bucket pairs.
 #[test]
 fn histograms_appear_on_reduced_runs() {
     let m = tmp("hist_m.json");
     let out = bbv(&[
-        "verify", "treiber", "--threads", "2", "--ops", "1", "--domain", "1",
-        "--reduce", "sym", "--metrics", m.to_str().unwrap(),
+        "verify", "treiber", "--threads", "2", "--ops", "2", "--domain", "1",
+        "--max-states", "300", "--metrics", m.to_str().unwrap(),
     ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(2), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("answered by the reduced-bound rung"), "{text}");
     let doc = parse(&std::fs::read_to_string(&m).unwrap()).unwrap();
     let _ = std::fs::remove_file(m);
     let hist = doc.get("histograms").and_then(JsonValue::as_object).expect("histograms object");
-    let orbit = hist.iter().find(|(k, _)| k == "reduce.sym.orbit_size");
-    let (_, orbit) = orbit.expect("symmetry reduction records the orbit-size histogram");
-    assert!(orbit.get("count").unwrap().as_u64().unwrap() > 0);
-    let buckets = orbit.get("buckets").and_then(JsonValue::as_array).unwrap();
+    let probes = hist.iter().find(|(k, _)| k == "explore.seen_probe_len");
+    let (_, probes) = probes.expect("exploration records the seen-set probe-length histogram");
+    assert!(probes.get("count").unwrap().as_u64().unwrap() > 0);
+    let buckets = probes.get("buckets").and_then(JsonValue::as_array).unwrap();
     for b in buckets {
         let pair = b.as_array().expect("bucket is a [upper_bound, count] pair");
         assert_eq!(pair.len(), 2);

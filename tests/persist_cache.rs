@@ -195,10 +195,10 @@ fn distinct_configurations_use_distinct_entries() {
     assert_eq!(bbv(&base, &[]).status.code(), Some(0));
     assert_eq!(entry_files(&dir).len(), 1);
 
-    // A different reduce mode is a different result: new entry.
-    let mut reduced: Vec<&str> = base.to_vec();
-    reduced.extend(["--reduce", "sym"]);
-    assert_eq!(bbv(&reduced, &[]).status.code(), Some(0));
+    // A different property selection is a different result: new entry.
+    let mut lin_only: Vec<&str> = base.to_vec();
+    lin_only.push("--no-lock-freedom");
+    assert_eq!(bbv(&lin_only, &[]).status.code(), Some(0));
     assert_eq!(entry_files(&dir).len(), 2);
 
     // A different --jobs is the *same* result: must hit entry one.

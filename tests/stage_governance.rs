@@ -6,7 +6,6 @@
 //! explored LTSs, so exploration meters nothing and only a later stage —
 //! partition refinement, trace inclusion, `≈div` or the `≈div` quotient of
 //! `check` — can stop the run. It must stop there: inconclusive, exit 2.
-//! `reduce-check` explores on its own and must stop too.
 //!
 //! The checkpoint session is process-global and `execute` clears it, so
 //! this binary holds a single test.
@@ -81,15 +80,6 @@ fn the_run_watchdog_reaches_every_stage() {
         let code = run(&rerun, cancelled, Some(&dir));
         assert!(CKPT_SEED_HITS.get() > hits, "{case}: the rerun explored again");
         assert_eq!(code, EXIT_INCONCLUSIVE, "{case}");
-    }
-
-    // ms-queue 2-2 explores 16 347 states, well past the cap of 100.
-    let reduce_check = [
-        ("reduce-check, cancelled", spec(Command::ReduceCheck), true),
-        ("reduce-check, capped", capped(Command::ReduceCheck, 100), false),
-    ];
-    for (case, rerun, cancelled) in reduce_check {
-        assert_eq!(run(&rerun, cancelled, None), EXIT_INCONCLUSIVE, "{case}");
     }
     let _ = std::fs::remove_dir_all(&root);
 }
