@@ -46,10 +46,6 @@ impl<S: bb_sim::Pack> bb_sim::Pack for Shared<S> {
             lock: bb_sim::Pack::unpack(r)?,
         })
     }
-
-    fn heap_bytes(&self) -> usize {
-        self.state.heap_bytes()
-    }
 }
 
 /// Per-invocation frames.

@@ -23,7 +23,7 @@ use bb_algorithms::treiber_hp::TreiberHp;
 use bb_algorithms::treiber_hp_fu::TreiberHpFu;
 use bb_algorithms::two_lock_queue::TwoLockQueue;
 use bb_lts::{to_aut, CodecSemantics, ExploreLimits, ExploreOptions, Jobs, Semantics};
-use bb_sim::{explore_system_with, Bound, ObjectAlgorithm, System};
+use bb_sim::{explore_system, explore_system_with, Bound, ObjectAlgorithm, System};
 use std::collections::HashSet;
 
 /// BFS over the rich semantics, round-tripping every reachable state
@@ -52,13 +52,11 @@ fn assert_roundtrip<A: ObjectAlgorithm>(alg: &A, bound: Bound) -> usize {
     seen.len()
 }
 
-/// The compact engine must emit the byte-identical `.aut` the rich engine
-/// does, at jobs {1, 4}.
+/// The compact engine must emit the byte-identical `.aut` the rich-state
+/// reference (`explore_system`) does, at jobs {1, 4}.
 fn assert_aut_identical<A: ObjectAlgorithm>(alg: &A, bound: Bound) {
     let limits = ExploreLimits::default();
-    let rich = explore_system_with(alg, bound, &ExploreOptions::limits(limits).with_compact(false))
-        .unwrap();
-    let reference = to_aut(&rich);
+    let reference = to_aut(&explore_system(alg, bound, limits).unwrap());
     for jobs in [1, 4] {
         let opts = ExploreOptions::limits(limits).with_jobs(Jobs::new(jobs));
         let aut = to_aut(&explore_system_with(alg, bound, &opts).unwrap());

@@ -6,23 +6,21 @@
 //! ```
 //!
 //! Subcommands: `table1` … `table7`, `fig10`, `all`, plus `verdicts`
-//! (machine-diffable verdict lines; run once per `--refine` engine or
-//! `--compact` store and diff — CI does exactly that), and `phases`
-//! (per-phase wall-clock breakdown of the verification pipeline, collected
-//! through bb-obs spans — the EXPERIMENTS.md observability table). The
-//! `--large` flag extends the sweeps towards the paper's original
-//! configurations (minutes of runtime instead of seconds); `--jobs N` runs
-//! exploration and refinement on N worker threads (deterministic — only
-//! timings change). Absolute state counts and times differ from the paper
-//! (different front end, hardware and heap canonicalization — see
-//! DESIGN.md); the *shape* of every result is reproduced.
+//! (machine-diffable verdict lines; CI diffs them across `--jobs` and a
+//! warm `--cache`), and `phases` (per-phase wall-clock breakdown of the
+//! verification pipeline, collected through bb-obs spans — the
+//! EXPERIMENTS.md observability table). The `--large` flag extends the
+//! sweeps towards the paper's original configurations (minutes of runtime
+//! instead of seconds); `--jobs N` runs exploration and refinement on N
+//! worker threads (deterministic — only timings change). An unknown option,
+//! or one the subcommand would ignore, exits 3 and names it. Absolute state
+//! counts and times differ from the paper (different front end, hardware and
+//! heap canonicalization — see DESIGN.md); the *shape* of every result is
+//! reproduced.
 
 use bb_algorithms::roster::{with_case, Case, ALGORITHMS};
 use bb_bench::{check, lts_of_jobs, mark, sabotage_point};
-use bb_bisim::{
-    bisimilar_opts, partition_opts, partition_with_stats, quotient, Equivalence, PartitionOptions,
-    RefineMode,
-};
+use bb_bisim::{bisimilar_opts, partition_opts, quotient, Equivalence, PartitionOptions};
 use bb_core::{
     verify_case_lts, verify_linearizability_opts, verify_lock_freedom_opts,
     verify_lock_freedom_via_abstraction_opts, CaseReport, VerifyConfig,
@@ -42,50 +40,17 @@ use bb_algorithms::{
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let large = args.iter().any(|a| a == "--large");
-    let jobs = match parse_jobs(&args) {
-        Ok(j) => j,
+    let (cmd, opts) = match parse_args(&args) {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
+            eprintln!("{USAGE}");
             std::process::exit(3);
         }
     };
-    let refine = match parse_refine(&args) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(3);
-        }
-    };
-    let cache = match parse_cache(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(3);
-        }
-    };
-    let compact = match parse_compact(&args) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(3);
-        }
-    };
-    let cmd = args.first().map(String::as_str).unwrap_or("all");
+    let Opts { large, jobs, cache } = opts;
     match cmd {
-        "verdicts" => guarded("verdicts", || verdicts(refine, jobs, cache, compact)),
-        "perf" => {
-            let against = match parse_against(&args) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(3);
-                }
-            };
-            // Not `guarded`: the gate's exit code IS the result, so a fault
-            // here must fail the run rather than degrade to a log line.
-            perf(&parse_out(&args), against.as_ref());
-        }
+        "verdicts" => guarded("verdicts", || verdicts(jobs, cache)),
         "phases" => phases(jobs),
         "table1" => guarded("table1", || table1(jobs)),
         "table2" => guarded("table2", || table2(jobs)),
@@ -105,110 +70,70 @@ fn main() {
             guarded("table7", || table7(jobs));
             guarded("fig10", || fig10(large, jobs));
         }
-        other => {
-            eprintln!("unknown subcommand `{other}`");
-            eprintln!(
-                "usage: tables [table1..table7|fig10|verdicts|phases|perf|all] \
-                 [--large] [--jobs N] [--refine full|incremental] [--compact on|off] \
-                 [--out FILE] [--cache DIR] [--against BASELINE.json] [--max-regress PCT]"
-            );
-            std::process::exit(3);
-        }
+        _ => unreachable!("parse_args admits only the subcommands above"),
     }
 }
 
-/// Parses `--refine MODE` (default: the engine default, incremental).
-/// Both engines compute identical partitions; `verdicts` runs once per mode
-/// in CI and the outputs are diffed byte-for-byte.
-fn parse_refine(args: &[String]) -> Result<RefineMode, String> {
-    let Some(pos) = args.iter().position(|a| a == "--refine") else {
-        return Ok(RefineMode::default());
-    };
-    args.get(pos + 1)
-        .ok_or("--refine needs a mode: full or incremental")?
-        .parse()
+const USAGE: &str = "usage: tables [table1..table7|fig10|verdicts|phases|all] \
+                     [--large] [--jobs N] [--cache DIR]";
+
+/// The sweeps that read `--large`.
+const LARGE_SWEEPS: [&str; 5] = ["table3", "table4", "table6", "fig10", "all"];
+
+/// The options of a `tables` run.
+struct Opts {
+    /// Extend the sweeps towards the paper's original configurations.
+    large: bool,
+    /// Exploration and refinement workers (default: all cores). Every table
+    /// is deterministic in the worker count — only the timing columns change.
+    jobs: Jobs,
+    /// Per-case result cache of the `verdicts` sweep: a second sweep over
+    /// the same roster replays every verdict line from the cache
+    /// byte-identically (the cache-soundness CI job diffs exactly that).
+    cache: Option<Cache>,
 }
 
-/// Parses `--compact on|off` (default on). `verdicts --compact off` runs the
-/// sweep through the rich-struct hash-map seen-set instead of the bit-packed
-/// arena — CI byte-diffs the two stdout streams to pin down that the store
-/// never influences a verdict.
-fn parse_compact(args: &[String]) -> Result<bool, String> {
-    let Some(pos) = args.iter().position(|a| a == "--compact") else {
-        return Ok(true);
-    };
-    match args.get(pos + 1).map(String::as_str) {
-        Some("on") => Ok(true),
-        Some("off") => Ok(false),
-        Some(other) => Err(format!("--compact: expected on or off, got `{other}`")),
-        None => Err("--compact needs on or off".into()),
+/// Walks argv once: the subcommand (default `all`), then its options. An
+/// unknown option, or one the subcommand would ignore, is an error naming
+/// it.
+fn parse_args(args: &[String]) -> Result<(&str, Opts), String> {
+    let cmd = args.first().map_or("all", String::as_str);
+    let known = [
+        "table1", "table2", "table3", "table4", "table5", "table6", "table7", "fig10",
+        "verdicts", "phases", "all",
+    ];
+    if !known.contains(&cmd) {
+        return Err(format!("unknown subcommand `{cmd}`"));
     }
-}
-
-/// Parses `--out FILE` for the `perf` subcommand (default: BENCH_5.json).
-fn parse_out(args: &[String]) -> String {
-    args.iter()
-        .position(|a| a == "--out")
-        .and_then(|pos| args.get(pos + 1).cloned())
-        .unwrap_or_else(|| "BENCH_5.json".into())
-}
-
-/// The perf gate's configuration: a committed baseline report to diff
-/// against, and the allowed regression percentage.
-struct Against {
-    baseline: String,
-    max_regress_pct: f64,
-}
-
-/// Parses `--against FILE` and `--max-regress PCT` (default 25) for the
-/// `perf` subcommand's regression gate.
-fn parse_against(args: &[String]) -> Result<Option<Against>, String> {
-    let Some(pos) = args.iter().position(|a| a == "--against") else {
-        if args.iter().any(|a| a == "--max-regress") {
-            return Err("--max-regress only makes sense with --against".into());
-        }
-        return Ok(None);
-    };
-    let baseline = args.get(pos + 1).ok_or("--against needs a baseline file")?.clone();
-    let max_regress_pct = match args.iter().position(|a| a == "--max-regress") {
-        None => 25.0,
-        Some(p) => {
-            let raw = args.get(p + 1).ok_or("--max-regress needs a percentage")?;
-            let pct: f64 = raw.parse().map_err(|e| format!("--max-regress: {e}"))?;
-            if !pct.is_finite() || pct < 0.0 {
-                return Err("--max-regress must be a non-negative percentage".into());
+    let mut large = false;
+    let mut jobs = Jobs::available();
+    let mut cache_dir = None;
+    let mut it = args.iter().skip(1);
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--large" if LARGE_SWEEPS.contains(&cmd) => large = true,
+            "--jobs" => {
+                let raw = it.next().ok_or("--jobs needs a thread count")?;
+                let n: usize = raw.parse().map_err(|e| format!("--jobs: {e}"))?;
+                if n == 0 {
+                    return Err("--jobs must be at least 1".into());
+                }
+                jobs = Jobs::new(n);
             }
-            pct
+            "--cache" if cmd == "verdicts" => {
+                cache_dir = Some(it.next().ok_or("--cache needs a directory")?);
+            }
+            "--large" | "--cache" => return Err(format!("{a} does not apply to `{cmd}`")),
+            other => return Err(format!("unknown option `{other}`")),
         }
-    };
-    Ok(Some(Against { baseline, max_regress_pct }))
-}
-
-/// Parses `--cache DIR` for the `verdicts` sweep: per-case result cache.
-/// A second sweep over the same roster replays every verdict line from the
-/// cache byte-identically (the cache-soundness CI job diffs exactly that).
-fn parse_cache(args: &[String]) -> Result<Option<Cache>, String> {
-    let Some(pos) = args.iter().position(|a| a == "--cache") else {
-        return Ok(None);
-    };
-    let dir = args.get(pos + 1).ok_or("--cache needs a directory")?;
-    Cache::open(std::path::Path::new(dir))
-        .map(Some)
-        .map_err(|e| format!("--cache {dir}: {e}"))
-}
-
-/// Parses `--jobs N` (default: all cores). Every table is deterministic in
-/// the worker count — only the timing columns change.
-fn parse_jobs(args: &[String]) -> Result<Jobs, String> {
-    let Some(pos) = args.iter().position(|a| a == "--jobs") else {
-        return Ok(Jobs::available());
-    };
-    let raw = args.get(pos + 1).ok_or("--jobs needs a thread count")?;
-    let n: usize = raw.parse().map_err(|e| format!("--jobs: {e}"))?;
-    if n == 0 {
-        return Err("--jobs must be at least 1".into());
     }
-    Ok(Jobs::new(n))
+    let cache = match cache_dir {
+        Some(dir) => Some(
+            Cache::open(std::path::Path::new(dir)).map_err(|e| format!("--cache {dir}: {e}"))?,
+        ),
+        None => None,
+    };
+    Ok((cmd, Opts { large, jobs, cache }))
 }
 
 /// Runs one table with panic isolation: a fault in any table aborts only
@@ -667,25 +592,20 @@ const VERDICT_ROWS: [(&str, &[i64], u8, u32); 19] = [
 ];
 
 /// Machine-diffable verdict lines: no state counts, no timings — only what
-/// must stay invariant under the refinement engine and the state store. CI
-/// runs this per `--refine` engine and per `--compact` store and diffs the
-/// output byte-for-byte.
+/// must stay invariant under `--jobs`, the result cache and any change that
+/// keeps the verdicts.
 ///
 /// With `--cache DIR`, each conclusive verdict line is memoized per case; a
 /// second sweep replays every line byte-identically from the cache (CI runs
 /// the roster twice and requires the second pass to be all hits).
-fn verdicts(
-    refine: RefineMode,
-    jobs: Jobs,
-    cache: Option<Cache>,
-    compact: bool,
-) {
+fn verdicts(jobs: Jobs, cache: Option<Cache>) {
     let (mut hits, mut misses) = (0u32, 0u32);
     for (name, domain, th, op) in VERDICT_ROWS {
         let lf = ALGORITHMS.iter().any(|&(n, _, nb)| n == name && nb);
-        // `reduce=none` stays so cache entries of earlier versions still hit.
+        // `reduce=none` and `refine=incremental` stay so cache entries of
+        // earlier versions still hit.
         let key = format!(
-            "bbench{}.{}|verdict|{name}|{th}-{op}|lf{lf}|reduce=none|refine={refine}",
+            "bbench{}.{}|verdict|{name}|{th}-{op}|lf{lf}|reduce=none|refine=incremental",
             bb_persist::FORMAT_VERSION,
             bb_sim::STATE_ENCODING_VERSION,
         );
@@ -695,12 +615,7 @@ fn verdicts(
             continue;
         }
         misses += 1;
-        let case = Fig1 {
-            refine,
-            compact,
-            ..Fig1::new(name, th, op, jobs)
-        };
-        match run_case(name, domain, case) {
+        match run_case(name, domain, Fig1::new(name, th, op, jobs)) {
             Ok(Ok(r)) => {
                 let line = format!(
                     "{name:<24} {th}-{op} lin={} lock-free={}",
@@ -746,19 +661,15 @@ struct Fig1 {
     label: &'static str,
     bound: Bound,
     jobs: Jobs,
-    refine: RefineMode,
-    compact: bool,
 }
 
 impl Fig1 {
-    /// The case on the default engine and store.
+    /// The case at `th`-`op` on `jobs` workers.
     fn new(label: &'static str, th: u8, op: u32, jobs: Jobs) -> Self {
         Fig1 {
             label,
             bound: Bound::new(th, op),
             jobs,
-            refine: RefineMode::default(),
-            compact: true,
         }
     }
 }
@@ -773,13 +684,11 @@ impl Case for Fig1 {
         non_blocking: bool,
     ) -> Self::Out {
         sabotage_point(alg.name());
-        let Fig1 { label, bound, jobs, refine, compact } = self;
-        let opts = ExploreOptions::limits(ExploreLimits::default())
-            .with_jobs(jobs)
-            .with_compact(compact);
+        let Fig1 { label, bound, jobs } = self;
+        let opts = ExploreOptions::limits(ExploreLimits::default()).with_jobs(jobs);
         let imp = explore_system_with(alg, bound, &opts)?;
         let spec = explore_system_with(seq, bound, &opts)?;
-        let mut cfg = VerifyConfig::new(bound).with_jobs(jobs).with_refine(refine);
+        let mut cfg = VerifyConfig::new(bound).with_jobs(jobs);
         if !non_blocking {
             cfg = cfg.linearizability_only();
         }
@@ -801,353 +710,4 @@ fn run_case(
 /// The lock-freedom column: `—` when the check was skipped.
 fn lf_mark(r: &CaseReport) -> &'static str {
     r.lock_freedom.as_ref().map_or("—", |l| check(l.lock_free))
-}
-
-// --------------------------------------------------- refinement engine perf
-
-/// Worker count for the sharded `perf` column, stored under the `fused` key
-/// (see [`perf`]): one shard per available hardware thread — forcing more
-/// shards than cores only adds spawn/join overhead to the measurement.
-fn sharded_jobs() -> Jobs {
-    Jobs::available()
-}
-
-/// One `perf` roster entry: full vs incremental refinement on the same LTS.
-struct PerfRow {
-    name: &'static str,
-    bound: String,
-    states: usize,
-    transitions: usize,
-    rounds: usize,
-    full_recomputes: u64,
-    full_us: u128,
-    full_peak_sig_bytes: usize,
-    inc_recomputes: u64,
-    inc_dirty_states: u64,
-    inc_us: u128,
-    inc_peak_sig_bytes: usize,
-    sharded_recomputes: u64,
-    sharded_us: u128,
-}
-
-/// Measures one roster case under both refinement engines, plus the
-/// incremental engine with worklists sharded across available cores. All
-/// three partitions are asserted equal (block ids included); the statistics
-/// are deterministic and taken from the last sample, while the wall-clock is
-/// the best of `samples` runs.
-fn perf_row(name: &'static str, th: u8, op: u32, lts: &Lts, samples: u32) -> PerfRow {
-    let eq = Equivalence::Branching;
-    let full_opts = PartitionOptions::default().with_mode(RefineMode::Full);
-    let inc_opts = PartitionOptions::default().with_mode(RefineMode::Incremental);
-    let sharded_opts = PartitionOptions::default()
-        .with_mode(RefineMode::Incremental)
-        .with_jobs(sharded_jobs());
-
-    let mut full_us = u128::MAX;
-    let mut inc_us = u128::MAX;
-    let mut sharded_us = u128::MAX;
-    let (mut p_full, mut full_stats) = partition_with_stats(lts, eq, full_opts);
-    let (mut p_inc, mut inc_stats) = partition_with_stats(lts, eq, inc_opts);
-    let (mut p_sharded, mut sharded_stats) = partition_with_stats(lts, eq, sharded_opts);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        let (p, s) = partition_with_stats(lts, eq, full_opts);
-        full_us = full_us.min(t0.elapsed().as_micros());
-        (p_full, full_stats) = (p, s);
-        let t0 = Instant::now();
-        let (p, s) = partition_with_stats(lts, eq, inc_opts);
-        inc_us = inc_us.min(t0.elapsed().as_micros());
-        (p_inc, inc_stats) = (p, s);
-        let t0 = Instant::now();
-        let (p, s) = partition_with_stats(lts, eq, sharded_opts);
-        sharded_us = sharded_us.min(t0.elapsed().as_micros());
-        (p_sharded, sharded_stats) = (p, s);
-    }
-    assert_eq!(
-        p_full, p_inc,
-        "{name} {th}-{op}: full and incremental partitions must be identical"
-    );
-    assert_eq!(
-        p_full, p_sharded,
-        "{name} {th}-{op}: sharded partition must match the serial engines"
-    );
-    assert_eq!(full_stats.rounds, inc_stats.rounds);
-    assert_eq!(full_stats.rounds, sharded_stats.rounds);
-    PerfRow {
-        name,
-        bound: format!("{th}-{op}"),
-        states: lts.num_states(),
-        transitions: lts.num_transitions(),
-        rounds: full_stats.rounds,
-        full_recomputes: full_stats.sig_recomputes,
-        full_us,
-        full_peak_sig_bytes: full_stats.peak_sig_bytes,
-        inc_recomputes: inc_stats.sig_recomputes,
-        inc_dirty_states: inc_stats.dirty_states,
-        inc_us,
-        inc_peak_sig_bytes: inc_stats.peak_sig_bytes,
-        sharded_recomputes: sharded_stats.sig_recomputes,
-        sharded_us,
-    }
-}
-
-// ------------------------------------------------- compact state-store perf
-
-/// One state-store entry: the same exploration driven through the rich
-/// hash-map seen-set and through the bit-packed arena, recording the peak
-/// in-core store bytes (seen set + frontier + index) and the best
-/// exploration wall-clock of each. Byte counts are deterministic; both
-/// engines are asserted to produce the identical `.aut`.
-struct StoreRow {
-    name: &'static str,
-    bound: String,
-    states: usize,
-    transitions: usize,
-    rich_bytes: usize,
-    compact_bytes: usize,
-    raw_bytes: u64,
-    stored_bytes: u64,
-    rich_us: u128,
-    compact_us: u128,
-}
-
-fn store_row<A: bb_sim::ObjectAlgorithm>(
-    name: &'static str,
-    alg: &A,
-    th: u8,
-    op: u32,
-    samples: u32,
-) -> StoreRow {
-    let bound = Bound::new(th, op);
-    let opts = ExploreOptions::limits(bb_lts::ExploreLimits::default()).with_jobs(Jobs::serial());
-    let rich_opts = opts.with_compact(false);
-    let (mut rich_us, mut compact_us) = (u128::MAX, u128::MAX);
-    let (mut rich, mut compact) = (None, None);
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        let r = bb_sim::explore_system_report(alg, bound, &rich_opts).expect("unbudgeted");
-        rich_us = rich_us.min(t0.elapsed().as_micros());
-        rich = Some(r);
-        let t0 = Instant::now();
-        let c = bb_sim::explore_system_report(alg, bound, &opts).expect("unbudgeted");
-        compact_us = compact_us.min(t0.elapsed().as_micros());
-        compact = Some(c);
-    }
-    let (rich_lts, rich_rep) = rich.expect("samples >= 1");
-    let (compact_lts, compact_rep) = compact.expect("samples >= 1");
-    assert_eq!(
-        bb_lts::to_aut(&rich_lts),
-        bb_lts::to_aut(&compact_lts),
-        "{name} {th}-{op}: compact store changed the LTS"
-    );
-    StoreRow {
-        name,
-        bound: format!("{th}-{op}"),
-        states: compact_lts.num_states(),
-        transitions: compact_lts.num_transitions(),
-        rich_bytes: rich_rep.store_bytes_peak,
-        compact_bytes: compact_rep.store_bytes_peak,
-        raw_bytes: compact_rep.store.raw_bytes,
-        stored_bytes: compact_rep.store.stored_bytes,
-        rich_us,
-        compact_us,
-    }
-}
-
-/// `perf` — full vs incremental vs sharded partition refinement on a fixed
-/// seeded roster. Writes a machine-readable JSON report (schema
-/// `bb-bench/perf-v2`, default `BENCH_5.json`); the counters are
-/// deterministic, only the wall-clock columns vary run to run. The sharded
-/// column times `partition_with_stats` on the incremental engine at
-/// [`sharded_jobs`] threads, predecessor table build included; it keeps the
-/// `fused` key, the name the committed baselines carry.
-///
-/// With `--against BASELINE.json` the run becomes the CI regression gate:
-/// the fresh report is diffed against the committed baseline
-/// ([`bb_bench::perf::compare`] — counters directly, wall-clock as
-/// within-run ratios) and the process exits 1 when anything regressed
-/// beyond `--max-regress PCT`.
-fn perf(out: &str, against: Option<&Against>) {
-    const SAMPLES: u32 = 3;
-    println!("\n=== Refinement engine — full vs incremental vs sharded (branching) ===");
-    println!("(sharded = incremental at all cores, table build timed; JSON key `fused`)");
-    println!("(best of {SAMPLES} runs; counters deterministic, partitions asserted equal)\n");
-    println!(
-        "{:<12} {:>5} {:>9} {:>10} {:>7} {:>12} {:>12} {:>8} {:>10} {:>10} {:>10}",
-        "Object", "#T-#O", "states", "trans", "rounds", "full recomp", "inc recomp", "dirty/n",
-        "full time", "inc time", "shard time"
-    );
-
-    let jobs = Jobs::serial();
-    let rows = [
-        perf_row("treiber", 2, 2, &lts_of_jobs(&Treiber::new(&[1]), 2, 2, jobs), SAMPLES),
-        perf_row("lazy-list", 2, 1, &lts_of_jobs(&LazyList::new(&[1]), 2, 1, jobs), SAMPLES),
-        perf_row("lazy-list", 2, 2, &lts_of_jobs(&LazyList::new(&[1]), 2, 2, jobs), SAMPLES),
-        perf_row("ms-queue", 2, 2, &lts_of_jobs(&MsQueue::new(&[1, 2]), 2, 2, jobs), SAMPLES),
-        // The raised roster rungs (PR 10): the bounds the compact store makes
-        // routinely affordable. Kept to cases whose refinement stays in
-        // CI-budget seconds.
-        perf_row("treiber", 3, 2, &lts_of_jobs(&Treiber::new(&[1]), 3, 2, jobs), SAMPLES),
-        perf_row("newcas", 3, 3, &lts_of_jobs(&NewCas::new(2), 3, 3, jobs), SAMPLES),
-        perf_row("newcas", 3, 4, &lts_of_jobs(&NewCas::new(2), 3, 4, jobs), SAMPLES),
-    ];
-
-    let mut json = String::from("{\n  \"schema\": \"bb-bench/perf-v2\",\n");
-    json.push_str("  \"equivalence\": \"branching\",\n  \"jobs\": 1,\n");
-    json.push_str(&format!("  \"fused_jobs\": {},\n", sharded_jobs().get()));
-    json.push_str(&format!("  \"samples\": {SAMPLES},\n  \"entries\": [\n"));
-    for (i, r) in rows.iter().enumerate() {
-        let full_work = r.rounds as u64 * r.states as u64;
-        assert!(
-            r.inc_recomputes < full_work,
-            "{} {}: incremental must recompute strictly fewer than rounds × n",
-            r.name,
-            r.bound
-        );
-        println!(
-            "{:<12} {:>5} {:>9} {:>10} {:>7} {:>12} {:>12} {:>7.1}% {:>8}µs {:>8}µs {:>8}µs",
-            r.name,
-            r.bound,
-            r.states,
-            r.transitions,
-            r.rounds,
-            r.full_recomputes,
-            r.inc_recomputes,
-            100.0 * r.inc_dirty_states as f64 / full_work.max(1) as f64,
-            r.full_us,
-            r.inc_us,
-            r.sharded_us,
-        );
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"bound\": \"{}\", \"states\": {}, \"transitions\": {}, \
-             \"rounds\": {}, \
-             \"full\": {{\"sig_recomputes\": {}, \"peak_sig_bytes\": {}, \"min_wall_us\": {}}}, \
-             \"incremental\": {{\"sig_recomputes\": {}, \"dirty_states\": {}, \
-             \"peak_sig_bytes\": {}, \"min_wall_us\": {}}}, \
-             \"fused\": {{\"jobs\": {}, \"sig_recomputes\": {}, \"min_wall_us\": {}}}, \
-             \"partitions_equal\": true}}{}\n",
-            r.name,
-            r.bound,
-            r.states,
-            r.transitions,
-            r.rounds,
-            r.full_recomputes,
-            r.full_peak_sig_bytes,
-            r.full_us,
-            r.inc_recomputes,
-            r.inc_dirty_states,
-            r.inc_peak_sig_bytes,
-            r.inc_us,
-            sharded_jobs().get(),
-            r.sharded_recomputes,
-            r.sharded_us,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("  ],\n");
-
-    // ---- state-store sweep: rich hash map vs bit-packed arena -----------
-    const STORE_SAMPLES: u32 = 2;
-    println!("\n=== State store — rich hash map vs bit-packed arena ===");
-    println!("(serial exploration, best of {STORE_SAMPLES} runs; byte counts deterministic,");
-    println!(" `.aut` asserted identical between the stores)\n");
-    println!(
-        "{:<12} {:>5} {:>9} {:>10} {:>12} {:>12} {:>6} {:>10} {:>10}",
-        "Object", "#T-#O", "states", "trans", "rich bytes", "arena bytes", "ratio", "rich time",
-        "arena time"
-    );
-    let store_rows = [
-        store_row("treiber", &Treiber::new(&[1]), 2, 2, STORE_SAMPLES),
-        store_row("lazy-list", &LazyList::new(&[1]), 2, 2, STORE_SAMPLES),
-        store_row("ms-queue", &MsQueue::new(&[1, 2]), 2, 2, STORE_SAMPLES),
-        store_row("treiber", &Treiber::new(&[1]), 3, 2, STORE_SAMPLES),
-        store_row("newcas", &NewCas::new(2), 3, 3, STORE_SAMPLES),
-        store_row("newcas", &NewCas::new(2), 3, 4, STORE_SAMPLES),
-    ];
-    json.push_str("  \"store_entries\": [\n");
-    for (i, r) in store_rows.iter().enumerate() {
-        let ratio = r.rich_bytes as f64 / r.compact_bytes.max(1) as f64;
-        println!(
-            "{:<12} {:>5} {:>9} {:>10} {:>12} {:>12} {:>5.1}x {:>8}µs {:>8}µs",
-            r.name,
-            r.bound,
-            r.states,
-            r.transitions,
-            r.rich_bytes,
-            r.compact_bytes,
-            ratio,
-            r.rich_us,
-            r.compact_us,
-        );
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"bound\": \"{}\", \"states\": {}, \"transitions\": {}, \
-             \"rich\": {{\"store_bytes\": {}, \"min_wall_us\": {}}}, \
-             \"compact\": {{\"store_bytes\": {}, \"raw_bytes\": {}, \"stored_bytes\": {}, \
-             \"min_wall_us\": {}}}, \"aut_identical\": true}}{}\n",
-            r.name,
-            r.bound,
-            r.states,
-            r.transitions,
-            r.rich_bytes,
-            r.rich_us,
-            r.compact_bytes,
-            r.raw_bytes,
-            r.stored_bytes,
-            r.compact_us,
-            if i + 1 == store_rows.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    if let Err(e) = bb_persist::write_atomic(std::path::Path::new(out), json.as_bytes()) {
-        eprintln!("error: cannot write {out}: {e}");
-        std::process::exit(3);
-    }
-    println!("\n(report written to {out})");
-
-    let Some(gate) = against else { return };
-    let base_text = match std::fs::read_to_string(&gate.baseline) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read baseline {}: {e}", gate.baseline);
-            std::process::exit(3);
-        }
-    };
-    let baseline = match bb_bench::perf::parse_report(&base_text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: baseline {}: {e}", gate.baseline);
-            std::process::exit(3);
-        }
-    };
-    // Re-parsing our own emission keeps the gate honest: it sees exactly
-    // what a future run diffing against `out` as a baseline would see.
-    let current = match bb_bench::perf::parse_report(&json) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: fresh report failed to parse: {e}");
-            std::process::exit(3);
-        }
-    };
-    println!("\n=== Perf gate — current vs {} ===\n", gate.baseline);
-    let mut checks = bb_bench::perf::compare(&baseline, &current, gate.max_regress_pct);
-    // Store entries gate the same way; baselines predating the compact
-    // store (no `store_entries`) parse as empty and contribute no checks.
-    let (base_store, cur_store) = match (
-        bb_bench::perf::parse_store_report(&base_text),
-        bb_bench::perf::parse_store_report(&json),
-    ) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: store entries: {e}");
-            std::process::exit(3);
-        }
-    };
-    checks.extend(bb_bench::perf::compare_store(&base_store, &cur_store, gate.max_regress_pct));
-    let regressions = bb_bench::perf::report(&checks, gate.max_regress_pct, |line| {
-        println!("{line}");
-    });
-    if regressions > 0 {
-        eprintln!("perf gate FAILED: {regressions} regression(s) beyond {}%", gate.max_regress_pct);
-        std::process::exit(1);
-    }
 }

@@ -7,8 +7,6 @@
 use bb_lts::{ExploreError, ExploreLimits, ExploreOptions, Jobs, Lts};
 use bb_sim::{explore_system_with, Bound, ObjectAlgorithm};
 
-pub mod perf;
-
 /// Fault-injection hook for testing the sweep's panic isolation: when the
 /// `BB_SABOTAGE` environment variable is a non-empty substring of the case
 /// name, the workload builders panic instead of exploring.

@@ -43,8 +43,24 @@ fn sabotaged_case_does_not_kill_the_table2_sweep() {
     }
 }
 
+/// An unknown or retired subcommand or option, or an option the subcommand
+/// would ignore, exits 3 before any table runs, and the error names it.
 #[test]
-fn unknown_subcommand_is_a_usage_error() {
-    let out = tables(&["frobnicate"], None);
-    assert_eq!(out.status.code(), Some(3));
+fn unknown_subcommands_and_options_are_usage_errors() {
+    for (args, named) in [
+        (&["frobnicate"][..], "frobnicate"),
+        (&["perf"], "perf"),
+        (&["phases", "--reduce", "full"], "--reduce"),
+        (&["verdicts", "--jbos", "4"], "--jbos"),
+        (&["verdicts", "--refine", "full"], "--refine"),
+        (&["verdicts", "--compact", "off"], "--compact"),
+        (&["table2", "--cache", "unused-cache-dir"], "--cache"),
+        (&["table2", "--large"], "--large"),
+    ] {
+        let out = tables(args, None);
+        assert_eq!(out.status.code(), Some(3), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(named), "{args:?}: {err}");
+    }
 }

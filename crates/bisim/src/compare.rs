@@ -79,9 +79,9 @@ pub fn bisimilar(left: &Lts, right: &Lts, eq: Equivalence) -> bool {
 }
 
 /// Budget-governed [`bisimilar`] with explicit [`PartitionOptions`] (worker
-/// count and refinement engine): the underlying partition refinement is
-/// metered against `wd` (see [`partition_governed_opts`]). The verdict is
-/// identical for every option combination.
+/// count): the underlying partition refinement is metered against `wd` (see
+/// [`partition_governed_opts`]). The verdict is identical at any worker
+/// count.
 ///
 /// # Errors
 ///

@@ -114,9 +114,8 @@ fn dist(
         .expect("states must be separated at some round");
     debug_assert!(k >= 1, "round 0 is the universal partition");
     let p = &history.rounds[k - 1];
-    let sigs = ctx.signatures_of(p);
-    let sl = &sigs[left.index()];
-    let sr = &sigs[right.index()];
+    let sl = ctx.signature_of(p, left);
+    let sr = ctx.signature_of(p, right);
 
     if let Some(&(letter, blk)) = sl.iter().find(|e| !sr.contains(e)) {
         if letter == DIV_LETTER {
@@ -125,7 +124,7 @@ fn dist(
         Formula::Can {
             letter: letter_name(names, letter),
             then: Box::new(target_subformula(
-                lts, ctx, history, names, p, sr, letter, blk, depth,
+                lts, ctx, history, names, p, &sr, letter, blk, depth,
             )),
         }
     } else if let Some(&(letter, blk)) = sr.iter().find(|e| !sl.contains(e)) {
@@ -135,7 +134,7 @@ fn dist(
         Formula::Not(Box::new(Formula::Can {
             letter: letter_name(names, letter),
             then: Box::new(target_subformula(
-                lts, ctx, history, names, p, sl, letter, blk, depth,
+                lts, ctx, history, names, p, &sl, letter, blk, depth,
             )),
         }))
     } else {

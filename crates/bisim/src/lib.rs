@@ -64,6 +64,5 @@ pub use partition::{BlockId, Partition};
 pub use quotient::{div_quotient, div_quotient_opts, quotient, Quotient};
 pub use signatures::{
     partition, partition_governed_opts, partition_opts, partition_with_history_opts,
-    partition_with_stats, Equivalence, PartitionOptions, RefineMode, RefineStats,
-    RefinementHistory,
+    partition_with_stats, Equivalence, PartitionOptions, RefineStats, RefinementHistory,
 };

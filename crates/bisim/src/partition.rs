@@ -115,7 +115,7 @@ impl Partition {
 
 /// Builds a [`Partition`] from arbitrary (stable) block labels by renumbering
 /// blocks in order of first occurrence in state order — the canonical id
-/// scheme the full refinement engine produces. Every label in
+/// scheme of every refinement round. Every label in
 /// `0..num_blocks` must occur (blocks are never empty), so the canonical
 /// partition has exactly `num_blocks` blocks.
 pub(crate) fn canonical_from_labels(labels: &[u32], num_blocks: usize) -> Partition {

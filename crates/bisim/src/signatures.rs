@@ -8,27 +8,23 @@
 //! (Blom & Orzan, 2002; for the divergence flag, the mCRL2 variant of
 //! divergence-preserving branching bisimulation).
 //!
-//! Two engines implement the loop, selected by [`RefineMode`]:
-//!
-//! * [`RefineMode::Full`] recomputes every signature every round — the
-//!   original formulation, kept as the reference implementation and the
-//!   `--refine full` escape hatch.
-//! * [`RefineMode::Incremental`] (the default) observes that a state's
-//!   signature can only change when a successor changed block, so each round
-//!   recomputes only a *dirty worklist* derived from the states that moved in
-//!   the previous round. Signatures are hash-consed into a flat
-//!   [`SigArena`], the split compares interned `u32` sig-ids instead of
-//!   re-hashing pair vectors, and the branching engines reuse the inert-τ
-//!   SCC condensation across rounds whenever no component-internal τ-edge
-//!   lost inertness. The produced partition — block ids included — is
-//!   bit-identical to the full engine at any [`Jobs`] count; see
-//!   DESIGN.md § "Incremental refinement" for the invariants and the
-//!   determinism argument.
+//! A state's signature can only change when a successor changed block, so
+//! each round after the first recomputes only a *dirty worklist* derived
+//! from the states that moved in the previous round. Signatures are
+//! hash-consed into a flat [`SigArena`], the split compares interned `u32`
+//! sig-ids instead of re-hashing pair vectors, and the branching
+//! equivalences reuse the inert-τ SCC condensation across rounds whenever no
+//! component-internal τ-edge lost inertness. Block ids are renumbered by
+//! first occurrence in state order, so the partition and every round of the
+//! history are identical at any [`Jobs`] count; see DESIGN.md § "Partition
+//! refinement" for the invariants and the determinism argument.
 
-use crate::partition::{canonical_from_labels, BlockId, Partition};
+use crate::partition::{canonical_from_labels, Partition};
 use crate::snapshot;
 use bb_lts::budget::{ExhaustReason, Exhausted, Meter, Stage, Watchdog};
-use bb_lts::{tarjan_scc, tarjan_scc_region, Jobs, Lts, PredecessorTable, StateId, TauClosure};
+use bb_lts::{
+    tarjan_scc, tarjan_scc_region, Jobs, Lts, PredecessorTable, StateId, TauClosure, Transition,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -70,8 +66,8 @@ fn round_fault(round: usize) {
 
 /// Minimum states per worker before a signature pass is fanned out.
 const SIG_MIN_CHUNK: usize = 256;
-/// Minimum SCCs per worker before a branching topological layer is fanned
-/// out (per-SCC work is heavier than per-state work).
+/// Minimum SCCs per worker before a branching sweep batch is fanned out
+/// (per-SCC work is heavier than per-state work).
 const SCC_MIN_CHUNK: usize = 64;
 /// Minimum split candidate blocks per worker before the grouping pass of
 /// the incremental split is fanned out.
@@ -102,66 +98,25 @@ pub enum Equivalence {
     Weak,
 }
 
-/// Which refinement engine computes the partition.
-///
-/// Both engines produce bit-identical partitions (block ids included) at any
-/// [`Jobs`] count; they differ only in how much work a round does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum RefineMode {
-    /// Recompute every signature every round (the reference engine).
-    Full,
-    /// Recompute only dirty states, intern signatures, and reuse the
-    /// inert-τ condensation across rounds.
-    #[default]
-    Incremental,
-}
-
-impl std::fmt::Display for RefineMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            RefineMode::Full => "full",
-            RefineMode::Incremental => "incremental",
-        })
-    }
-}
-
-impl std::str::FromStr for RefineMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "full" => Ok(RefineMode::Full),
-            "incremental" => Ok(RefineMode::Incremental),
-            other => Err(format!(
-                "unknown refinement mode `{other}` (expected `full` or `incremental`)"
-            )),
-        }
-    }
-}
-
 /// Options for a partition-refinement run.
 ///
-/// The default is the sequential incremental engine — the same partition as
-/// every other configuration, computed with the least work.
+/// The default is sequential — the same partition as at any worker count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionOptions {
     /// Worker threads for the sharded signature passes.
     pub jobs: Jobs,
-    /// Which refinement engine to run.
-    pub mode: RefineMode,
 }
 
 impl Default for PartitionOptions {
     fn default() -> Self {
         PartitionOptions {
             jobs: Jobs::serial(),
-            mode: RefineMode::Incremental,
         }
     }
 }
 
 impl PartitionOptions {
-    /// The default options: sequential, incremental.
+    /// The default options: sequential.
     pub fn new() -> Self {
         Self::default()
     }
@@ -171,19 +126,13 @@ impl PartitionOptions {
         self.jobs = jobs;
         self
     }
-
-    /// Sets the refinement engine.
-    pub fn with_mode(mut self, mode: RefineMode) -> Self {
-        self.mode = mode;
-        self
-    }
 }
 
 /// Work accounting of a refinement run (see [`partition_with_stats`]).
 ///
-/// The full engine recomputes `rounds × num_states` signatures by
-/// construction; the incremental engine's `sig_recomputes` is the measure of
-/// how much of that it avoided.
+/// Recomputing every signature every round would cost
+/// `rounds × num_states`; `sig_recomputes` is the share of that the dirty
+/// worklists actually paid.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RefineStats {
     /// Refinement rounds executed (including the final stable round).
@@ -214,7 +163,7 @@ pub(crate) const TAU_LETTER: u32 = 0;
 /// Per-LTS context shared by all refinement rounds.
 ///
 /// Hoisting this across rounds (and across the diagnostic replays of
-/// [`Ctx::signatures_of`]) means the letter table — and for
+/// [`Ctx::signature_of`]) means the letter table — and for
 /// [`Equivalence::Weak`] the full forward τ-closure — is built once per LTS,
 /// not once per round.
 pub(crate) struct Ctx<'a> {
@@ -263,59 +212,72 @@ impl<'a> Ctx<'a> {
         &self.names
     }
 
-    /// Computes the signatures of all states w.r.t. `p` into `sigs`,
-    /// returning the total number of `(letter, block)` pairs written (the
-    /// incremental input to the memory accounting).
+    /// The signature of the one state `s` with respect to `p`: the moves
+    /// refinement splits `s`'s block by. Diagnostics replay two states per
+    /// separating round, so this walks only what `s` reaches.
     ///
-    /// The strong/weak passes shard by state range and the branching pass
-    /// shards by condensed-SCC topological layer; every shard writes a
-    /// disjoint region and the result is identical to the sequential pass
-    /// at any worker count.
-    fn compute(&self, p: &Partition, sigs: &mut [Signature]) -> usize {
+    /// A branching signature collects the moves leaving the region `s`
+    /// reaches by inert τ-steps (τ within `s`'s block); under `≈div` a
+    /// region holding an inert τ-cycle also carries the divergence marker.
+    pub(crate) fn signature_of(&self, p: &Partition, s: StateId) -> Signature {
+        let lts = self.lts;
+        let mut sig: Signature = Vec::new();
         match self.eq {
-            Equivalence::Strong => strong_signatures(self, p, sigs),
-            Equivalence::Branching => branching_signatures(self, p, false, sigs),
-            Equivalence::BranchingDiv => branching_signatures(self, p, true, sigs),
-            Equivalence::Weak => weak_signatures(self, p, sigs),
+            Equivalence::Strong => {
+                for t in lts.successors(s) {
+                    sig.push((self.letters[t.action.index()], p.block_of(t.target).0));
+                }
+            }
+            Equivalence::Weak => {
+                let closure = self
+                    .closure
+                    .as_ref()
+                    .expect("weak signatures require the τ-closure");
+                let bs = p.block_of(s);
+                for &w in closure.of(s) {
+                    if p.block_of(w) != bs {
+                        sig.push((TAU_LETTER, p.block_of(w).0));
+                    }
+                    for t in lts.successors(w) {
+                        if !self.is_tau(t.action) {
+                            let letter = self.letters[t.action.index()];
+                            for &v in closure.of(t.target) {
+                                sig.push((letter, p.block_of(v).0));
+                            }
+                        }
+                    }
+                }
+            }
+            Equivalence::Branching | Equivalence::BranchingDiv => {
+                let bs = p.block_of(s);
+                let inert = |t: &Transition| self.is_tau(t.action) && p.block_of(t.target) == bs;
+                let mut region = std::collections::HashSet::from([s]);
+                let mut stack = vec![s];
+                while let Some(w) = stack.pop() {
+                    for t in lts.successors(w) {
+                        if !inert(t) {
+                            sig.push((self.letters[t.action.index()], p.block_of(t.target).0));
+                        } else if region.insert(t.target) {
+                            stack.push(t.target);
+                        }
+                    }
+                }
+                if self.eq == Equivalence::BranchingDiv {
+                    let mut region: Vec<StateId> = region.into_iter().collect();
+                    region.sort_unstable();
+                    let succ = |w: StateId, out: &mut Vec<StateId>| {
+                        out.extend(lts.successors(w).iter().filter(|t| inert(t)).map(|t| t.target));
+                    };
+                    if tarjan_scc_region(&region, succ).iter().any(|&(_, cyclic)| cyclic) {
+                        sig.push((DIV_LETTER, 0));
+                    }
+                }
+            }
         }
+        sig.sort_unstable();
+        sig.dedup();
+        sig
     }
-
-    /// [`Ctx::compute`] into a fresh signature vector (diagnostics replay).
-    pub(crate) fn signatures_of(&self, p: &Partition) -> Vec<Signature> {
-        let mut sigs = vec![Vec::new(); self.lts.num_states()];
-        self.compute(p, &mut sigs);
-        sigs
-    }
-}
-
-/// Runs `f(base_state_index, shard)` over `jobs`-sized disjoint shards of
-/// `sigs` on scoped threads, returning the summed pair counts. Shards are
-/// contiguous state ranges, so each invocation writes exactly the states it
-/// owns; with one worker the call degenerates to `f(0, sigs)` inline.
-fn shard_states<F>(jobs: Jobs, sigs: &mut [Signature], f: F) -> usize
-where
-    F: Fn(usize, &mut [Signature]) -> usize + Sync,
-{
-    let n = sigs.len();
-    let workers = jobs.for_items(n, SIG_MIN_CHUNK);
-    if workers == 1 {
-        return f(0, sigs);
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = sigs
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(i, shard)| {
-                let f = &f;
-                scope.spawn(move || f(i * chunk, shard))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .sum()
-    })
 }
 
 /// A signature: sorted, deduplicated `(letter, target block)` pairs.
@@ -342,344 +304,6 @@ pub(crate) fn letter_table(lts: &Lts) -> (Vec<u32>, Vec<String>) {
         }
     }
     (letters, names)
-}
-
-fn strong_signatures(ctx: &Ctx<'_>, p: &Partition, sigs: &mut [Signature]) -> usize {
-    shard_states(ctx.jobs, sigs, |base, shard| {
-        let mut pairs = 0;
-        for (off, sig) in shard.iter_mut().enumerate() {
-            let s = StateId((base + off) as u32);
-            sig.clear();
-            for t in ctx.lts.successors(s) {
-                sig.push((ctx.letters[t.action.index()], p.block_of(t.target).0));
-            }
-            sig.sort_unstable();
-            sig.dedup();
-            pairs += sig.len();
-        }
-        pairs
-    })
-}
-
-/// Branching (and divergence-sensitive branching) signatures.
-///
-/// `sig(s) = { (a, [s']) | s ⇒inert s'' →a s', a visible or [s'] ≠ [s] }`
-/// where `⇒inert` is any number of τ-steps staying inside `[s]`. Computed by
-/// condensing the inert-τ graph and propagating signatures in reverse
-/// topological order, so τ-cycles inside a block are handled exactly.
-///
-/// With `divergence` set, a state additionally carries the `DIV_LETTER`
-/// marker iff it can reach (via inert τ-steps) a cyclic inert-τ SCC — i.e.
-/// iff it has an infinite τ-path staying inside its own block.
-fn branching_signatures(
-    ctx: &Ctx<'_>,
-    p: &Partition,
-    divergence: bool,
-    sigs: &mut [Signature],
-) -> usize {
-    let lts = ctx.lts;
-    let n = lts.num_states();
-
-    // Condense the inert-τ graph w.r.t. the current partition (sequential:
-    // Tarjan is a single DFS and also fixes the reverse-topological order
-    // the propagation below relies on).
-    let cond = tarjan_scc(n, |s, out| {
-        for t in lts.successors(s) {
-            if ctx.is_tau(t.action) && p.same_block(s, t.target) {
-                out.push(t.target);
-            }
-        }
-    });
-
-    let members = cond.members();
-    let mut scc_sig: Vec<Signature> = vec![Vec::new(); cond.num_sccs];
-    let mut scc_div: Vec<bool> = vec![false; cond.num_sccs];
-
-    // Computes the signature and divergence flag of SCC `k`, reading only
-    // SCCs with smaller ids (its inert successors).
-    let scc_signature = |k: usize, scc_sig: &[Signature], scc_div: &[bool]| {
-        let mut acc: Signature = Vec::new();
-        let mut div = cond.cyclic[k];
-        for &s in &members[k] {
-            let bs = p.block_of(s);
-            for t in lts.successors(s) {
-                let inert = ctx.is_tau(t.action) && p.block_of(t.target) == bs;
-                if inert {
-                    let succ_scc = cond.scc_of[t.target.index()];
-                    if succ_scc.index() != k {
-                        acc.extend_from_slice(&scc_sig[succ_scc.index()]);
-                        div |= scc_div[succ_scc.index()];
-                    }
-                } else if ctx.is_tau(t.action) {
-                    acc.push((TAU_LETTER, p.block_of(t.target).0));
-                } else {
-                    acc.push((ctx.letters[t.action.index()], p.block_of(t.target).0));
-                }
-            }
-        }
-        if divergence && div {
-            acc.push((DIV_LETTER, 0));
-        }
-        acc.sort_unstable();
-        acc.dedup();
-        (acc, div)
-    };
-
-    // Tarjan ids are reverse-topological: successors of SCC k have ids < k,
-    // so ascending order is a valid propagation order. For the parallel
-    // pass, SCCs are grouped into topological layers (layer = 1 + max layer
-    // of any inert successor SCC); within a layer SCCs only depend on
-    // earlier layers, so a layer can be computed by workers in any order —
-    // each writes its own slot, keyed by SCC id, hence deterministically.
-    if ctx.jobs.for_items(cond.num_sccs, SCC_MIN_CHUNK) == 1 {
-        for k in 0..cond.num_sccs {
-            let (sig, div) = scc_signature(k, &scc_sig, &scc_div);
-            scc_sig[k] = sig;
-            scc_div[k] = div;
-        }
-    } else {
-        let mut layer = vec![0u32; cond.num_sccs];
-        let mut num_layers = 0u32;
-        for k in 0..cond.num_sccs {
-            let mut l = 0u32;
-            for &s in &members[k] {
-                let bs = p.block_of(s);
-                for t in lts.successors(s) {
-                    if ctx.is_tau(t.action) && p.block_of(t.target) == bs {
-                        let succ_scc = cond.scc_of[t.target.index()].index();
-                        if succ_scc != k {
-                            l = l.max(layer[succ_scc] + 1);
-                        }
-                    }
-                }
-            }
-            layer[k] = l;
-            num_layers = num_layers.max(l + 1);
-        }
-        let mut layers: Vec<Vec<usize>> = vec![Vec::new(); num_layers as usize];
-        for k in 0..cond.num_sccs {
-            layers[layer[k] as usize].push(k);
-        }
-        for ks in &layers {
-            let workers = ctx.jobs.for_items(ks.len(), SCC_MIN_CHUNK);
-            if workers == 1 {
-                for &k in ks {
-                    let (sig, div) = scc_signature(k, &scc_sig, &scc_div);
-                    scc_sig[k] = sig;
-                    scc_div[k] = div;
-                }
-                continue;
-            }
-            let chunk = ks.len().div_ceil(workers);
-            let computed: Vec<Vec<(usize, Signature, bool)>> = std::thread::scope(|scope| {
-                let scc_sig = &scc_sig;
-                let scc_div = &scc_div;
-                let scc_signature = &scc_signature;
-                let handles: Vec<_> = ks
-                    .chunks(chunk)
-                    .map(|piece| {
-                        scope.spawn(move || {
-                            piece
-                                .iter()
-                                .map(|&k| {
-                                    let (sig, div) = scc_signature(k, scc_sig, scc_div);
-                                    (k, sig, div)
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                    .collect()
-            });
-            for (k, sig, div) in computed.into_iter().flatten() {
-                scc_sig[k] = sig;
-                scc_div[k] = div;
-            }
-        }
-    }
-
-    // Per-state copy, sharded by state range.
-    let scc_sig = &scc_sig;
-    let cond = &cond;
-    shard_states(ctx.jobs, sigs, |base, shard| {
-        let mut pairs = 0;
-        for (off, sig) in shard.iter_mut().enumerate() {
-            let scc = cond.scc_of[base + off];
-            sig.clone_from(&scc_sig[scc.index()]);
-            pairs += sig.len();
-        }
-        pairs
-    })
-}
-
-/// Weak signatures:
-/// `sig(s) = { (a, [s']) | s ⇒ →a ⇒ s' } ∪ { (τ, [s']) | s ⇒ s', [s'] ≠ [s] }`.
-fn weak_signatures(ctx: &Ctx<'_>, p: &Partition, sigs: &mut [Signature]) -> usize {
-    let lts = ctx.lts;
-    let closure = ctx
-        .closure
-        .as_ref()
-        .expect("weak signatures require the τ-closure");
-    shard_states(ctx.jobs, sigs, |base, shard| {
-        let mut pairs = 0;
-        for (off, sig) in shard.iter_mut().enumerate() {
-            let s = StateId((base + off) as u32);
-            sig.clear();
-            let bs = p.block_of(s);
-            for &w in closure.of(s) {
-                if p.block_of(w) != bs {
-                    sig.push((TAU_LETTER, p.block_of(w).0));
-                }
-                for t in lts.successors(w) {
-                    if !ctx.is_tau(t.action) {
-                        let letter = ctx.letters[t.action.index()];
-                        for &v in closure.of(t.target) {
-                            sig.push((letter, p.block_of(v).0));
-                        }
-                    }
-                }
-            }
-            sig.sort_unstable();
-            sig.dedup();
-            pairs += sig.len();
-        }
-        pairs
-    })
-}
-
-/// One full-engine refinement round: recomputes signatures (possibly in
-/// parallel), then splits blocks sequentially. Returns the refined partition
-/// and the total signature pair count of the round (for incremental memory
-/// accounting).
-fn refine_once(
-    ctx: &Ctx<'_>,
-    p: &Partition,
-    sigs: &mut [Signature],
-    meter: &mut Meter,
-) -> Result<(Partition, usize), Exhausted> {
-    let pairs = ctx.compute(p, sigs);
-    // Split key = (previous block, signature) so refinement is monotone.
-    // The split stays sequential at any worker count: block ids are handed
-    // out in state order, which the deterministic signatures make stable.
-    let mut ids: HashMap<(BlockId, &Signature), u32> = HashMap::new();
-    let mut assignment = Vec::with_capacity(p.num_states());
-    for s in ctx.lts.states() {
-        meter.tick()?;
-        let key = (p.block_of(s), &sigs[s.index()]);
-        let next = ids.len() as u32;
-        let id = *ids.entry(key).or_insert(next);
-        assignment.push(BlockId(id));
-    }
-    let num_blocks = ids.len();
-    Ok((Partition::new(assignment, num_blocks), pairs))
-}
-
-/// The reference engine: every round recomputes all signatures and splits
-/// every block.
-#[allow(clippy::too_many_arguments)]
-fn run_full(
-    lts: &Lts,
-    eq: Equivalence,
-    mut history: Option<&mut Vec<Partition>>,
-    wd: &Watchdog,
-    jobs: Jobs,
-    stats: Option<&mut RefineStats>,
-    persist: Option<&PersistHook>,
-    seed: Option<(Partition, u64)>,
-) -> Result<Partition, Exhausted> {
-    let n = lts.num_states();
-    let span = bb_obs::span("bisim")
-        .with("eq", format!("{eq:?}"))
-        .with("states", n)
-        .with("transitions", lts.num_transitions());
-    let mut meter = wd.meter(Stage::Bisim);
-    // Input size counts against the state cap; each refinement round's scan
-    // counts its transition visits (work-proportional accounting).
-    meter.add_states(n)?;
-    if n > MAX_STATES {
-        return Err(meter.exhausted(ExhaustReason::StateCap));
-    }
-    let ctx = Ctx::with_jobs(lts, eq, jobs);
-    let mut p = Partition::universal(n);
-    let mut round = 0usize;
-    // A checkpoint seed replaces the universal start: each round is a pure
-    // function of the current partition, so re-entering at the checkpointed
-    // round converges to the identical fixpoint, block ids included.
-    // Seeding is disabled on history runs (the coarser prefix would be
-    // missing) — run_governed_opts never passes one then.
-    if let Some((sp, sr)) = seed {
-        debug_assert_eq!(sp.num_states(), n);
-        bb_obs::hot::CKPT_SEED_HITS.incr();
-        meter.note_refinement(sr, sp.num_blocks() as u64);
-        p = sp;
-        round = sr as usize;
-    }
-    let mut sigs: Vec<Signature> = vec![Vec::new(); n];
-    let mut rounds: Vec<Partition> = Vec::new();
-    if history.is_some() {
-        rounds.push(p.clone());
-    }
-    // Peak live signature storage accounted so far.
-    let mut mem_accounted = 0usize;
-    loop {
-        round_fault(round + 1);
-        let round_span = bb_obs::span("bisim.round")
-            .with("round", round)
-            .with("blocks_before", p.num_blocks());
-        meter.add_transitions(lts.num_transitions())?;
-        let (next, pairs) = refine_once(&ctx, &p, &mut sigs, &mut meter)?;
-        bb_obs::hot::SIG_ROUNDS.incr();
-        bb_obs::hot::SIG_STATE_RECOMPUTES.add(n as u64);
-        bb_obs::hot::SIG_DIRTY_STATES.add(n as u64);
-        round_span.record("blocks_after", next.num_blocks());
-        round_span.record("sig_pairs", pairs);
-        drop(round_span);
-        round += 1;
-        // Record the just-completed round *before* the memory charge below:
-        // a budget trip exactly on a round boundary must still report this
-        // round, while a trip inside `refine_once` above leaves the previous
-        // round's note in place (and none at all before round 1 completes).
-        meter.note_refinement(round as u64, next.num_blocks() as u64);
-        // Incremental byte count from the pair total the signature writers
-        // already tracked — no extra O(n) rescan per round. The formula
-        // matches the old per-signature scan: `len * 8` payload plus 24
-        // bytes of `Vec` header per state.
-        let sig_bytes = pairs * std::mem::size_of::<(u32, u32)>() + 24 * n;
-        if sig_bytes > mem_accounted {
-            meter.add_memory(sig_bytes - mem_accounted)?;
-            mem_accounted = sig_bytes;
-        }
-        debug_assert!(next.refines(&p), "refinement must be monotone");
-        let stable = next.num_blocks() == p.num_blocks();
-        p = next;
-        if let Some(h) = persist {
-            h.offer(round, stable, &|| p.clone());
-        }
-        if history.is_some() {
-            rounds.push(p.clone());
-        }
-        if stable {
-            break;
-        }
-    }
-    span.record("rounds", round);
-    span.record("blocks", p.num_blocks());
-    span.record("mem_bytes", meter.stats().memory_bytes);
-    if let Some(h) = history.take() {
-        *h = rounds;
-    }
-    if let Some(st) = stats {
-        *st = RefineStats {
-            rounds: round,
-            sig_recomputes: (round * n) as u64,
-            dirty_states: (round * n) as u64,
-            peak_sig_bytes: mem_accounted,
-        };
-    }
-    Ok(p)
 }
 
 // ---------------------------------------------------------------------------
@@ -852,10 +476,10 @@ impl CondState {
 /// first member keeps the old id and the other groups get fresh ids, so
 /// unmoved states keep their label and their interned signatures stay valid.
 /// [`Incremental::canonical`] renumbers by first occurrence in state order,
-/// which reproduces the full engine's per-round ids exactly (the full split
-/// assigns ids by first occurrence, and block groupings agree because
-/// signature equality is invariant under the injective relabeling between
-/// the two id spaces).
+/// which gives each round the ids of a split that recomputes every
+/// signature and numbers its `(old block, signature)` groups by first
+/// occurrence (block groupings agree because signature equality is
+/// invariant under the injective relabeling between the two id spaces).
 struct Incremental<'c, 'a> {
     ctx: &'c Ctx<'a>,
     /// Flat reverse adjacency, built once per run.
@@ -914,8 +538,8 @@ impl<'c, 'a> Incremental<'c, 'a> {
         Ok(counts)
     }
 
-    /// The canonical (full-engine-identical) partition for the current
-    /// stable labels.
+    /// The canonical (first-occurrence) partition for the current stable
+    /// labels.
     fn canonical(&self) -> Partition {
         canonical_from_labels(&self.block_of, self.num_blocks)
     }
@@ -1709,8 +1333,16 @@ impl<'c, 'a> Incremental<'c, 'a> {
     }
 }
 
-/// The incremental engine (see the module docs and DESIGN.md § "Incremental
+/// The refinement loop (see the module docs and DESIGN.md § "Partition
 /// refinement").
+///
+/// A checkpoint `seed` — the partition after round `r` of an earlier run —
+/// replaces the universal start: each round is a pure function of the
+/// current partition, so re-entering at round `r` converges to the same
+/// fixpoint, block ids included. The engine's first round recomputes every
+/// signature whatever the start, so it needs no record of which states
+/// moved before the cut.
+#[allow(clippy::too_many_arguments)]
 fn run_incremental(
     lts: &Lts,
     eq: Equivalence,
@@ -1719,6 +1351,7 @@ fn run_incremental(
     jobs: Jobs,
     stats: Option<&mut RefineStats>,
     persist: Option<&PersistHook>,
+    seed: Option<(Partition, u64)>,
 ) -> Result<Partition, Exhausted> {
     let n = lts.num_states();
     let span = bb_obs::span("bisim")
@@ -1731,14 +1364,22 @@ fn run_incremental(
         return Err(meter.exhausted(ExhaustReason::StateCap));
     }
     let ctx = Ctx::with_jobs(lts, eq, jobs);
-    let start = Partition::universal(n);
+    let (start, first_round) = match seed {
+        Some((p, r)) => {
+            debug_assert_eq!(p.num_states(), n);
+            bb_obs::hot::CKPT_SEED_HITS.incr();
+            meter.note_refinement(r, p.num_blocks() as u64);
+            (p, r as usize)
+        }
+        None => (Partition::universal(n), 0),
+    };
     let mut eng = Incremental::new(&ctx, &start);
     let mut rounds: Vec<Partition> = Vec::new();
     if history.is_some() {
         rounds.push(start);
     }
     let mut mem_accounted = 0usize;
-    let mut round = 0usize;
+    let mut round = first_round;
     let mut total_recomputed = 0u64;
     let mut total_dirty = 0u64;
     loop {
@@ -1746,7 +1387,7 @@ fn run_incremental(
         let round_span = bb_obs::span("bisim.round")
             .with("round", round)
             .with("blocks_before", eng.num_blocks);
-        let (dirty, recomputed) = eng.round(&mut meter, round)?;
+        let (dirty, recomputed) = eng.round(&mut meter, round - first_round)?;
         bb_obs::hot::SIG_ROUNDS.incr();
         bb_obs::hot::SIG_STATE_RECOMPUTES.add(recomputed);
         bb_obs::hot::SIG_DIRTY_STATES.add(dirty);
@@ -1756,9 +1397,9 @@ fn run_incremental(
         round_span.record("dirty", dirty);
         drop(round_span);
         round += 1;
-        // As in `run_full`: note the completed round before the memory
-        // charge, so a boundary trip reports this round and a mid-round trip
-        // reports the previous one (or nothing before round 1 completes).
+        // Note the completed round before the memory charge, so a boundary
+        // trip reports this round and a mid-round trip reports the previous
+        // one (or nothing before round 1 completes).
         meter.note_refinement(round as u64, eng.num_blocks as u64);
         // The arena only ever grows, so the peak is the current footprint:
         // the flat pair storage plus the per-state sig-id table.
@@ -1770,12 +1411,9 @@ fn run_incremental(
         if history.is_some() {
             rounds.push(eng.canonical());
         }
-        // A round with no moved states is exactly the full engine's stable
-        // round (no block split), so the round counts and histories match.
+        // A round with no moved states split no block: the fixpoint.
         let stable = eng.moved.is_empty();
         if let Some(h) = persist {
-            // canonical() renumbers to the full engine's id scheme, so the
-            // checkpoint seeds the full engine on resume.
             h.offer(round, stable, &|| eng.canonical());
         }
         if stable {
@@ -1826,19 +1464,7 @@ fn run_governed_opts(
         }
         snapshot::decode_round(&payload).filter(|(p, _)| p.num_states() == lts.num_states())
     });
-    // A seeded call always runs the full engine: the incremental engine's
-    // worklists describe *which states just moved*, which a checkpoint does
-    // not record. Both engines produce bit-identical partitions, so the
-    // verdict and every artifact are unaffected by the reroute.
-    if seed.is_some() {
-        return run_full(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), seed);
-    }
-    match opts.mode {
-        RefineMode::Full => run_full(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), None),
-        RefineMode::Incremental => {
-            run_incremental(lts, eq, history, wd, opts.jobs, stats, hook.as_ref())
-        }
-    }
+    run_incremental(lts, eq, history, wd, opts.jobs, stats, hook.as_ref(), seed)
 }
 
 /// Computes the coarsest partition of `lts` under the given equivalence.
@@ -1851,9 +1477,8 @@ pub fn partition(lts: &Lts, eq: Equivalence) -> Partition {
     partition_opts(lts, eq, PartitionOptions::default())
 }
 
-/// [`partition`] with explicit [`PartitionOptions`] (worker count and
-/// refinement engine). Every option combination computes the same partition,
-/// block ids included.
+/// [`partition`] with explicit [`PartitionOptions`] (worker count). Every
+/// worker count computes the same partition, block ids included.
 pub fn partition_opts(lts: &Lts, eq: Equivalence, opts: PartitionOptions) -> Partition {
     run_governed_opts(lts, eq, None, &Watchdog::unlimited(), opts, None)
         .expect("an unlimited watchdog never trips")
@@ -1878,8 +1503,8 @@ pub fn partition_governed_opts(
 }
 
 /// Like [`partition_opts`], additionally returning the per-round history
-/// for diagnostics (distinguishing formulas). Every option combination
-/// produces the same history, round for round.
+/// for diagnostics (distinguishing formulas). Every worker count produces
+/// the same history, round for round.
 pub fn partition_with_history_opts(
     lts: &Lts,
     eq: Equivalence,
@@ -1892,7 +1517,7 @@ pub fn partition_with_history_opts(
 }
 
 /// Like [`partition_opts`], additionally returning the work accounting of
-/// the run — the basis of the `tables perf` full-vs-incremental comparison.
+/// the run (rounds, signature recomputes, dirty states, signature bytes).
 pub fn partition_with_stats(
     lts: &Lts,
     eq: Equivalence,
@@ -1907,7 +1532,7 @@ pub fn partition_with_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_lts::{random_lts, Action, LtsBuilder, RandomLtsConfig, ThreadId};
+    use bb_lts::{Action, LtsBuilder, ThreadId};
 
     fn tau(b: &mut LtsBuilder) -> bb_lts::ActionId {
         b.intern_action(Action::tau(ThreadId(1)))
@@ -2118,107 +1743,9 @@ mod tests {
         }
     }
 
-    // ------------------------------------------ incremental vs full engine
-
-    const ALL_EQS: [Equivalence; 4] = [
-        Equivalence::Strong,
-        Equivalence::Branching,
-        Equivalence::BranchingDiv,
-        Equivalence::Weak,
-    ];
-
-    #[test]
-    fn refine_mode_parses_and_displays() {
-        assert_eq!("full".parse::<RefineMode>(), Ok(RefineMode::Full));
-        assert_eq!(
-            "incremental".parse::<RefineMode>(),
-            Ok(RefineMode::Incremental)
-        );
-        assert!("fast".parse::<RefineMode>().is_err());
-        assert_eq!(RefineMode::Full.to_string(), "full");
-        assert_eq!(RefineMode::Incremental.to_string(), "incremental");
-        assert_eq!(RefineMode::default(), RefineMode::Incremental);
-    }
-
-    /// Full and incremental engines agree — partitions (block ids included)
-    /// and per-round histories — for every equivalence at 1 and 4 workers.
-    fn assert_engines_agree(lts: &Lts, tag: &str) {
-        for eq in ALL_EQS {
-            let full = PartitionOptions::default().with_mode(RefineMode::Full);
-            let (pf, hf) = partition_with_history_opts(lts, eq, full);
-            for jobs in [Jobs::serial(), Jobs::new(4)] {
-                let inc = PartitionOptions::default()
-                    .with_jobs(jobs)
-                    .with_mode(RefineMode::Incremental);
-                let (pi, hi) = partition_with_history_opts(lts, eq, inc);
-                assert_eq!(
-                    pf.assignment(),
-                    pi.assignment(),
-                    "{tag}: {eq:?} jobs={} block ids differ",
-                    jobs.get()
-                );
-                assert_eq!(
-                    hf.rounds.len(),
-                    hi.rounds.len(),
-                    "{tag}: {eq:?} jobs={} round counts differ",
-                    jobs.get()
-                );
-                for (r, (a, b)) in hf.rounds.iter().zip(&hi.rounds).enumerate() {
-                    assert_eq!(a, b, "{tag}: {eq:?} jobs={} round {r} differs", jobs.get());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn engines_agree_on_handcrafted_systems() {
-        // Reuse the shapes of the semantic tests above: inert τ, τ-cycles,
-        // effectful τ, divergence, weak-vs-branching.
-        let mut b = LtsBuilder::new();
-        let s0 = b.add_state();
-        let s1 = b.add_state();
-        let s2 = b.add_state();
-        let t = tau(&mut b);
-        let a = vis(&mut b, "a");
-        b.add_transition(s0, t, s1);
-        b.add_transition(s1, a, s2);
-        b.add_transition(s1, t, s0);
-        b.add_transition(s2, t, s2);
-        assert_engines_agree(&b.build(s0), "tau-cycle-with-divergence");
-
-        let mut b = LtsBuilder::new();
-        let states: Vec<_> = (0..8).map(|_| b.add_state()).collect();
-        let t = tau(&mut b);
-        let a = vis(&mut b, "a");
-        let c = vis(&mut b, "c");
-        for w in states.windows(2) {
-            b.add_transition(w[0], a, w[1]);
-        }
-        b.add_transition(states[3], t, states[1]);
-        b.add_transition(states[5], c, states[0]);
-        b.add_transition(states[7], t, states[7]);
-        assert_engines_agree(&b.build(states[0]), "chain-with-backedges");
-    }
-
-    #[test]
-    fn engines_agree_on_random_systems() {
-        for case in 0..24u64 {
-            let lts = random_lts(
-                1000 + case,
-                RandomLtsConfig {
-                    num_states: 3 + (case % 17) as usize,
-                    num_transitions: 2 + (case * 7 % 43) as usize,
-                    num_visible_letters: 1 + (case % 3) as usize,
-                    tau_percent: (case * 13 % 95) as u8,
-                },
-            );
-            assert_engines_agree(&lts, &format!("random-{case}"));
-        }
-    }
-
-    /// On a visible chain the refinement peels one state per round, so the
-    /// full engine recomputes Θ(n²) signatures while the incremental engine
-    /// touches only the frontier — strictly fewer than rounds × n.
+    /// On a visible chain the refinement peels one state per round; the
+    /// dirty worklists touch only the frontier, strictly fewer signatures
+    /// than recomputing all of them every round.
     #[test]
     fn incremental_recomputes_fewer_signatures() {
         let mut b = LtsBuilder::new();
@@ -2229,15 +1756,8 @@ mod tests {
             b.add_transition(w[0], a, w[1]);
         }
         let lts = b.build(states[0]);
-        let (pf, full) = partition_with_stats(
-            &lts,
-            Equivalence::Strong,
-            PartitionOptions::default().with_mode(RefineMode::Full),
-        );
-        let (pi, inc) = partition_with_stats(&lts, Equivalence::Strong, PartitionOptions::default());
-        assert_eq!(pf.assignment(), pi.assignment());
-        assert_eq!(full.rounds, inc.rounds);
-        assert_eq!(full.sig_recomputes, (full.rounds * n) as u64);
+        let (p, inc) = partition_with_stats(&lts, Equivalence::Strong, PartitionOptions::default());
+        assert_eq!(p.num_blocks(), n);
         assert!(
             inc.sig_recomputes < (inc.rounds * n) as u64,
             "incremental must beat rounds × n: {} vs {}",
@@ -2264,14 +1784,6 @@ mod tests {
         let (p, st) = partition_with_stats(&lts, Equivalence::Branching, PartitionOptions::default());
         assert!(st.rounds >= 2);
         assert!(st.sig_recomputes >= lts.num_states() as u64);
-        assert_eq!(
-            p.assignment(),
-            partition_opts(
-                &lts,
-                Equivalence::Branching,
-                PartitionOptions::default().with_mode(RefineMode::Full)
-            )
-            .assignment()
-        );
+        assert!(p.same_block(states[2], states[4]), "a τ-cycle is one class");
     }
 }

@@ -50,9 +50,9 @@ pub fn verify_linearizability(imp: &Lts, spec: &Lts) -> LinReport {
 }
 
 /// Budget-governed [`verify_linearizability`] with explicit
-/// [`PartitionOptions`] (worker count and refinement engine): both quotient
-/// computations and the refinement search are metered against `wd`. The
-/// report is identical for every option combination.
+/// [`PartitionOptions`] (worker count): both quotient computations and the
+/// refinement search are metered against `wd`. The report is identical at
+/// any worker count.
 ///
 /// # Errors
 ///

@@ -58,9 +58,9 @@ pub fn verify_lock_freedom(imp: &Lts) -> LockFreeReport {
 }
 
 /// Budget-governed [`verify_lock_freedom`] with explicit
-/// [`PartitionOptions`] (worker count and refinement engine): the `≈`
-/// partition and the divergence search are both metered against `wd`. The
-/// report is identical for every option combination.
+/// [`PartitionOptions`] (worker count): the `≈` partition and the
+/// divergence search are both metered against `wd`. The report is identical
+/// at any worker count.
 ///
 /// # Errors
 ///

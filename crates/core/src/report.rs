@@ -1,7 +1,7 @@
 //! One-call verification pipeline for an algorithm/specification pair.
 
 use crate::linearizability::{branching_quotient, verify_linearizability_pre, LinReport};
-use bb_bisim::{Lasso, PartitionOptions, RefineMode};
+use bb_bisim::{Lasso, PartitionOptions};
 use crate::lockfree::{verify_lock_freedom_pre, LockFreeReport};
 use bb_lts::budget::{Exhausted, Watchdog};
 use bb_lts::{ExploreError, ExploreLimits, Jobs, Lts};
@@ -21,9 +21,6 @@ pub struct VerifyConfig {
     /// Worker threads for the parallel exploration and refinement passes.
     /// Deterministic: the report is identical at any count.
     pub jobs: Jobs,
-    /// Which partition-refinement engine to run. Deterministic: the report
-    /// is identical for either engine.
-    pub refine: RefineMode,
 }
 
 impl VerifyConfig {
@@ -35,7 +32,6 @@ impl VerifyConfig {
             limits: ExploreLimits::default(),
             check_lock_freedom: true,
             jobs: Jobs::serial(),
-            refine: RefineMode::default(),
         }
     }
 
@@ -48,12 +44,6 @@ impl VerifyConfig {
     /// Use `jobs` worker threads for exploration and refinement.
     pub fn with_jobs(mut self, jobs: Jobs) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Select the partition-refinement engine.
-    pub fn with_refine(mut self, refine: RefineMode) -> Self {
-        self.refine = refine;
         self
     }
 }
@@ -144,9 +134,7 @@ pub fn verify_case_lts(
     spec: &Lts,
     wd: &Watchdog,
 ) -> Result<CaseReport, Exhausted> {
-    let opts = PartitionOptions::default()
-        .with_jobs(config.jobs)
-        .with_mode(config.refine);
+    let opts = PartitionOptions::default().with_jobs(config.jobs);
     let q_imp = branching_quotient(imp, wd, opts)?;
     let linearizability = verify_linearizability_pre(imp, spec, wd, opts, &q_imp)?;
     let lock_freedom = if config.check_lock_freedom {

@@ -128,17 +128,10 @@ pub struct GovernedConfig {
     /// Worker threads for the parallel exploration and refinement passes.
     /// Deterministic: verdicts and reports are identical at any count.
     pub jobs: Jobs,
-    /// Which partition-refinement engine to run. Deterministic: verdicts
-    /// and reports are identical for either engine.
-    pub refine: bb_bisim::RefineMode,
-    /// Intern canonical bit-packed state encodings in the compact arena
-    /// seen-set instead of rich structs in a hash map. Deterministic:
-    /// verdicts and reports are identical with either store.
-    pub compact: bool,
     /// Spill cold seen-set segments to this directory when exploration
-    /// memory crosses the high-water mark (requires `compact`).
-    /// Deterministic: spill decisions happen only at level boundaries, so
-    /// verdicts are identical with or without a spill tier.
+    /// memory crosses the high-water mark. Deterministic: spill decisions
+    /// happen only at level boundaries, so verdicts are identical with or
+    /// without a spill tier.
     pub spill_dir: Option<std::path::PathBuf>,
 }
 
@@ -152,8 +145,6 @@ impl GovernedConfig {
             check_lock_freedom: true,
             fallback: true,
             jobs: Jobs::serial(),
-            refine: bb_bisim::RefineMode::default(),
-            compact: true,
             spill_dir: None,
         }
     }
@@ -173,18 +164,6 @@ impl GovernedConfig {
     /// Use `jobs` worker threads for exploration and refinement.
     pub fn with_jobs(mut self, jobs: Jobs) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Select the partition-refinement engine.
-    pub fn with_refine(mut self, refine: bb_bisim::RefineMode) -> Self {
-        self.refine = refine;
-        self
-    }
-
-    /// Select the exploration seen-set (see [`GovernedConfig::compact`]).
-    pub fn with_compact(mut self, compact: bool) -> Self {
-        self.compact = compact;
         self
     }
 
@@ -318,7 +297,7 @@ where
         // Completed explorations are the coarsest checkpoint unit: a
         // resumed run reloads them from the session instead of
         // re-exploring. Section names encode the pipeline position; the
-        // session's config tag pins everything else (case, refine mode,
+        // session's config tag pins everything else (case, bound, domain,
         // ...), so a section can never seed a different setup.
         let persist = bb_persist::active();
         // The state-encoding version is part of the section identity: a
@@ -376,24 +355,18 @@ where
     let name = alg.name();
     let wd = Watchdog::new(config.budget.clone());
     let spill_dir = config.spill_dir.as_deref().map(bb_persist::SpillDir::new);
-    let mut eopts = ExploreOptions::governed(&wd)
-        .with_jobs(config.jobs)
-        .with_compact(config.compact);
+    let mut eopts = ExploreOptions::governed(&wd).with_jobs(config.jobs);
     if let Some(sd) = spill_dir.as_ref() {
         eopts = eopts.with_spill(sd);
     }
-    let popts = PartitionOptions::default()
-        .with_jobs(config.jobs)
-        .with_mode(config.refine);
+    let popts = PartitionOptions::default().with_jobs(config.jobs);
     let mut attempts: Vec<Attempt> = Vec::new();
     // The explored pair of the last bound tried; a later rung at the same
     // bound borrows it instead of exploring again.
     let mut cache: Option<(Bound, Lts, Lts)> = None;
     let case = VerifyConfig {
         check_lock_freedom: config.check_lock_freedom,
-        ..VerifyConfig::new(config.bound)
-            .with_jobs(config.jobs)
-            .with_refine(config.refine)
+        ..VerifyConfig::new(config.bound).with_jobs(config.jobs)
     };
     let check = |bound: Bound, imp: &Lts, sp: &Lts| {
         verify_case_lts(name, VerifyConfig { bound, ..case }, imp, sp, &wd)

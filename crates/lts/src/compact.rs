@@ -6,9 +6,10 @@
 //! replaces that bookkeeping with a single [`StateStore`] abstraction and
 //! two implementations:
 //!
-//! * [`HashStore`] — the rich-struct baseline: one `Vec<State>` (doubling as
-//!   the BFS frontier, which is just an id range) plus a bare
-//!   open-addressing index of `(tag, id)` entries. States are stored once.
+//! * [`HashStore`] — rich state structs, for semantics without a canonical
+//!   encoding ([`crate::explore_with`]): one `Vec<State>` (doubling as the
+//!   BFS frontier, which is just an id range) plus a bare open-addressing
+//!   index of `(tag, id)` entries. States are stored once.
 //! * [`ArenaStore`] — the compact engine for semantics with a canonical
 //!   byte encoding ([`CodecSemantics`]): states live as prefix-compressed
 //!   entries in append-only byte segments, the index maps a 64-bit content
@@ -54,16 +55,6 @@ pub trait CodecSemantics: Semantics {
     /// May panic on bytes not produced by `encode_state` — the store only
     /// ever feeds back its own entries.
     fn decode_state(&self, bytes: &[u8]) -> Self::State;
-
-    /// Owned heap bytes of the rich state *beyond* the struct itself
-    /// (vectors, boxed nodes…), used by the metered baseline so memory
-    /// comparisons against the compact engine are truthful — the struct
-    /// bytes are already accounted through the store's own capacity. The
-    /// default is 0 (plain-data states).
-    fn state_heap_bytes(&self, state: &Self::State) -> usize {
-        let _ = state;
-        0
-    }
 }
 
 /// Out-of-core tier for cold state-arena segments (`--spill`).
@@ -87,7 +78,7 @@ pub trait SpillBackend: Send + Sync {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreMetrics {
     /// Total canonical-encoding bytes (before prefix compression), or the
-    /// deep struct bytes for the rich baseline.
+    /// struct bytes of a rich-state store.
     pub raw_bytes: u64,
     /// Bytes actually stored (after prefix compression and framing).
     pub stored_bytes: u64,
@@ -210,31 +201,24 @@ impl RawIndex {
 }
 
 // ---------------------------------------------------------------------------
-// HashStore — the rich-struct baseline, states stored once
+// HashStore — rich state structs, stored once
 // ---------------------------------------------------------------------------
-
-/// Per-state deep-size hook of the metered baseline.
-pub(crate) type Sizer<S> = fn(&S, &<S as Semantics>::State) -> usize;
 
 /// Seen-set + frontier over rich state structs: one `Vec<State>` plus a
 /// [`RawIndex`]. Replaces the former `HashMap<State, StateId>` *and* the
-/// separate frontier list — states are stored exactly once.
+/// separate frontier list — states are stored exactly once. Its byte
+/// figures count the struct bytes only, not heap data a state owns.
 pub(crate) struct HashStore<S: Semantics> {
     states: Vec<S::State>,
     index: RawIndex,
-    /// Accumulated deep bytes of stored states (when a sizer is installed).
-    deep_bytes: usize,
-    sizer: Option<Sizer<S>>,
     peak: usize,
 }
 
 impl<S: Semantics> HashStore<S> {
-    pub(crate) fn new(sizer: Option<Sizer<S>>) -> Self {
+    pub(crate) fn new() -> Self {
         HashStore {
             states: Vec::new(),
             index: RawIndex::new(),
-            deep_bytes: 0,
-            sizer,
             peak: 0,
         }
     }
@@ -243,7 +227,7 @@ impl<S: Semantics> HashStore<S> {
 impl<S: Semantics> StateStore<S> for HashStore<S> {
     type Cursor = ();
 
-    fn intern(&mut self, sem: &S, state: S::State) -> (StateId, bool) {
+    fn intern(&mut self, _sem: &S, state: S::State) -> (StateId, bool) {
         // DefaultHasher::new() uses fixed keys, so tags — and therefore
         // index layouts and probe statistics — are stable across runs.
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -256,9 +240,6 @@ impl<S: Semantics> StateStore<S> for HashStore<S> {
                 .probe_insert(tag, new_id, |cand| states[cand as usize] == state);
         bb_obs::hot::SEEN_PROBE_LEN.record(u64::from(probes));
         if fresh {
-            if let Some(sz) = self.sizer {
-                self.deep_bytes += sz(sem, &state);
-            }
             self.states.push(state);
             let b = StateStore::<S>::bytes(self);
             if b > self.peak {
@@ -277,9 +258,7 @@ impl<S: Semantics> StateStore<S> for HashStore<S> {
     }
 
     fn bytes(&self) -> usize {
-        self.states.capacity() * std::mem::size_of::<S::State>()
-            + self.deep_bytes
-            + self.index.bytes()
+        self.states.capacity() * std::mem::size_of::<S::State>() + self.index.bytes()
     }
 
     fn bytes_peak(&self) -> usize {
@@ -289,8 +268,7 @@ impl<S: Semantics> StateStore<S> for HashStore<S> {
     fn end_level(&mut self, _frontier_start: u32, _meter: &Meter) {}
 
     fn metrics(&self) -> StoreMetrics {
-        let raw =
-            (self.states.len() * std::mem::size_of::<S::State>() + self.deep_bytes) as u64;
+        let raw = (self.states.len() * std::mem::size_of::<S::State>()) as u64;
         StoreMetrics {
             raw_bytes: raw,
             stored_bytes: raw,
@@ -1075,7 +1053,7 @@ pub(crate) mod tests {
     #[test]
     fn hash_store_interns_once_and_reads_back() {
         let sem = Grid { side: 100 };
-        let mut store: HashStore<Grid> = HashStore::new(None);
+        let mut store: HashStore<Grid> = HashStore::new();
         let _ = fill_hash(&mut store, &sem, 500);
         assert_eq!(StateStore::<Grid>::len(&store), 500);
         let (id, fresh) = store.intern(&sem, (3, 4));

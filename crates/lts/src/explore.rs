@@ -162,7 +162,6 @@ enum BudgetRef<'wd> {
 pub struct ExploreOptions<'wd> {
     budget: BudgetRef<'wd>,
     jobs: Jobs,
-    compact: bool,
     spill: Option<&'wd dyn SpillBackend>,
 }
 
@@ -171,7 +170,6 @@ impl fmt::Debug for ExploreOptions<'_> {
         f.debug_struct("ExploreOptions")
             .field("budget", &self.budget)
             .field("jobs", &self.jobs)
-            .field("compact", &self.compact)
             .field("spill", &self.spill.is_some())
             .finish()
     }
@@ -194,7 +192,6 @@ impl<'wd> ExploreOptions<'wd> {
         ExploreOptions {
             budget: BudgetRef::Limits(limits),
             jobs: Jobs::serial(),
-            compact: true,
             spill: None,
         }
     }
@@ -206,7 +203,6 @@ impl<'wd> ExploreOptions<'wd> {
         ExploreOptions {
             budget: BudgetRef::Governed(wd),
             jobs: Jobs::serial(),
-            compact: true,
             spill: None,
         }
     }
@@ -221,20 +217,6 @@ impl<'wd> ExploreOptions<'wd> {
     /// The configured worker count.
     pub fn jobs(&self) -> Jobs {
         self.jobs
-    }
-
-    /// Selects between the compact bit-packed state store (the default) and
-    /// the rich-struct baseline. Only honored by entry points that require
-    /// a [`CodecSemantics`] (e.g. `bb_sim::explore_system_with`); the plain
-    /// [`explore_with`] always runs the baseline.
-    pub fn with_compact(mut self, compact: bool) -> Self {
-        self.compact = compact;
-        self
-    }
-
-    /// Whether the compact state store is selected.
-    pub fn compact(&self) -> bool {
-        self.compact
     }
 
     /// Installs a disk-spill tier for cold state-arena segments (see
@@ -252,7 +234,7 @@ impl<'wd> ExploreOptions<'wd> {
 
 /// Success-path report of an exploration: the final metered statistics
 /// (peak memory, states, transitions) plus the state store's own size
-/// figures, so callers can compare engines truthfully.
+/// figures.
 #[derive(Debug, Clone, Copy)]
 pub struct ExploreReport {
     /// Metered totals; `memory_bytes` is the stage's peak attribution.
@@ -283,7 +265,7 @@ pub fn explore_with<S: Semantics>(
     sem: &S,
     opts: &ExploreOptions<'_>,
 ) -> Result<Lts, Exhausted> {
-    let mut store: HashStore<S> = HashStore::new(None);
+    let mut store: HashStore<S> = HashStore::new();
     with_watchdog(opts, |wd| explore_impl(sem, &mut store, wd, opts.jobs)).map(|(lts, _)| lts)
 }
 
@@ -302,22 +284,6 @@ pub fn explore_compact<S: CodecSemantics>(
     opts: &ExploreOptions<'_>,
 ) -> Result<(Lts, ExploreReport), Exhausted> {
     let mut store = ArenaStore::new(opts.spill);
-    with_watchdog(opts, |wd| explore_impl(sem, &mut store, wd, opts.jobs))
-}
-
-/// The rich-struct baseline with truthful deep-size metering
-/// ([`CodecSemantics::state_heap_bytes`]) and the same [`ExploreReport`]
-/// as the compact engine — the fair memory baseline for benchmarks.
-///
-/// # Errors
-///
-/// Returns [`Exhausted`] (stage [`Stage::Explore`]) when any budget axis
-/// trips; the partial statistics describe the aborted frontier.
-pub fn explore_baseline<S: CodecSemantics>(
-    sem: &S,
-    opts: &ExploreOptions<'_>,
-) -> Result<(Lts, ExploreReport), Exhausted> {
-    let mut store: HashStore<S> = HashStore::new(Some(S::state_heap_bytes));
     with_watchdog(opts, |wd| explore_impl(sem, &mut store, wd, opts.jobs))
 }
 
@@ -882,7 +848,7 @@ mod tests {
         }
     }
 
-    /// The compact engine must reproduce the rich-struct engine's LTS
+    /// The compact engine must reproduce the rich-state store's LTS
     /// byte-for-byte, at any worker count.
     #[test]
     fn compact_explore_is_bit_identical_to_hash_engine() {
@@ -1019,23 +985,13 @@ mod tests {
             n: 2000,
             back: false,
         };
-        for compact in [true, false] {
-            let opts = ExploreOptions::default();
-            let (_, report) = if compact {
-                explore_compact(&sem, &opts).unwrap()
-            } else {
-                explore_baseline(&sem, &opts).unwrap()
-            };
-            let peak = report.stats.memory_bytes;
-            let store = report.store_bytes_peak;
-            assert!(
-                peak >= store,
-                "compact={compact}: peak {peak} must cover the store {store}"
-            );
-            assert!(
-                peak <= store + store / 10,
-                "compact={compact}: peak {peak} strays more than 10% from store {store}"
-            );
-        }
+        let (_, report) = explore_compact(&sem, &ExploreOptions::default()).unwrap();
+        let peak = report.stats.memory_bytes;
+        let store = report.store_bytes_peak;
+        assert!(peak >= store, "peak {peak} must cover the store {store}");
+        assert!(
+            peak <= store + store / 10,
+            "peak {peak} strays more than 10% from store {store}"
+        );
     }
 }

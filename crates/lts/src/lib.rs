@@ -49,7 +49,7 @@ pub use builder::LtsBuilder;
 pub use compact::{CodecSemantics, SpillBackend, StoreMetrics};
 pub use dot::to_dot;
 pub use explore::{
-    explore, explore_baseline, explore_compact, explore_with, ExploreError, ExploreLimits,
+    explore, explore_compact, explore_with, ExploreError, ExploreLimits,
     ExploreOptions, ExploreReport, Semantics,
 };
 pub use jobs::Jobs;

@@ -4,7 +4,7 @@
 //! produced deep inside `bb-bisim`'s refinement loops — and `bb-bisim`
 //! cannot depend on `bb-persist` (the persistence layer needs `Partition`
 //! and would create a cycle). The seam lives here, in the one crate every
-//! layer already depends on: refinement engines talk to an abstract
+//! layer already depends on: the refinement engine talks to an abstract
 //! [`PersistSink`] in pre-encoded bytes, and `bb-persist` installs the
 //! concrete implementation at session start.
 //!
@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Receiver of checkpointable refinement progress. Implemented by
-/// `bb-persist`; called by the refinement engines in `bb-bisim`.
+/// `bb-persist`; called by the refinement engine in `bb-bisim`.
 ///
 /// All payloads are opaque byte strings encoded by `bb-bisim`'s snapshot
 /// codec: the sink stores and returns them without interpretation, so the

@@ -7,7 +7,7 @@
 //!   normal option parser (appending any override flags), so resume
 //!   inherits every setting without a second source of truth;
 //! * a **config tag** — a hash of the semantically relevant configuration
-//!   (case, bound, equivalence, reduce/refine modes, format version;
+//!   (case, bound, equivalence, format version;
 //!   *not* budgets, jobs, or output paths, which cannot change results).
 //!   A run only loads sections from a checkpoint whose tag matches its
 //!   own, which is what makes `resume --deadline 60` sound while a

@@ -3,8 +3,8 @@
 //! The paper's workloads run for hours; before this crate, a budget trip or
 //! a kill mid-refinement discarded all of that work. `bb-persist` makes the
 //! pipeline restartable and memoizable, leaning on the workspace's
-//! determinism guarantee (bit-identical results at any `--jobs` and either
-//! refinement engine) to keep both features sound:
+//! determinism guarantee (bit-identical results at any `--jobs`) to keep
+//! both features sound:
 //!
 //! * **Checkpoint/resume** ([`checkpoint`], [`session`]) — completed
 //!   exploration sections and the latest partition of every refinement call

@@ -3,7 +3,7 @@
 //! A [`PersistSession`] is installed once per `bbv` invocation when
 //! `--checkpoint <dir>` (or `resume <dir>`) is given. It owns the in-memory
 //! [`Checkpoint`] document, implements the [`bb_obs::PersistSink`] trait the
-//! refinement engines talk to, and exposes `seed_lts`/`offer_lts` for the
+//! refinement engine talks to, and exposes `seed_lts`/`offer_lts` for the
 //! exploration plug points in `bb-core` and `bbv`.
 //!
 //! Cut policy: the document is written (atomically, whole-file) whenever a

@@ -261,26 +261,29 @@ mod tests {
 
     #[test]
     fn submits_carrying_reduce_none_still_replay() {
-        // Journals written before the reduction layer was retired carry
-        // `"reduce": "none"` in every spec: those records replay. A record
-        // with another mode cannot run, so the replay ends there.
+        // Journals written before the engine switch and the reduction layer
+        // were retired carry `"refine": "incremental"` and `"reduce": "none"`
+        // in every spec: those records replay. A record with another mode
+        // cannot run, so the replay ends there.
         let d = dir("reduce");
         std::fs::create_dir_all(&d).unwrap();
-        let submit = |job: u64, reduce: &str| {
+        let submit = |job: u64, refine: &str, reduce: &str| {
             let json = format!(
                 "{{\"t\": \"submit\", \"job\": {job}, \"priority\": 0, \"spec\": \
                  {{\"command\": \"verify\", \"algorithm\": \"treiber\", \"threads\": 2, \
                  \"ops\": 2, \"domain\": [1, 2], \"lock_freedom\": true, \
-                 \"refine\": \"incremental\", \"reduce\": \"{reduce}\", \"jobs\": 1}}}}"
+                 \"refine\": \"{refine}\", \"reduce\": \"{reduce}\", \"jobs\": 1}}}}"
             );
             format!("{MAGIC} {:016x} {json}\n", fnv1a(0, json.as_bytes()))
         };
-        let text = [submit(1, "none"), submit(2, "por"), submit(3, "none")].concat();
-        std::fs::write(Journal::path(&d), text).unwrap();
-        let r = replay(&d);
-        assert_eq!(r.records, 1, "the `por` record ends the replay");
+        let good = |job| submit(job, "incremental", "none");
         let expected = JobSpec { jobs: bb_lts::Jobs::new(1), ..spec("treiber") };
-        assert_eq!(r.pending, [(1, 0, expected)]);
+        for bad in [submit(2, "full", "none"), submit(2, "incremental", "por")] {
+            std::fs::write(Journal::path(&d), [good(1), bad, good(3)].concat()).unwrap();
+            let r = replay(&d);
+            assert_eq!(r.records, 1, "a `full` or `por` record ends the replay");
+            assert_eq!(r.pending, [(1, 0, expected.clone())]);
+        }
         let _ = std::fs::remove_dir_all(&d);
     }
 }

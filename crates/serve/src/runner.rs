@@ -61,9 +61,6 @@ pub struct RunCtl {
     /// control, not part of the job spec: results are bit-identical with or
     /// without a spill tier.
     pub spill_dir: Option<PathBuf>,
-    /// Use the rich-struct hash-map seen-set instead of the compact arena
-    /// (`--compact off`). Results are bit-identical either way.
-    pub no_compact: bool,
 }
 
 /// Buffered stdout plus named artifacts (`dot`, `aut`) of one command run.
@@ -216,8 +213,8 @@ impl Case for Dispatch<'_> {
 /// seeds the LTS directly, and a freshly explored one is offered back
 /// (stage boundaries are always cut points).
 ///
-/// `--compact off` and `--spill` select the seen-set exactly as on the
-/// budgeted path.
+/// `--spill` adds a disk tier to the seen-set exactly as on the budgeted
+/// path.
 fn explore_or_inconclusive<A: ObjectAlgorithm>(
     alg: &A,
     bound: Bound,
@@ -233,9 +230,7 @@ fn explore_or_inconclusive<A: ObjectAlgorithm>(
         }
     }
     let spill = ctl.spill_dir.as_deref().map(bb_persist::SpillDir::new);
-    let mut eo = ExploreOptions::governed(wd)
-        .with_jobs(spec.jobs)
-        .with_compact(!ctl.no_compact);
+    let mut eo = ExploreOptions::governed(wd).with_jobs(spec.jobs);
     if let Some(sd) = spill.as_ref() {
         eo = eo.with_spill(sd);
     }
@@ -266,9 +261,7 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
     // One watchdog meters every stage of the run, so the caller's cancel
     // token and the spec's caps reach each of them.
     let wd = Watchdog::new(budget_of(spec, ctl));
-    let popts = PartitionOptions::default()
-        .with_jobs(spec.jobs)
-        .with_mode(spec.refine);
+    let popts = PartitionOptions::default().with_jobs(spec.jobs);
 
     let imp = match explore_or_inconclusive(alg, bound, &wd, spec, ctl) {
         Ok(l) => l,
@@ -339,9 +332,7 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
         Ok(l) => l,
         Err(c) => return c,
     };
-    let mut cfg = VerifyConfig::new(bound)
-        .with_jobs(spec.jobs)
-        .with_refine(spec.refine);
+    let mut cfg = VerifyConfig::new(bound).with_jobs(spec.jobs);
     if !spec.check_lock_freedom || !non_blocking {
         cfg = cfg.linearizability_only();
     }
@@ -396,10 +387,7 @@ fn verify_governed<A: ObjectAlgorithm, S: SequentialSpec>(
     non_blocking: bool,
     out: &mut RunOutput,
 ) -> i32 {
-    let mut config = GovernedConfig::new(bound, budget_of(spec, ctl))
-        .with_jobs(spec.jobs)
-        .with_refine(spec.refine)
-        .with_compact(!ctl.no_compact);
+    let mut config = GovernedConfig::new(bound, budget_of(spec, ctl)).with_jobs(spec.jobs);
     if let Some(dir) = &ctl.spill_dir {
         config = config.with_spill_dir(dir);
     }

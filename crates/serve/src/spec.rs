@@ -2,8 +2,8 @@
 //! verification command, shared by the `bbv` CLI and the daemon.
 //!
 //! A [`JobSpec`] captures everything that determines a command's stdout,
-//! artifacts and exit code — the algorithm, bound, property selection,
-//! refine mode and budgets — plus the one knob that provably does
+//! artifacts and exit code — the algorithm, bound, property selection
+//! and budgets — plus the one knob that provably does
 //! *not* ([`jobs`](JobSpec::jobs), excluded from
 //! [`cache_key`](JobSpec::cache_key) because results are bit-identical at
 //! any worker count). The same struct round-trips through the `bb-serve/v1` JSON
@@ -12,7 +12,6 @@
 //! makes the served-vs-direct differential tests possible: both paths run
 //! the exact same spec through the exact same runner.
 
-use bb_bisim::RefineMode;
 use bb_lts::{Budget, ExploreLimits, Jobs};
 use bb_obs::json::{write_str, JsonValue};
 use std::fmt::Write as _;
@@ -93,8 +92,6 @@ pub struct JobSpec {
     pub max_memory: Option<usize>,
     /// Disables the governed fallback ladder.
     pub no_fallback: bool,
-    /// Partition-refinement engine (output-identical either way).
-    pub refine: RefineMode,
     /// Worker threads (output-identical at any count; not in the cache key).
     pub jobs: Jobs,
 }
@@ -115,7 +112,6 @@ impl Default for JobSpec {
             max_transitions: None,
             max_memory: None,
             no_fallback: false,
-            refine: RefineMode::default(),
             jobs: Jobs::available(),
         }
     }
@@ -160,9 +156,10 @@ impl JobSpec {
     /// resume with a raised budget or a different worker count must still
     /// seed the recorded sections.
     pub fn config_tag(&self) -> u64 {
-        // `reduce=none` stays so checkpoints of earlier versions still match.
+        // `reduce=none` and `refine=incremental` stay so checkpoints of
+        // earlier versions still match.
         let desc = format!(
-            "bbp{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce=none|refine={}",
+            "bbp{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce=none|refine=incremental",
             bb_persist::FORMAT_VERSION,
             bb_sim::STATE_ENCODING_VERSION,
             self.command,
@@ -173,7 +170,6 @@ impl JobSpec {
             self.check_lock_freedom,
             self.wait_freedom,
             self.formula,
-            self.refine,
         );
         bb_lts::snapshot::fnv1a(0, desc.as_bytes())
     }
@@ -184,9 +180,10 @@ impl JobSpec {
     /// excluded: results are bit-identical at any worker count, so a `-j 4`
     /// run hits the entry a `-j 1` run stored.
     pub fn cache_key(&self) -> String {
-        // `reduce=none` stays so cache entries of earlier versions still hit.
+        // `reduce=none` and `refine=incremental` stay so cache entries of
+        // earlier versions still hit.
         format!(
-            "bbc{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce=none|refine={}|budget=({:?},{:?},{:?},{:?},nf{})",
+            "bbc{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce=none|refine=incremental|budget=({:?},{:?},{:?},{:?},nf{})",
             bb_persist::FORMAT_VERSION,
             bb_sim::STATE_ENCODING_VERSION,
             self.command,
@@ -197,7 +194,6 @@ impl JobSpec {
             self.check_lock_freedom,
             self.wait_freedom,
             self.formula,
-            self.refine,
             self.timeout,
             self.max_states,
             self.max_transitions,
@@ -240,7 +236,6 @@ impl JobSpec {
         if self.no_fallback {
             argv.push("--no-fallback".into());
         }
-        argv_push(&mut argv, "--refine", self.refine.to_string());
         argv_push(&mut argv, "--jobs", self.jobs.get().to_string());
         argv
     }
@@ -285,7 +280,6 @@ impl JobSpec {
         if self.no_fallback {
             s.push_str(", \"no_fallback\": true");
         }
-        let _ = write!(s, ", \"refine\": \"{}\"", self.refine);
         let _ = write!(s, ", \"jobs\": {}", self.jobs.get());
         s.push('}');
         s
@@ -348,11 +342,14 @@ impl JobSpec {
                 "max_transitions" => spec.max_transitions = Some(as_usize(val, key)?),
                 "max_memory" => spec.max_memory = Some(as_usize(val, key)?),
                 "no_fallback" => spec.no_fallback = as_bool(val, key)?,
+                // Specs written before the engine switch and the reduction
+                // layer were retired carry `"refine": "incremental"` and
+                // `"reduce": "none"`; any other value cannot run.
                 "refine" => {
-                    spec.refine = val.as_str().ok_or("refine must be a string")?.parse()?;
+                    if val.as_str() != Some("incremental") {
+                        return Err("refine: only `incremental` is supported".into());
+                    }
                 }
-                // Specs written before the reduction layer was retired carry
-                // `"reduce": "none"`; any other mode cannot run.
                 "reduce" => {
                     if val.as_str() != Some("none") {
                         return Err("reduce: only `none` is supported".into());
@@ -453,7 +450,6 @@ mod tests {
             max_transitions: None,
             max_memory: Some(2_000_000_000),
             no_fallback: true,
-            refine: RefineMode::default(),
             jobs: Jobs::new(4),
         }
     }
@@ -504,7 +500,7 @@ mod tests {
         let spec = sample();
         let bumped = |v: u32| {
             let desc = format!(
-                "bbp{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce=none|refine={}",
+                "bbp{}.{}|{}|{}|t{}|o{}|d{:?}|lf{}|wf{}|formula{:?}|reduce=none|refine=incremental",
                 bb_persist::FORMAT_VERSION,
                 v,
                 spec.command,
@@ -515,7 +511,6 @@ mod tests {
                 spec.check_lock_freedom,
                 spec.wait_freedom,
                 spec.formula,
-                spec.refine,
             );
             bb_lts::snapshot::fnv1a(0, desc.as_bytes())
         };
@@ -536,6 +531,10 @@ mod tests {
                 bb_sim::STATE_ENCODING_VERSION
             )),
             "the result-cache key must carry the encoding version"
+        );
+        assert!(
+            spec.cache_key().contains("|reduce=none|refine=incremental|budget="),
+            "the retired switches keep their literal key components"
         );
     }
 
@@ -566,8 +565,9 @@ mod tests {
         assert!(JobSpec::from_json(&parse(&format!("{{{wf}}}")).unwrap()).is_ok());
         // A member the command would ignore is rejected: a formula outside
         // `check`, `lock_freedom: false` outside `verify`, and `no_fallback`
-        // outside a budgeted `verify`. The retired reduction layer leaves
-        // `"reduce": "none"` as the only accepted mode and no `reduce-check`.
+        // outside a budgeted `verify`. The retired engine switch and
+        // reduction layer leave `"refine": "incremental"` and
+        // `"reduce": "none"` as the only accepted modes and no `reduce-check`.
         let t = r#""algorithm": "treiber""#;
         for bad in [
             r#""formula": "G F ret""#,
@@ -582,6 +582,8 @@ mod tests {
             r#""reduce": null"#,
             r#""command": "reduce-check""#,
             r#""command": "reduce-check", "lock_freedom": false"#,
+            r#""refine": "full""#,
+            r#""refine": null"#,
         ] {
             let spec = format!("{{{t}, {bad}}}");
             assert!(JobSpec::from_json(&parse(&spec).unwrap()).is_err(), "{spec}");
@@ -591,6 +593,7 @@ mod tests {
             r#""lock_freedom": false"#,
             r#""max_states": 1000, "no_fallback": true"#,
             r#""reduce": "none""#,
+            r#""refine": "incremental""#,
         ] {
             let spec = format!("{{{t}, {good}}}");
             assert!(JobSpec::from_json(&parse(&spec).unwrap()).is_ok(), "{spec}");
@@ -599,14 +602,17 @@ mod tests {
 
     #[test]
     fn argv_parses_back_through_the_cli_grammar() {
-        // Spot-check the canonical argv shape; the CLI round-trip itself is
-        // covered end-to-end by the serve differential tests.
-        let argv = sample().to_argv();
-        assert_eq!(argv[0], "verify");
-        assert_eq!(argv[1], "ms-queue");
-        assert!(argv.contains(&"--no-lock-freedom".to_string()));
-        let t = argv.iter().position(|a| a == "--timeout").unwrap();
-        assert_eq!(argv[t + 1], "1500ms");
+        // Pin the canonical argv; the CLI round-trip itself is covered
+        // end-to-end by the serve differential tests.
+        assert_eq!(
+            sample().to_argv(),
+            [
+                "verify", "ms-queue", "--threads", "2", "--ops", "3", "--domain", "1,2,-7",
+                "--no-lock-freedom", "--timeout", "1500ms", "--max-states", "1000000",
+                "--max-memory", "2000000000", "--no-fallback", "--jobs", "4",
+            ]
+        );
+        assert!(!sample().to_json().contains("refine"));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::algorithm::{MethodId, MethodSpec, ObjectAlgorithm, Outcome};
 use crate::pack::{Pack, PackReader, PackWriter};
 use bb_lts::budget::Exhausted;
 use bb_lts::{
-    explore, explore_baseline, explore_compact, explore_with, Action, CodecSemantics, ExploreError,
+    explore, explore_compact, Action, CodecSemantics, ExploreError,
     ExploreLimits, ExploreOptions, ExploreReport, Lts, Semantics, ThreadId,
 };
 use std::fmt::Debug;
@@ -84,13 +84,6 @@ impl<F: Pack> Pack for ThreadStatus<F> {
                 frame,
                 remaining,
             })
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        match self {
-            ThreadStatus::Idle { .. } => 0,
-            ThreadStatus::Running { frame, .. } => frame.heap_bytes(),
         }
     }
 }
@@ -274,12 +267,6 @@ where
         debug_assert!(r.finished(), "trailing bytes after state encoding");
         SysState { shared, threads }
     }
-
-    fn state_heap_bytes(&self, state: &Self::State) -> usize {
-        state.shared.heap_bytes()
-            + state.threads.capacity() * std::mem::size_of::<ThreadStatus<A::Frame>>()
-            + state.threads.iter().map(Pack::heap_bytes).sum::<usize>()
-    }
 }
 
 /// Unfolds the most general client of `alg` under `bound` into an explicit
@@ -300,22 +287,13 @@ pub fn explore_system_with<A: ObjectAlgorithm>(
         .with("threads", bound.threads as u64)
         .with("ops", bound.ops_per_thread as u64);
     let system = System::new(alg, bound);
-    if opts.compact() {
-        explore_compact(&system, opts).map(|(lts, _)| lts)
-    } else {
-        explore_with(&system, opts)
-    }
+    explore_compact(&system, opts).map(|(lts, _)| lts)
 }
 
 /// [`explore_system_with`] returning the seen-set's [`ExploreReport`]
 /// (exploration stats plus store footprint/compression metrics) alongside
-/// the LTS — the entry point benchmarks use to compare the compact and
-/// rich-struct engines truthfully.
-///
-/// The engine is picked by [`ExploreOptions::with_compact`]: compact (the
-/// default) interns canonical bit-packed encodings in an arena with an
-/// optional disk-spill tier, the baseline stores the rich states in a
-/// hash map. Both produce bit-identical LTSs.
+/// the LTS. States are interned as canonical bit-packed encodings in an
+/// arena with an optional disk-spill tier.
 ///
 /// # Errors
 ///
@@ -330,18 +308,15 @@ pub fn explore_system_report<A: ObjectAlgorithm>(
         .with("threads", bound.threads as u64)
         .with("ops", bound.ops_per_thread as u64);
     let system = System::new(alg, bound);
-    if opts.compact() {
-        explore_compact(&system, opts)
-    } else {
-        explore_baseline(&system, opts)
-    }
+    explore_compact(&system, opts)
 }
 
 /// Unfolds the most general client of `alg` under `bound` into an explicit
-/// LTS.
+/// LTS, on the serial engine under plain [`ExploreLimits`].
 ///
-/// Shorthand for [`explore_system_with`] with a plain [`ExploreLimits`]
-/// budget on the serial engine.
+/// The seen-set holds the rich states themselves ([`bb_lts::explore`]), not
+/// their encodings, which makes this the reference that
+/// [`explore_system_with`]'s compact arena reproduces byte for byte.
 ///
 /// # Errors
 ///
@@ -578,14 +553,12 @@ mod tests {
 
     #[test]
     fn compact_engine_is_bit_identical_to_rich_engine() {
-        // The compact (packed-arena) seen-set must reproduce the
-        // HashMap engine's `.aut` bytes exactly, at any worker count.
+        // The compact (packed-arena) seen-set must reproduce the rich
+        // store's `.aut` bytes exactly, at any worker count.
         let bound = Bound::new(2, 2);
-        let rich_opts = ExploreOptions::limits(ExploreLimits::default()).with_compact(false);
-        let rich = explore_system_with(&TestCounter, bound, &rich_opts).unwrap();
+        let rich = explore_system(&TestCounter, bound, ExploreLimits::default()).unwrap();
         for jobs in [Jobs::serial(), Jobs::new(4)] {
             let opts = ExploreOptions::limits(ExploreLimits::default()).with_jobs(jobs);
-            assert!(opts.compact(), "compact engine must be the default");
             let lts = explore_system_with(&TestCounter, bound, &opts).unwrap();
             assert_eq!(
                 bb_lts::to_aut(&rich),

@@ -41,9 +41,6 @@ impl<N: HeapNode + crate::Pack> crate::Pack for Heap<N> {
             nodes: crate::Pack::unpack(r)?,
         })
     }
-    fn heap_bytes(&self) -> usize {
-        self.nodes.heap_bytes()
-    }
 }
 
 /// The renaming produced by [`Heap::canonicalize`]; apply it to every

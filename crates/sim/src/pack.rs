@@ -132,13 +132,6 @@ pub trait Pack: Sized {
     /// Decodes one value, consuming exactly the bytes `pack` wrote.
     /// Returns `None` on any malformed input (never panics).
     fn unpack(r: &mut PackReader<'_>) -> Option<Self>;
-
-    /// Heap bytes owned by `self` beyond its inline size — what the rich
-    /// (unpacked) representation really costs, used by the truthful memory
-    /// accounting of the baseline seen-set. Inline-only types report 0.
-    fn heap_bytes(&self) -> usize {
-        0
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -252,9 +245,6 @@ impl<T: Pack> Pack for Option<T> {
             _ => None,
         }
     }
-    fn heap_bytes(&self) -> usize {
-        self.as_ref().map_or(0, Pack::heap_bytes)
-    }
 }
 
 impl<T: Pack> Pack for Vec<T> {
@@ -278,10 +268,6 @@ impl<T: Pack> Pack for Vec<T> {
             out.push(T::unpack(r)?);
         }
         Some(out)
-    }
-    fn heap_bytes(&self) -> usize {
-        self.capacity() * std::mem::size_of::<T>()
-            + self.iter().map(Pack::heap_bytes).sum::<usize>()
     }
 }
 
@@ -316,9 +302,6 @@ macro_rules! impl_pack {
                 $( let $f = $crate::Pack::unpack(r)?; )*
                 Some($name { $($f),* })
             }
-            fn heap_bytes(&self) -> usize {
-                0usize $( + $crate::Pack::heap_bytes(&self.$f) )*
-            }
         }
     };
     (enum $name:ident {
@@ -344,15 +327,6 @@ macro_rules! impl_pack {
                         $( ( $( $crate::impl_pack!(@elem $e r) ),* ) )?
                     ), )*
                     _ => None,
-                }
-            }
-            fn heap_bytes(&self) -> usize {
-                match self {
-                    $( $name::$v $( { $($f),* } )? $( ( $($e),* ) )? => {
-                        0usize
-                            $($( + $crate::Pack::heap_bytes($f) )*)?
-                            $($( + $crate::Pack::heap_bytes($e) )*)?
-                    } )*
                 }
             }
         }
@@ -442,11 +416,5 @@ mod tests {
         rt(E::Tuple(ThreadId(2), -1));
         // Unknown tag is rejected, not misparsed.
         assert_eq!(E::unpack(&mut PackReader::new(&[9])), None);
-    }
-
-    #[test]
-    fn vec_heap_bytes_counts_capacity() {
-        let v: Vec<u64> = Vec::with_capacity(8);
-        assert_eq!(v.heap_bytes(), 64);
     }
 }

@@ -28,7 +28,6 @@ use bbverify::serve::{
     discover_addr, execute, CheckpointCtl, Client, Command, JobSpec, RunCtl, ServeConfig,
     EXIT_PROVED, EXIT_REFUTED, EXIT_USAGE,
 };
-use bbverify::bisim::RefineMode;
 use bbverify::lts::Jobs;
 use bb_obs::json::JsonValue;
 use bb_persist::Cache;
@@ -52,7 +51,6 @@ struct Options {
     max_memory: Option<usize>,
     no_fallback: bool,
     jobs: Jobs,
-    refine: RefineMode,
     metrics: Option<String>,
     trace: Option<String>,
     progress: bool,
@@ -60,7 +58,6 @@ struct Options {
     checkpoint: Option<String>,
     checkpoint_every: Option<u64>,
     cache: Option<String>,
-    compact: bool,
     spill: Option<String>,
 }
 
@@ -81,7 +78,6 @@ impl Default for Options {
             max_memory: None,
             no_fallback: false,
             jobs: Jobs::available(),
-            refine: RefineMode::default(),
             metrics: None,
             trace: None,
             progress: false,
@@ -89,7 +85,6 @@ impl Default for Options {
             checkpoint: None,
             checkpoint_every: None,
             cache: None,
-            compact: true,
             spill: None,
         }
     }
@@ -113,7 +108,6 @@ impl Options {
             max_transitions: self.max_transitions,
             max_memory: self.max_memory,
             no_fallback: self.no_fallback,
-            refine: self.refine,
             jobs: self.jobs,
         }
     }
@@ -222,12 +216,6 @@ fn parse_options(args: &[String], command: Command) -> Result<Options, String> {
                 }
                 opts.jobs = Jobs::new(n);
             }
-            "--refine" => {
-                opts.refine = it
-                    .next()
-                    .ok_or("--refine needs a mode: full or incremental")?
-                    .parse()?;
-            }
             "--metrics" => {
                 opts.metrics = Some(it.next().ok_or("--metrics needs a path")?.clone())
             }
@@ -244,13 +232,6 @@ fn parse_options(args: &[String], command: Command) -> Result<Options, String> {
             }
             "--cache" => {
                 opts.cache = Some(it.next().ok_or("--cache needs a directory")?.clone())
-            }
-            "--compact" => {
-                opts.compact = match it.next().ok_or("--compact needs on or off")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--compact: expected on or off, got `{other}`")),
-                };
             }
             "--spill" => {
                 opts.spill = Some(it.next().ok_or("--spill needs a directory")?.clone())
@@ -290,8 +271,6 @@ fn print_usage() {
     eprintln!("           --dot and --aut write the quotient: `quotient` only");
     eprintln!("           --wait-freedom runs on `verify` without a budget flag only");
     eprintln!("           --jobs N   (worker threads; default = all cores, output identical)");
-    eprintln!("           --refine full|incremental   (partition-refinement engine; default");
-    eprintln!("           incremental — dirty-state worklists, identical output either way)");
     eprintln!("  observe: --metrics FILE   (phase spans + counters as one JSON document)");
     eprintln!("           --trace FILE     (per-span event stream, NDJSON)");
     eprintln!("           --progress       (stderr heartbeat: states/sec, frontier depth)");
@@ -302,8 +281,6 @@ fn print_usage() {
     eprintln!("           --max-memory 2e9  --no-fallback   (`verify` with a budget flag only)");
     eprintln!("           --spill DIR     (spill cold seen-set segments to disk when memory");
     eprintln!("           nears the cap; verdicts and artifacts stay byte-identical)");
-    eprintln!("           --compact on|off   (bit-packed arena seen-set; default on — `off`");
-    eprintln!("           restores the rich-struct hash map, identical output either way)");
     eprintln!("           with a budget, `verify` degrades gracefully: on exhaustion it");
     eprintln!("           retries with strong-bisimulation pre-reduction, then a smaller");
     eprintln!("           bound, and reports which rung answered");
@@ -543,7 +520,6 @@ fn run(args: &[String], command: Command) -> i32 {
 /// executes through the shared runner, and prints the buffered outcome.
 fn run_spec(spec: &JobSpec, opts: &Options, argv_tail: &[String]) -> i32 {
     let mut ctl = RunCtl {
-        no_compact: !opts.compact,
         spill_dir: opts.spill.as_ref().map(PathBuf::from),
         ..RunCtl::default()
     };
@@ -713,7 +689,6 @@ fn client_submit(args: &[String]) -> i32 {
         ("--metrics", opts.metrics.is_some()),
         ("--trace", opts.trace.is_some()),
         ("--spill", opts.spill.is_some()),
-        ("--compact off", !opts.compact),
     ] {
         if set {
             eprintln!("note: {flag} is daemon-side; ignored for a submitted job");

@@ -106,14 +106,18 @@ fn unknown_algorithm_is_a_usage_error() {
 fn unknown_option_is_a_usage_error() {
     let out = bbv(&["verify", "treiber", "--no-such-flag"]);
     assert_eq!(out.status.code(), Some(3));
-    // `--fuse`, `--reduce` and `reduce-check` were retired; they are now as
-    // unknown as any typo, and the error names them.
+    // `--fuse`, `--reduce`, `reduce-check`, `--refine` and `--compact` were
+    // retired; they are now as unknown as any typo, and the error names them.
     for (args, named) in [
         (&["verify", "treiber", "--fuse"][..], "--fuse"),
         (&["verify", "treiber", "--reduce", "none"], "--reduce"),
         (&["verify", "treiber", "--reduce", "por"], "--reduce"),
         (&["reduce-check", "treiber"], "reduce-check"),
         (&["submit", "reduce-check", "treiber"], "reduce-check"),
+        (&["verify", "treiber", "--refine", "full"], "--refine"),
+        (&["verify", "treiber", "--refine", "incremental"], "--refine"),
+        (&["verify", "treiber", "--compact", "off"], "--compact"),
+        (&["submit", "verify", "treiber", "--compact", "off"], "--compact"),
     ] {
         let out = bbv(args);
         assert_eq!(out.status.code(), Some(3), "{args:?}");
@@ -333,34 +337,6 @@ fn verify_with_reduction_matches_unreduced_verdict() {
             text.lines().any(|line| line == row),
             "{algo}: the reduced-bound rung's row differs from {row:?}:\n{text}"
         );
-    }
-}
-
-/// `--compact off` selects the rich seen-set whether or not a budget flag
-/// routes the run through the governed ladder: the exploration's
-/// `compact.compression_pct` gauge reads 100 (no compression) on both paths.
-#[test]
-fn compact_off_is_honoured_with_and_without_a_budget() {
-    for budget in [&[][..], &["--max-states", "1e7"][..]] {
-        let m = std::env::temp_dir().join(format!(
-            "bbv_cli_compact_{}_{}.json",
-            budget.len(),
-            std::process::id()
-        ));
-        let mut args = vec![
-            "verify", "treiber", "--threads", "2", "--ops", "2", "--compact", "off",
-            "--metrics", m.to_str().unwrap(),
-        ];
-        args.extend_from_slice(budget);
-        let out = bbv(&args);
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        let doc = bb_obs::json::parse(&std::fs::read_to_string(&m).unwrap()).unwrap();
-        let _ = std::fs::remove_file(&m);
-        let pct = doc
-            .get("counters")
-            .and_then(|c| c.get("compact.compression_pct"))
-            .and_then(bb_obs::json::JsonValue::as_u64);
-        assert_eq!(pct, Some(100), "--compact off {budget:?}");
     }
 }
 

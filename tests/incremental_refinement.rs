@@ -1,27 +1,37 @@
-//! Differential harness for the incremental partition-refinement engine.
+//! The partition-refinement engine against an independent reference.
 //!
-//! The incremental engine (dirty-state worklists, signature interning,
-//! condensation reuse) must be **bit-identical** to the full engine: same
-//! partition — block ids included — same round-by-round history, same
-//! quotients and `.aut` exports, same verification verdicts, under every
-//! equivalence and any worker count. These tests check exactly that on
-//! the full algorithm roster (including the known-buggy variants), on a
-//! seeded random-LTS sweep, and under a budget that trips mid-refinement.
+//! [`reference_history`] is the textbook signature refinement: every round
+//! recomputes every state's signature from scratch and splits by
+//! (old block, signature), numbering blocks by first occurrence. It shares
+//! no code with the engine — it reads the LTS through the public `Lts`
+//! accessors and builds its signatures from `Observation`s, `TauClosure`
+//! and `tarjan_scc` — so the engine's dirty worklists, interned signatures
+//! and reused condensations are checked by something that has none of them.
+//!
+//! The engine must reproduce the reference exactly — the partition, block
+//! ids included, round by round — under every equivalence at any worker
+//! count, on the algorithm roster (including the known-buggy variants),
+//! specification LTSs, seeded random LTSs and hand-made shapes; quotients,
+//! `.aut` exports and verdicts follow. A budget that trips mid-refinement
+//! must surface as a structured exhaustion.
 
 use bbverify::algorithms::{
     ccas::Ccas, hm_list::HmList, hw_queue::HwQueue, lazy_list::LazyList, ms_queue::MsQueue,
     specs::*, treiber::Treiber, treiber_hp_fu::TreiberHpFu,
 };
 use bbverify::bisim::{
-    partition_governed_opts, partition_opts, partition_with_history_opts, quotient, Equivalence,
-    PartitionOptions, RefineMode,
+    has_tau_cycle, partition_governed_opts, partition_opts, partition_with_history_opts, quotient,
+    BlockId, Equivalence, Partition, PartitionOptions,
 };
 use bbverify::core::{verify_case_lts, VerifyConfig};
 use bbverify::lts::{
-    random_lts, to_aut, Action, Budget, ExhaustReason, ExploreLimits, Jobs, Lts, LtsBuilder,
-    RandomLtsConfig, Stage, ThreadId, Watchdog,
+    random_lts, tarjan_scc, to_aut, Action, Budget, ExhaustReason, ExploreLimits, Jobs, Lts,
+    LtsBuilder, Observation, RandomLtsConfig, Stage, StateId, TauClosure, ThreadId, Transition,
+    Watchdog,
 };
+use bbverify::refine::trace_refines;
 use bbverify::sim::{explore_system, AtomicSpec, Bound, ObjectAlgorithm};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 const EQUIVALENCES: [Equivalence; 4] = [
     Equivalence::Strong,
@@ -30,32 +40,136 @@ const EQUIVALENCES: [Equivalence; 4] = [
     Equivalence::Weak,
 ];
 
-fn opts(mode: RefineMode, jobs: Jobs) -> PartitionOptions {
-    PartitionOptions::default().with_jobs(jobs).with_mode(mode)
+fn opts(jobs: Jobs) -> PartitionOptions {
+    PartitionOptions::default().with_jobs(jobs)
 }
 
-/// Asserts full and incremental refinement agree on `lts` — the final
-/// partition (assignments *and* block ids) and the whole round history —
-/// for every equivalence at both worker counts.
+/// A reference signature: the `(observation, target block)` moves — `None`
+/// for τ — plus the divergence flag of `≈div`.
+type Signature = (BTreeSet<(Option<Observation>, u32)>, bool);
+
+/// Every round of the reference refinement of `lts` under `eq`, the
+/// universal partition first and the (repeated) fixpoint last.
+fn reference_history(lts: &Lts, eq: Equivalence) -> Vec<Partition> {
+    let closure = (eq == Equivalence::Weak).then(|| TauClosure::compute(lts));
+    let mut rounds = vec![Partition::universal(lts.num_states())];
+    loop {
+        let p = rounds.last().expect("the universal round");
+        let on_cycle = (eq == Equivalence::BranchingDiv).then(|| on_inert_cycle(lts, p));
+        let sigs: Vec<Signature> = lts
+            .states()
+            .map(|s| reference_signature(lts, eq, p, closure.as_ref(), on_cycle.as_deref(), s))
+            .collect();
+        let mut ids: HashMap<(BlockId, &Signature), u32> = HashMap::new();
+        let assignment: Vec<BlockId> = lts
+            .states()
+            .map(|s| {
+                let next = ids.len() as u32;
+                BlockId(*ids.entry((p.block_of(s), &sigs[s.index()])).or_insert(next))
+            })
+            .collect();
+        let next = Partition::new(assignment, ids.len());
+        let stable = next.num_blocks() == p.num_blocks();
+        rounds.push(next);
+        if stable {
+            return rounds;
+        }
+    }
+}
+
+/// A τ-step that stays inside its source's block.
+fn inert(lts: &Lts, p: &Partition, from: StateId, t: &Transition) -> bool {
+    !lts.is_visible(t.action) && p.same_block(from, t.target)
+}
+
+/// Whether each state lies on a cycle of inert τ-steps: in a cyclic SCC of
+/// the inert-τ graph.
+fn on_inert_cycle(lts: &Lts, p: &Partition) -> Vec<bool> {
+    let cond = tarjan_scc(lts.num_states(), |w, out| {
+        out.extend(
+            lts.successors(w)
+                .iter()
+                .filter(|t| inert(lts, p, w, t))
+                .map(|t| t.target),
+        )
+    });
+    cond.scc_of.iter().map(|k| cond.cyclic[k.index()]).collect()
+}
+
+fn reference_signature(
+    lts: &Lts,
+    eq: Equivalence,
+    p: &Partition,
+    closure: Option<&TauClosure>,
+    on_cycle: Option<&[bool]>,
+    s: StateId,
+) -> Signature {
+    let obs = |t: &Transition| lts.action(t.action).observation();
+    let block = |s: StateId| p.block_of(s).0;
+    let mut moves = BTreeSet::new();
+    let mut diverges = false;
+    match eq {
+        Equivalence::Strong => {
+            for t in lts.successors(s) {
+                moves.insert((obs(t), block(t.target)));
+            }
+        }
+        Equivalence::Weak => {
+            // s ⇒ w: every τ-reachable state in another block, and every
+            // visible step w →a t with everything t reaches by τ.
+            let closure = closure.expect("weak signatures need the τ-closure");
+            for &w in closure.of(s) {
+                if block(w) != block(s) {
+                    moves.insert((None, block(w)));
+                }
+                for t in lts.successors(w) {
+                    if let Some(o) = obs(t) {
+                        for &v in closure.of(t.target) {
+                            moves.insert((Some(o.clone()), block(v)));
+                        }
+                    }
+                }
+            }
+        }
+        Equivalence::Branching | Equivalence::BranchingDiv => {
+            // The region s reaches by inert τ-steps, and the moves leaving
+            // it; under ≈div, whether the region holds an inert τ-cycle.
+            let mut region = HashSet::from([s]);
+            let mut stack = vec![s];
+            while let Some(w) = stack.pop() {
+                for t in lts.successors(w) {
+                    if !inert(lts, p, w, t) {
+                        moves.insert((obs(t), block(t.target)));
+                    } else if region.insert(t.target) {
+                        stack.push(t.target);
+                    }
+                }
+            }
+            if let Some(on_cycle) = on_cycle {
+                diverges = region.iter().any(|w| on_cycle[w.index()]);
+            }
+        }
+    }
+    (moves, diverges)
+}
+
+/// Asserts the engine reproduces the reference on `lts` — every round of
+/// the history, block ids included, and the final partition — for every
+/// equivalence at 1, 2 and 4 workers.
 fn assert_engines_agree(lts: &Lts, what: &str) {
     for eq in EQUIVALENCES {
-        for jobs in [Jobs::serial(), Jobs::new(4)] {
-            let (p_full, h_full) =
-                partition_with_history_opts(lts, eq, opts(RefineMode::Full, jobs));
-            let (p_inc, h_inc) =
-                partition_with_history_opts(lts, eq, opts(RefineMode::Incremental, jobs));
+        let reference = reference_history(lts, eq);
+        for jobs in [Jobs::serial(), Jobs::new(2), Jobs::new(4)] {
+            let (p, h) = partition_with_history_opts(lts, eq, opts(jobs));
             assert_eq!(
-                p_full, p_inc,
-                "{what}: final partition differs under {eq:?} at {jobs:?}"
-            );
-            assert_eq!(
-                h_full.rounds.len(),
-                h_inc.rounds.len(),
+                h.rounds.len(),
+                reference.len(),
                 "{what}: round count differs under {eq:?} at {jobs:?}"
             );
-            for (i, (a, b)) in h_full.rounds.iter().zip(&h_inc.rounds).enumerate() {
-                assert_eq!(a, b, "{what}: history round {i} differs under {eq:?} at {jobs:?}");
+            for (i, (a, b)) in reference.iter().zip(&h.rounds).enumerate() {
+                assert_eq!(a, b, "{what}: round {i} differs under {eq:?} at {jobs:?}");
             }
+            assert_eq!(&p, reference.last().unwrap(), "{what}: {eq:?} at {jobs:?}");
         }
     }
 }
@@ -76,7 +190,7 @@ macro_rules! roster_case {
 }
 
 // Correct algorithms, a lock-based one, and both known-buggy variants: the
-// engines must agree on failures exactly as they agree on successes.
+// engine must match the reference on failures exactly as on successes.
 roster_case!(roster_treiber, Treiber::new(&[1]), 2, 2);
 roster_case!(roster_ms_queue, MsQueue::new(&[1]), 2, 2);
 roster_case!(roster_lazy_list, LazyList::new(&[1]), 2, 2);
@@ -99,32 +213,75 @@ fn engines_agree_on_seeded_random_ltss() {
         let lts = random_lts(seed, RandomLtsConfig::default());
         assert_engines_agree(&lts, &format!("random seed {seed}"));
     }
+    // Sizes, alphabets and τ-shares swept from tiny to τ-dominated.
+    for case in 0..24u64 {
+        let lts = random_lts(
+            1000 + case,
+            RandomLtsConfig {
+                num_states: 3 + (case % 17) as usize,
+                num_transitions: 2 + (case * 7 % 43) as usize,
+                num_visible_letters: 1 + (case % 3) as usize,
+                tau_percent: (case * 13 % 95) as u8,
+            },
+        );
+        assert_engines_agree(&lts, &format!("random case {case}"));
+    }
 }
 
-/// The quotients — and therefore their `.aut` exports — are byte-identical,
-/// because the partitions agree block id by block id.
+/// Inert τ, τ-cycles, effectful τ, divergence and a visible chain with
+/// back-edges.
+#[test]
+fn engines_agree_on_handcrafted_shapes() {
+    let mut b = LtsBuilder::new();
+    let s0 = b.add_state();
+    let s1 = b.add_state();
+    let s2 = b.add_state();
+    let t = b.intern_action(Action::tau(ThreadId(1)));
+    let a = b.intern_action(Action::call(ThreadId(1), "a", None));
+    b.add_transition(s0, t, s1);
+    b.add_transition(s1, a, s2);
+    b.add_transition(s1, t, s0);
+    b.add_transition(s2, t, s2);
+    assert_engines_agree(&b.build(s0), "tau-cycle-with-divergence");
+
+    let mut b = LtsBuilder::new();
+    let states: Vec<_> = (0..8).map(|_| b.add_state()).collect();
+    let t = b.intern_action(Action::tau(ThreadId(1)));
+    let a = b.intern_action(Action::call(ThreadId(1), "a", None));
+    let c = b.intern_action(Action::call(ThreadId(1), "c", None));
+    for w in states.windows(2) {
+        b.add_transition(w[0], a, w[1]);
+    }
+    b.add_transition(states[3], t, states[1]);
+    b.add_transition(states[5], c, states[0]);
+    b.add_transition(states[7], t, states[7]);
+    assert_engines_agree(&b.build(states[0]), "chain-with-backedges");
+}
+
+/// The quotients — and therefore their `.aut` exports — are byte-identical
+/// to the reference partition's, because the partitions agree block id by
+/// block id.
 #[test]
 fn aut_exports_of_quotients_are_byte_identical() {
     let lts = lts_of(&MsQueue::new(&[1]), 2, 2);
     for eq in EQUIVALENCES {
+        let reference = reference_history(&lts, eq);
+        let expected = to_aut(&quotient(&lts, reference.last().unwrap()).lts);
         for jobs in [Jobs::serial(), Jobs::new(4)] {
-            let q_full = quotient(&lts, &partition_opts(&lts, eq, opts(RefineMode::Full, jobs)));
-            let q_inc =
-                quotient(&lts, &partition_opts(&lts, eq, opts(RefineMode::Incremental, jobs)));
+            let q = quotient(&lts, &partition_opts(&lts, eq, opts(jobs)));
             assert_eq!(
-                to_aut(&q_full.lts),
-                to_aut(&q_inc.lts),
+                to_aut(&q.lts),
+                expected,
                 ".aut export differs under {eq:?} at {jobs:?}"
             );
         }
     }
 }
 
-/// End-to-end: the verification verdict lines are identical for both
-/// engines, on a passing case and on the known linearizability bug.
-#[test]
-fn verdicts_are_identical_across_engines() {
-    let cases: [(&'static str, Lts, Lts); 2] = [
+/// The verdict cases: a passing lock-free object and the known
+/// linearizability bug.
+fn verdict_cases() -> [(&'static str, Lts, Lts); 2] {
+    [
         (
             "ms-queue",
             lts_of(&MsQueue::new(&[1]), 2, 2),
@@ -135,23 +292,47 @@ fn verdicts_are_identical_across_engines() {
             lts_of(&HmList::buggy(&[1]), 2, 2),
             lts_of(&AtomicSpec::new(SeqSet::new(&[1])), 2, 2),
         ),
-    ];
-    for (name, imp, spec) in &cases {
-        let run = |mode: RefineMode| {
-            let cfg = VerifyConfig::new(Bound::new(2, 2)).with_refine(mode);
-            let r = verify_case_lts(name, cfg, imp, spec, &Watchdog::unlimited()).unwrap();
-            (r.linearizable(), r.lock_free(), r.summary())
-        };
-        assert_eq!(run(RefineMode::Full), run(RefineMode::Incremental), "{name}");
+    ]
+}
+
+/// End-to-end: `verify_case_lts` reaches the verdicts Fig. 1 gives on the
+/// reference partitions — Δ/≈ trace-refines Θsp/≈, and Δ has no τ-cycle —
+/// with the reference's |Δ/≈|.
+#[test]
+fn verdicts_are_identical_across_engines() {
+    for (name, imp, spec) in &verdict_cases() {
+        let q_imp = quotient(
+            imp,
+            reference_history(imp, Equivalence::Branching)
+                .last()
+                .unwrap(),
+        );
+        let q_spec = quotient(
+            spec,
+            reference_history(spec, Equivalence::Branching)
+                .last()
+                .unwrap(),
+        );
+        let expected = (
+            trace_refines(&q_imp.lts, &q_spec.lts).holds,
+            !has_tau_cycle(imp),
+            q_imp.lts.num_states(),
+        );
+        let cfg = VerifyConfig::new(Bound::new(2, 2));
+        let r = verify_case_lts(name, cfg, imp, spec, &Watchdog::unlimited()).unwrap();
+        let got = (
+            r.linearizable(),
+            r.lock_free(),
+            r.linearizability.impl_quotient_states,
+        );
+        assert_eq!(got, expected, "{name}");
     }
 }
 
-/// The full jobs × engine sweep: partitions, round-by-round histories and
-/// quotient `.aut` bytes must be identical across `jobs ∈ {1, 2, 4}` ×
-/// `refine ∈ {full, incremental}` — twelve cells per LTS, all equal to the
-/// serial full-engine baseline. Runs on a roster slice that includes a
-/// lock-based algorithm and a known-buggy variant (failures must replicate
-/// exactly as successes do).
+/// The jobs sweep: partitions, round-by-round histories and quotient `.aut`
+/// bytes at `jobs ∈ {1, 2, 4}` all equal the reference. Runs on a roster
+/// slice that includes a lock-based algorithm and a known-buggy variant
+/// (failures must replicate exactly as successes do).
 #[test]
 fn jobs_refine_sweep_is_bit_identical() {
     let cases: [(&str, Lts); 3] = [
@@ -161,138 +342,109 @@ fn jobs_refine_sweep_is_bit_identical() {
     ];
     for (name, lts) in &cases {
         for eq in [Equivalence::Strong, Equivalence::Branching] {
-            let (p0, h0) =
-                partition_with_history_opts(lts, eq, opts(RefineMode::Full, Jobs::serial()));
-            let aut0 = to_aut(&quotient(lts, &p0).lts);
+            let reference = reference_history(lts, eq);
+            let aut0 = to_aut(&quotient(lts, reference.last().unwrap()).lts);
             for jobs in [Jobs::serial(), Jobs::new(2), Jobs::new(4)] {
-                for mode in [RefineMode::Full, RefineMode::Incremental] {
-                    let tag = format!("{name} {eq:?} {jobs:?} {mode}");
-                    let (p, h) = partition_with_history_opts(lts, eq, opts(mode, jobs));
-                    assert_eq!(p0, p, "{tag}: partition differs");
-                    assert_eq!(h0.rounds, h.rounds, "{tag}: history differs");
-                    assert_eq!(aut0, to_aut(&quotient(lts, &p).lts), "{tag}: .aut bytes differ");
-                }
-            }
-        }
-    }
-}
-
-/// End-to-end sweep over the verification pipeline: `verify_case_lts` must
-/// produce the same verdict summary as the serial default, for every
-/// jobs × engine cell.
-#[test]
-fn verdicts_match_across_jobs_and_engines() {
-    let cases: [(&'static str, Lts, Lts); 2] = [
-        (
-            "ms-queue",
-            lts_of(&MsQueue::new(&[1]), 2, 2),
-            lts_of(&AtomicSpec::new(SeqQueue::new(&[1])), 2, 2),
-        ),
-        (
-            "hm-list-buggy",
-            lts_of(&HmList::buggy(&[1]), 2, 2),
-            lts_of(&AtomicSpec::new(SeqSet::new(&[1])), 2, 2),
-        ),
-    ];
-    for (name, imp, spec) in &cases {
-        let serial = {
-            let cfg = VerifyConfig::new(Bound::new(2, 2));
-            let r = verify_case_lts(name, cfg, imp, spec, &Watchdog::unlimited()).unwrap();
-            (r.linearizable(), r.lock_free(), r.summary())
-        };
-        for jobs in [Jobs::serial(), Jobs::new(2), Jobs::new(4)] {
-            for mode in [RefineMode::Full, RefineMode::Incremental] {
-                let cfg = VerifyConfig::new(Bound::new(2, 2))
-                    .with_jobs(jobs)
-                    .with_refine(mode);
-                let r = verify_case_lts(name, cfg, imp, spec, &Watchdog::unlimited()).unwrap();
+                let tag = format!("{name} {eq:?} {jobs:?}");
+                let (p, h) = partition_with_history_opts(lts, eq, opts(jobs));
+                assert_eq!(&p, reference.last().unwrap(), "{tag}: partition differs");
+                assert_eq!(h.rounds, reference, "{tag}: history differs");
                 assert_eq!(
-                    serial,
-                    (r.linearizable(), r.lock_free(), r.summary()),
-                    "{name} at {jobs:?} {mode}: verdict differs from the serial default"
+                    aut0,
+                    to_aut(&quotient(lts, &p).lts),
+                    "{tag}: .aut bytes differ"
                 );
             }
         }
     }
 }
 
+/// End-to-end sweep over the verification pipeline: `verify_case_lts` must
+/// produce the same verdict summary as the serial default at every worker
+/// count.
+#[test]
+fn verdicts_match_across_jobs() {
+    for (name, imp, spec) in &verdict_cases() {
+        let run = |jobs| {
+            let cfg = VerifyConfig::new(Bound::new(2, 2)).with_jobs(jobs);
+            let r = verify_case_lts(name, cfg, imp, spec, &Watchdog::unlimited()).unwrap();
+            (r.linearizable(), r.lock_free(), r.summary())
+        };
+        let serial = run(Jobs::serial());
+        for jobs in [Jobs::new(2), Jobs::new(4)] {
+            assert_eq!(
+                serial,
+                run(jobs),
+                "{name} at {jobs:?}: verdict differs from serial"
+            );
+        }
+    }
+}
+
+/// A visible chain long enough that refinement needs about one round per
+/// state.
+fn chain(k: u32) -> Lts {
+    let mut b = LtsBuilder::new();
+    let states: Vec<_> = (0..k).map(|_| b.add_state()).collect();
+    let a = b.intern_action(Action::call(ThreadId(1), "step", None));
+    for w in states.windows(2) {
+        b.add_transition(w[0], a, w[1]);
+    }
+    b.build(states[0])
+}
+
 /// The `PartialStats.refinement` boundary semantics: a budget that trips
 /// before the first round completes reports *no* refinement progress (not
 /// a phantom round 0), and a trip exactly on a round boundary reports the
 /// just-completed round with its block count — consistent with the
-/// unbudgeted run's history — in both engines.
+/// unbudgeted run's history.
 #[test]
 fn partial_stats_refinement_round_boundaries_are_exact() {
-    let k = 40u32;
-    let mut b = LtsBuilder::new();
-    let states: Vec<_> = (0..k).map(|_| b.add_state()).collect();
-    let a = b.intern_action(Action::call(ThreadId(1), "step", None));
-    for w in states.windows(2) {
-        b.add_transition(w[0], a, w[1]);
-    }
-    let lts = b.build(states[0]);
-    let scan = lts.num_transitions(); // per-round charge of the full engine
+    let lts = chain(40);
+    // Round 0 recomputes every signature: one visit per transition.
+    let scan = lts.num_transitions();
+    // Reference history of the uninterrupted run: rounds[r] is the
+    // partition after round r (rounds[0] is the universal start).
+    let (_, h) = partition_with_history_opts(&lts, Equivalence::Strong, opts(Jobs::serial()));
 
-    for mode in [RefineMode::Full, RefineMode::Incremental] {
-        // Reference history of the uninterrupted run: rounds[r] is the
-        // partition after round r (rounds[0] is the universal start).
-        let (_, h) = partition_with_history_opts(&lts, Equivalence::Strong, opts(mode, Jobs::serial()));
+    // Trip before round 1 can complete: no round was finished, so the
+    // partial stats must carry no refinement note at all.
+    let wd = Watchdog::new(Budget::unlimited().with_max_transitions(scan - 1));
+    let err = partition_governed_opts(&lts, Equivalence::Strong, &wd, opts(Jobs::serial()))
+        .expect_err("budget under one scan must trip in round 1");
+    assert_eq!(err.reason, ExhaustReason::TransitionCap);
+    assert_eq!(
+        err.partial.refinement, None,
+        "a trip before round 1 completes must not report a round"
+    );
 
-        // Trip before round 1 can complete: no round was finished, so the
-        // partial stats must carry no refinement note at all.
-        let wd = Watchdog::new(Budget::unlimited().with_max_transitions(scan - 1));
-        let err =
-            partition_governed_opts(&lts, Equivalence::Strong, &wd, opts(mode, Jobs::serial()))
-                .expect_err("budget under one scan must trip in round 1");
-        assert_eq!(err.reason, ExhaustReason::TransitionCap, "{mode}");
-        assert_eq!(
-            err.partial.refinement, None,
-            "{mode}: a trip before round 1 completes must not report a round"
-        );
-
-        // Trip exactly on a round boundary: the just-completed round must
-        // be reported, and its block count must match the history.
-        let wd = Watchdog::new(Budget::unlimited().with_max_transitions(2 * scan - 1));
-        let err =
-            partition_governed_opts(&lts, Equivalence::Strong, &wd, opts(mode, Jobs::serial()))
-                .expect_err("the chain needs ~k rounds; two scans of budget must trip");
-        assert_eq!(err.reason, ExhaustReason::TransitionCap, "{mode}");
-        let (rounds, blocks) = err.partial.refinement.unwrap_or_else(|| {
-            panic!("{mode}: a boundary trip after a completed round must report it")
-        });
-        assert!(rounds >= 1, "{mode}: at least round 1 completed");
-        assert_eq!(
-            blocks,
-            h.rounds[rounds as usize].num_blocks() as u64,
-            "{mode}: reported blocks must be the just-completed round's"
-        );
-    }
+    // Trip after a few completed rounds: the last completed round must be
+    // reported, and its block count must match the history.
+    let wd = Watchdog::new(Budget::unlimited().with_max_transitions(2 * scan - 1));
+    let err = partition_governed_opts(&lts, Equivalence::Strong, &wd, opts(Jobs::serial()))
+        .expect_err("the chain needs ~k rounds; two scans of budget must trip");
+    assert_eq!(err.reason, ExhaustReason::TransitionCap);
+    let (rounds, blocks) = err
+        .partial
+        .refinement
+        .expect("a trip after a completed round must report it");
+    assert!(rounds >= 1, "at least round 1 completed");
+    assert_eq!(
+        blocks,
+        h.rounds[rounds as usize].num_blocks() as u64,
+        "reported blocks must be the just-completed round's"
+    );
 }
 
-/// A visible chain long enough that refinement needs many rounds; a
-/// transition budget of one round plus a little trips *mid-refinement* in
-/// both engines, with the same structured error.
+/// A transition budget of one round plus a little trips *mid-refinement*
+/// with a structured error naming the stage and the axis.
 #[test]
-fn budget_trips_mid_refinement_in_both_engines() {
+fn budget_trips_mid_refinement() {
     let k = 40u32;
-    let mut b = LtsBuilder::new();
-    let states: Vec<_> = (0..k).map(|_| b.add_state()).collect();
-    let a = b.intern_action(Action::call(ThreadId(1), "step", None));
-    for w in states.windows(2) {
-        b.add_transition(w[0], a, w[1]);
-    }
-    let lts = b.build(states[0]);
-
-    for mode in [RefineMode::Full, RefineMode::Incremental] {
-        let wd = Watchdog::new(Budget::unlimited().with_max_transitions(k as usize - 1 + 2));
-        let err = partition_governed_opts(
-            &lts,
-            Equivalence::Strong,
-            &wd,
-            opts(mode, Jobs::serial()),
-        )
+    let lts = chain(k);
+    let wd = Watchdog::new(Budget::unlimited().with_max_transitions(k as usize - 1 + 2));
+    let err = partition_governed_opts(&lts, Equivalence::Strong, &wd, opts(Jobs::serial()))
         .expect_err("the chain needs ~k rounds; one round of budget must trip");
-        assert_eq!(err.stage, Stage::Bisim, "{mode}: wrong stage");
-        assert_eq!(err.reason, ExhaustReason::TransitionCap, "{mode}: wrong reason");
-    }
+    assert_eq!(err.stage, Stage::Bisim);
+    assert_eq!(err.reason, ExhaustReason::TransitionCap);
 }

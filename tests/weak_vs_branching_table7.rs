@@ -12,7 +12,7 @@ use bbverify::algorithms::{
     ccas::Ccas, hsy_stack::HsyStack, hw_queue::HwQueue, ms_queue::MsQueue, specs::*,
     treiber::Treiber,
 };
-use bbverify::bisim::{bisimilar, partition, Equivalence};
+use bbverify::bisim::{bisimilar, partition, BisimCheck, Equivalence};
 use bbverify::lts::{ExploreLimits, Lts};
 use bbverify::sim::{explore_system, AtomicSpec, Bound, ObjectAlgorithm};
 
@@ -38,6 +38,15 @@ fn ms_queue_is_not_bisimilar_to_its_spec() {
     let spec = lts_of(&AtomicSpec::new(SeqQueue::new(&[1])), 2, 3);
     assert!(!bisimilar(&imp, &spec, Equivalence::Branching));
     assert!(!bisimilar(&imp, &spec, Equivalence::Weak));
+    // The Fig. 7 explanation `examples/ms_queue.rs` prints, pinned so the
+    // diagnostics replay stays byte-identical.
+    let formula = BisimCheck::run(&imp, &spec, Equivalence::Branching)
+        .diagnosis()
+        .expect("inequivalent systems carry a diagnosis");
+    assert_eq!(
+        formula.to_string(),
+        "⟨t1.call.Enq(1)⟩⟨t2.call.Deq⟩⟨τ⟩⟨τ⟩⟨t1.ret.Enq⟩⟨t1.call.Enq(1)⟩⟨t1.ret.Enq⟩⟨t1.call.Deq⟩"
+    );
 }
 
 #[test]
