@@ -662,13 +662,12 @@ impl ObjectAlgorithm for AbsRdcss {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, Bound};
 
     #[test]
     fn abs_queue_fifo() {
         let alg = AbsQueue::new(&[1, 2]);
-        let lts = explore_system(&alg, Bound::new(1, 3), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 3)).unwrap();
         let rets: std::collections::BTreeSet<_> = lts
             .actions()
             .iter()
@@ -682,7 +681,7 @@ mod tests {
     #[test]
     fn abs_queue_is_lock_free() {
         let alg = AbsQueue::new(&[1]);
-        let lts = explore_system(&alg, Bound::new(2, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(2, 2)).unwrap();
         assert!(!bb_bisim::has_tau_cycle(&lts));
     }
 
@@ -690,18 +689,16 @@ mod tests {
     fn abs_queue_smaller_than_concrete() {
         use crate::ms_queue::MsQueue;
         let bound = Bound::new(2, 2);
-        let abs = explore_system(&AbsQueue::new(&[1]), bound, ExploreLimits::default()).unwrap();
-        let ms = explore_system(&MsQueue::new(&[1]), bound, ExploreLimits::default()).unwrap();
+        let abs = explore_system(&AbsQueue::new(&[1]), bound).unwrap();
+        let ms = explore_system(&MsQueue::new(&[1]), bound).unwrap();
         assert!(abs.num_states() < ms.num_states() / 2);
     }
 
     #[test]
     fn abs_ccas_and_rdcss_explore() {
-        let lts = explore_system(&AbsCcas::new(2), Bound::new(2, 1), ExploreLimits::default())
-            .unwrap();
+        let lts = explore_system(&AbsCcas::new(2), Bound::new(2, 1)).unwrap();
         assert!(!bb_bisim::has_tau_cycle(&lts));
-        let lts = explore_system(&AbsRdcss::new(2), Bound::new(2, 1), ExploreLimits::default())
-            .unwrap();
+        let lts = explore_system(&AbsRdcss::new(2), Bound::new(2, 1)).unwrap();
         assert!(!bb_bisim::has_tau_cycle(&lts));
     }
 }

@@ -313,13 +313,12 @@ impl ObjectAlgorithm for Ccas {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, Bound};
 
     #[test]
     fn ccas_success_and_failure() {
         let alg = Ccas::new(2);
-        let lts = explore_system(&alg, Bound::new(1, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 2)).unwrap();
         let rets: std::collections::BTreeSet<_> = lts
             .actions()
             .iter()
@@ -333,7 +332,7 @@ mod tests {
     #[test]
     fn no_tau_cycles() {
         let alg = Ccas::new(2);
-        let lts = explore_system(&alg, Bound::new(2, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(2, 2)).unwrap();
         assert!(!bb_bisim::has_tau_cycle(&lts), "CCAS is lock-free");
     }
 
@@ -343,7 +342,7 @@ mod tests {
         // when a ccas runs, the cell keeps its old value, so a read right
         // after setflag(1); ccas(0,1) cannot return 1.
         let alg = Ccas::new(2);
-        let lts = explore_system(&alg, Bound::new(1, 3), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 3)).unwrap();
         let traces = bb_refine::enumerate_traces(&lts, 6);
         // Single thread, so traces are sequential. The history
         //   setflag(1); ccas(0,1); read

@@ -158,15 +158,12 @@ impl<S: SequentialSpec> ObjectAlgorithm for CoarseLocked<S> {
 mod tests {
     use super::*;
     use crate::specs::{SeqQueue, SeqSet, SeqStack};
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, AtomicSpec, Bound};
 
     fn linearizable<S: SequentialSpec>(spec: S) -> bool {
         let bound = Bound::new(2, 2);
-        let imp = explore_system(&CoarseLocked::new(spec.clone()), bound, ExploreLimits::default())
-            .unwrap();
-        let sp =
-            explore_system(&AtomicSpec::new(spec), bound, ExploreLimits::default()).unwrap();
+        let imp = explore_system(&CoarseLocked::new(spec.clone()), bound).unwrap();
+        let sp = explore_system(&AtomicSpec::new(spec), bound).unwrap();
         let p_imp = bb_bisim::partition(&imp, bb_bisim::Equivalence::Branching);
         let q_imp = bb_bisim::quotient(&imp, &p_imp);
         let p_sp = bb_bisim::partition(&sp, bb_bisim::Equivalence::Branching);
@@ -191,12 +188,8 @@ mod tests {
 
     #[test]
     fn no_divergence_under_bounded_client() {
-        let imp = explore_system(
-            &CoarseLocked::new(SeqStack::new(&[1])),
-            Bound::new(2, 2),
-            ExploreLimits::default(),
-        )
-        .unwrap();
+        let imp =
+            explore_system(&CoarseLocked::new(SeqStack::new(&[1])), Bound::new(2, 2)).unwrap();
         assert!(!bb_bisim::has_tau_cycle(&imp));
     }
 
@@ -205,18 +198,8 @@ mod tests {
     #[test]
     fn coarse_object_is_bisimilar_to_spec() {
         let bound = Bound::new(2, 2);
-        let imp = explore_system(
-            &CoarseLocked::new(SeqStack::new(&[1])),
-            bound,
-            ExploreLimits::default(),
-        )
-        .unwrap();
-        let sp = explore_system(
-            &AtomicSpec::new(SeqStack::new(&[1])),
-            bound,
-            ExploreLimits::default(),
-        )
-        .unwrap();
+        let imp = explore_system(&CoarseLocked::new(SeqStack::new(&[1])), bound).unwrap();
+        let sp = explore_system(&AtomicSpec::new(SeqStack::new(&[1])), bound).unwrap();
         assert!(bb_bisim::bisimilar(
             &imp,
             &sp,

@@ -428,13 +428,12 @@ fn rewrite(f: &mut Frame, go: &mut dyn FnMut(&mut Ptr)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, Bound};
 
     #[test]
     fn fifo_single_thread() {
         let alg = DglmQueue::new(&[1, 2]);
-        let lts = explore_system(&alg, Bound::new(1, 3), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 3)).unwrap();
         let deq_rets: std::collections::BTreeSet<_> = lts
             .actions()
             .iter()
@@ -448,7 +447,7 @@ mod tests {
     #[test]
     fn no_tau_cycles() {
         let alg = DglmQueue::new(&[1]);
-        let lts = explore_system(&alg, Bound::new(2, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(2, 2)).unwrap();
         assert!(!bb_bisim::has_tau_cycle(&lts));
     }
 
@@ -457,9 +456,8 @@ mod tests {
         // The paper reports DGLM consistently smaller than MS (Table VI).
         use crate::ms_queue::MsQueue;
         let bound = Bound::new(2, 2);
-        let dglm =
-            explore_system(&DglmQueue::new(&[1]), bound, ExploreLimits::default()).unwrap();
-        let ms = explore_system(&MsQueue::new(&[1]), bound, ExploreLimits::default()).unwrap();
+        let dglm = explore_system(&DglmQueue::new(&[1]), bound).unwrap();
+        let ms = explore_system(&MsQueue::new(&[1]), bound).unwrap();
         assert!(dglm.num_states() < ms.num_states());
     }
 }

@@ -437,13 +437,12 @@ fn rewrite(f: &mut Frame, go: &mut dyn FnMut(&mut Ptr)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, Bound};
 
     #[test]
     fn set_semantics_sequential() {
         let alg = FineList::new(&[1]);
-        let lts = explore_system(&alg, Bound::new(1, 3), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 3)).unwrap();
         let rets: std::collections::BTreeSet<_> = lts
             .actions()
             .iter()
@@ -461,7 +460,7 @@ mod tests {
         // Hand-over-hand in list order cannot deadlock: every non-final
         // state with a running thread has at least one outgoing transition.
         let alg = FineList::new(&[1, 2]);
-        let lts = explore_system(&alg, Bound::new(2, 1), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(2, 1)).unwrap();
         for s in lts.states() {
             // Terminal states must be "all idle" states — detectable as
             // states with no successors only when no call is possible

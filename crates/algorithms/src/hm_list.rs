@@ -578,13 +578,12 @@ fn rewrite(f: &mut Frame, go: &mut dyn FnMut(&mut Ptr)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, Bound};
 
     #[test]
     fn sequential_set_semantics() {
         let alg = HmList::revised(&[1]);
-        let lts = explore_system(&alg, Bound::new(1, 3), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 3)).unwrap();
         let rets: std::collections::BTreeSet<_> = lts
             .actions()
             .iter()
@@ -602,7 +601,7 @@ mod tests {
     #[test]
     fn revised_is_lock_free_shape() {
         let alg = HmList::revised(&[1]);
-        let lts = explore_system(&alg, Bound::new(2, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(2, 2)).unwrap();
         assert!(!bb_bisim::has_tau_cycle(&lts));
     }
 
@@ -612,10 +611,10 @@ mod tests {
         // returns TRUE twice after a single add(1).
         use bb_algorithms_test_helper::*;
         let alg = HmList::buggy(&[1]);
-        let lts = explore_system(&alg, Bound::new(2, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(2, 2)).unwrap();
         assert!(has_double_remove_history(&lts));
         let alg = HmList::revised(&[1]);
-        let lts = explore_system(&alg, Bound::new(2, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(2, 2)).unwrap();
         assert!(!has_double_remove_history(&lts));
     }
 

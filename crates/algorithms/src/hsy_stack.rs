@@ -563,13 +563,12 @@ fn rewrite(f: &mut Frame, go: &mut dyn FnMut(&mut Ptr)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, Bound};
 
     #[test]
     fn lifo_single_thread() {
         let alg = HsyStack::new(&[1, 2]);
-        let lts = explore_system(&alg, Bound::new(1, 3), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 3)).unwrap();
         let rets: std::collections::BTreeSet<_> = lts
             .actions()
             .iter()
@@ -584,7 +583,7 @@ mod tests {
     #[test]
     fn no_tau_cycles() {
         let alg = HsyStack::new(&[1]);
-        let lts = explore_system(&alg, Bound::new(2, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(2, 2)).unwrap();
         assert!(!bb_bisim::has_tau_cycle(&lts), "HSY stack is lock-free");
     }
 
@@ -593,7 +592,7 @@ mod tests {
         // With three threads contention can push operations into the
         // collision layer; the S5/S14 match steps must appear.
         let alg = HsyStack::new(&[1]);
-        let lts = explore_system(&alg, Bound::new(3, 1), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(3, 1)).unwrap();
         let tags: std::collections::BTreeSet<_> = lts
             .actions()
             .iter()

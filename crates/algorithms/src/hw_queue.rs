@@ -198,13 +198,12 @@ impl ObjectAlgorithm for HwQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, Bound};
 
     #[test]
     fn enq_deq_single_thread() {
         let alg = HwQueue::for_bound(&[1], 1, 2);
-        let lts = explore_system(&alg, Bound::new(1, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 2)).unwrap();
         assert!(lts.actions().iter().any(|a| {
             a.kind == bb_lts::ActionKind::Ret
                 && a.method.as_deref() == Some("Deq")
@@ -216,7 +215,7 @@ mod tests {
     fn dequeue_diverges() {
         // Even 1 thread with 1 op: Deq on the empty queue spins forever.
         let alg = HwQueue::for_bound(&[1], 1, 1);
-        let lts = explore_system(&alg, Bound::new(1, 1), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 1)).unwrap();
         assert!(
             bb_bisim::has_tau_cycle(&lts),
             "HW Deq must contain the τ-cycle (lock-freedom bug)"
@@ -226,7 +225,7 @@ mod tests {
     #[test]
     fn divergence_is_in_deq() {
         let alg = HwQueue::for_bound(&[1], 2, 1);
-        let lts = explore_system(&alg, Bound::new(2, 1), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(2, 1)).unwrap();
         let lasso = bb_bisim::divergence_witness(&lts).expect("divergence");
         // The cycle's τ steps are tagged with Deq's lines (L3/L4/L5).
         for (_, aid, _) in &lasso.cycle {

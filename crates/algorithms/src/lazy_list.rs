@@ -528,13 +528,12 @@ fn rewrite(f: &mut Frame, go: &mut dyn FnMut(&mut Ptr)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, Bound};
 
     #[test]
     fn set_semantics_sequential() {
         let alg = LazyList::new(&[1]);
-        let lts = explore_system(&alg, Bound::new(1, 3), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 3)).unwrap();
         let rets: std::collections::BTreeSet<_> = lts
             .actions()
             .iter()
@@ -553,7 +552,7 @@ mod tests {
         // contains never blocks: with one thread doing only contains the
         // state space has no blocked states and no τ-cycles.
         let alg = LazyList::new(&[1]);
-        let lts = explore_system(&alg, Bound::new(2, 1), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(2, 1)).unwrap();
         assert!(lts.num_states() > 10);
     }
 }

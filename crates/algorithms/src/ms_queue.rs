@@ -429,13 +429,12 @@ fn frame_ptrs_mut(f: &mut Frame, rewrite: &mut dyn FnMut(&mut Ptr)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, Bound};
 
     #[test]
     fn fifo_single_thread() {
         let alg = MsQueue::new(&[1, 2]);
-        let lts = explore_system(&alg, Bound::new(1, 3), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 3)).unwrap();
         let deq_rets: std::collections::BTreeSet<_> = lts
             .actions()
             .iter()
@@ -450,14 +449,14 @@ mod tests {
     #[test]
     fn no_tau_cycles() {
         let alg = MsQueue::new(&[1]);
-        let lts = explore_system(&alg, Bound::new(2, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(2, 2)).unwrap();
         assert!(!bb_bisim::has_tau_cycle(&lts), "MS queue is lock-free");
     }
 
     #[test]
     fn line_tags_match_fig5() {
         let alg = MsQueue::new(&[1]);
-        let lts = explore_system(&alg, Bound::new(2, 1), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(2, 1)).unwrap();
         let tags: std::collections::BTreeSet<_> = lts
             .actions()
             .iter()

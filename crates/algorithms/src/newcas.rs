@@ -139,13 +139,12 @@ impl ObjectAlgorithm for NewCas {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, Bound};
 
     #[test]
     fn returns_prior_value() {
         let alg = NewCas::new(2);
-        let lts = explore_system(&alg, Bound::new(1, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 2)).unwrap();
         // Initially 0: NewCAS(0,1) returns 0; a second NewCAS(0,1) returns 1.
         let rets: std::collections::BTreeSet<_> = lts
             .actions()
@@ -160,7 +159,7 @@ mod tests {
     #[test]
     fn no_tau_cycles() {
         let alg = NewCas::new(2);
-        let lts = explore_system(&alg, Bound::new(2, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(2, 2)).unwrap();
         assert!(!bb_bisim::has_tau_cycle(&lts));
     }
 }

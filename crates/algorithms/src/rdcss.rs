@@ -322,13 +322,12 @@ impl ObjectAlgorithm for Rdcss {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, Bound};
 
     #[test]
     fn rdcss_returns_prior_value() {
         let alg = Rdcss::new(2);
-        let lts = explore_system(&alg, Bound::new(1, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 2)).unwrap();
         let rets: std::collections::BTreeSet<_> = lts
             .actions()
             .iter()
@@ -342,7 +341,7 @@ mod tests {
     #[test]
     fn no_tau_cycles() {
         let alg = Rdcss::new(2);
-        let lts = explore_system(&alg, Bound::new(2, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(2, 2)).unwrap();
         assert!(!bb_bisim::has_tau_cycle(&lts), "RDCSS is lock-free");
     }
 
@@ -351,7 +350,7 @@ mod tests {
         // Sequential: rdcss(1, 0, 1) with c1 = 0 must leave c2 = 0, so a
         // following read2 returns 0.
         let alg = Rdcss::new(2);
-        let lts = explore_system(&alg, Bound::new(1, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 2)).unwrap();
         let traces = bb_refine::enumerate_traces(&lts, 4);
         let bad = traces.iter().any(|tr| {
             let strs: Vec<String> = tr.iter().map(|o| o.to_string()).collect();

@@ -249,13 +249,12 @@ impl ObjectAlgorithm for Treiber {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, Bound};
 
     #[test]
     fn single_thread_push_pop() {
         let alg = Treiber::new(&[1]);
-        let lts = explore_system(&alg, Bound::new(1, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 2)).unwrap();
         // pop after push must be able to return 1.
         assert!(lts.actions().iter().any(|a| {
             a.kind == bb_lts::ActionKind::Ret
@@ -273,15 +272,15 @@ mod tests {
     #[test]
     fn no_tau_cycles() {
         let alg = Treiber::new(&[1, 2]);
-        let lts = explore_system(&alg, Bound::new(2, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(2, 2)).unwrap();
         assert!(!bb_bisim::has_tau_cycle(&lts), "Treiber stack is lock-free");
     }
 
     #[test]
     fn state_space_grows_with_bound() {
         let alg = Treiber::new(&[1]);
-        let small = explore_system(&alg, Bound::new(1, 1), ExploreLimits::default()).unwrap();
-        let large = explore_system(&alg, Bound::new(2, 2), ExploreLimits::default()).unwrap();
+        let small = explore_system(&alg, Bound::new(1, 1)).unwrap();
+        let large = explore_system(&alg, Bound::new(2, 2)).unwrap();
         assert!(large.num_states() > small.num_states());
     }
 }

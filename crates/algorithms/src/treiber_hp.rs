@@ -373,13 +373,12 @@ fn rewrite(f: &mut Frame, go: &mut dyn FnMut(&mut Ptr)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, Bound};
 
     #[test]
     fn push_pop_roundtrip() {
         let alg = TreiberHp::new(&[1], 1);
-        let lts = explore_system(&alg, Bound::new(1, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 2)).unwrap();
         assert!(lts.actions().iter().any(|a| {
             a.kind == bb_lts::ActionKind::Ret
                 && a.method.as_deref() == Some("pop")
@@ -390,7 +389,7 @@ mod tests {
     #[test]
     fn no_tau_cycles_lock_free() {
         let alg = TreiberHp::new(&[1], 2);
-        let lts = explore_system(&alg, Bound::new(2, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(2, 2)).unwrap();
         assert!(
             !bb_bisim::has_tau_cycle(&lts),
             "Michael's HP scheme never waits"
@@ -403,7 +402,7 @@ mod tests {
         // again in some reachable state... indirectly: the state count stays
         // small compared to never-freeing (sanity check only).
         let alg = TreiberHp::new(&[1], 1);
-        let lts = explore_system(&alg, Bound::new(1, 4), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 4)).unwrap();
         assert!(lts.num_states() > 0);
     }
 }

@@ -359,14 +359,13 @@ fn rewrite(f: &mut Frame, go: &mut dyn FnMut(&mut Ptr)) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, Bound};
 
     #[test]
     fn violates_lock_freedom() {
         // T1: push then pop (waits); T2: pop (parks with hp set).
         let alg = TreiberHpFu::new(&[1], 2);
-        let lts = explore_system(&alg, Bound::new(2, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(2, 2)).unwrap();
         assert!(
             bb_bisim::has_tau_cycle(&lts),
             "the waiting reclamation must diverge"
@@ -382,7 +381,7 @@ mod tests {
     #[test]
     fn still_functionally_correct_sequentially() {
         let alg = TreiberHpFu::new(&[1], 1);
-        let lts = explore_system(&alg, Bound::new(1, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 2)).unwrap();
         // Single-threaded: wait never blocks (no other hp), pop returns 1.
         assert!(lts.actions().iter().any(|a| {
             a.kind == bb_lts::ActionKind::Ret

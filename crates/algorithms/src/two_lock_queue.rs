@@ -268,13 +268,12 @@ impl ObjectAlgorithm for TwoLockQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, Bound};
 
     #[test]
     fn fifo_single_thread() {
         let alg = TwoLockQueue::new(&[1, 2]);
-        let lts = explore_system(&alg, Bound::new(1, 3), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(1, 3)).unwrap();
         let rets: std::collections::BTreeSet<_> = lts
             .actions()
             .iter()
@@ -290,14 +289,8 @@ mod tests {
         use crate::specs::SeqQueue;
         use bb_sim::AtomicSpec;
         let bound = Bound::new(2, 2);
-        let imp =
-            explore_system(&TwoLockQueue::new(&[1]), bound, ExploreLimits::default()).unwrap();
-        let sp = explore_system(
-            &AtomicSpec::new(SeqQueue::new(&[1])),
-            bound,
-            ExploreLimits::default(),
-        )
-        .unwrap();
+        let imp = explore_system(&TwoLockQueue::new(&[1]), bound).unwrap();
+        let sp = explore_system(&AtomicSpec::new(SeqQueue::new(&[1])), bound).unwrap();
         let p_imp = bb_bisim::partition(&imp, bb_bisim::Equivalence::Branching);
         let q_imp = bb_bisim::quotient(&imp, &p_imp);
         let p_sp = bb_bisim::partition(&sp, bb_bisim::Equivalence::Branching);
@@ -310,7 +303,7 @@ mod tests {
         // With one enqueuer and one dequeuer the two locks never block each
         // other: every non-terminal state keeps at least one transition.
         let alg = TwoLockQueue::new(&[1]);
-        let lts = explore_system(&alg, Bound::new(2, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&alg, Bound::new(2, 2)).unwrap();
         assert!(!bb_bisim::has_tau_cycle(&lts));
         assert!(lts.num_states() > 100);
     }

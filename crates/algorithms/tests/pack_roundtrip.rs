@@ -22,7 +22,7 @@ use bb_algorithms::treiber::Treiber;
 use bb_algorithms::treiber_hp::TreiberHp;
 use bb_algorithms::treiber_hp_fu::TreiberHpFu;
 use bb_algorithms::two_lock_queue::TwoLockQueue;
-use bb_lts::{to_aut, CodecSemantics, ExploreLimits, ExploreOptions, Jobs, Semantics};
+use bb_lts::{to_aut, CodecSemantics, ExploreOptions, Jobs, Semantics};
 use bb_sim::{explore_system, explore_system_with, Bound, ObjectAlgorithm, System};
 use std::collections::HashSet;
 
@@ -55,10 +55,9 @@ fn assert_roundtrip<A: ObjectAlgorithm>(alg: &A, bound: Bound) -> usize {
 /// The compact engine must emit the byte-identical `.aut` the rich-state
 /// reference (`explore_system`) does, at jobs {1, 4}.
 fn assert_aut_identical<A: ObjectAlgorithm>(alg: &A, bound: Bound) {
-    let limits = ExploreLimits::default();
-    let reference = to_aut(&explore_system(alg, bound, limits).unwrap());
+    let reference = to_aut(&explore_system(alg, bound).unwrap());
     for jobs in [1, 4] {
-        let opts = ExploreOptions::limits(limits).with_jobs(Jobs::new(jobs));
+        let opts = ExploreOptions::default().with_jobs(Jobs::new(jobs));
         let aut = to_aut(&explore_system_with(alg, bound, &opts).unwrap());
         assert_eq!(reference, aut, "{}: compact .aut differs (jobs={jobs})", alg.name());
     }

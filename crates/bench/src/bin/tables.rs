@@ -22,11 +22,11 @@ use bb_algorithms::roster::{with_case, Case, ALGORITHMS};
 use bb_bench::{check, lts_of_jobs, mark, sabotage_point};
 use bb_bisim::{bisimilar_opts, partition_opts, quotient, Equivalence, PartitionOptions};
 use bb_core::{
-    verify_case_lts, verify_linearizability_opts, verify_lock_freedom_opts,
+    verify_case, verify_linearizability_opts, verify_lock_freedom_opts,
     verify_lock_freedom_via_abstraction_opts, CaseReport, VerifyConfig,
 };
 use bb_ktrace::{classify_tau_edges, KtraceLimits};
-use bb_lts::{Exhausted, ExploreError, ExploreLimits, ExploreOptions, Jobs, Lts, Watchdog};
+use bb_lts::{Budget, Exhausted, ExploreOptions, Jobs, Lts, Watchdog};
 use bb_persist::{Cache, CacheEntry};
 use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 use std::time::Instant;
@@ -147,8 +147,9 @@ fn guarded(name: &str, f: impl FnOnce()) {
     }
 }
 
-/// Partition options for `--jobs N`. The tables cap exploration only; their
-/// later stages run under `Watchdog::unlimited()`.
+/// Partition options for `--jobs N`. Beyond the [`Fig1`] cases, which run
+/// under the default caps, the tables cap exploration only; their later
+/// stages run under `Watchdog::unlimited()`.
 fn popts(jobs: Jobs) -> PartitionOptions {
     PartitionOptions::default().with_jobs(jobs)
 }
@@ -218,12 +219,12 @@ fn table2(jobs: Jobs) {
         "Case study", "#Th-#Op", "Linearizability", "Lock-free", "|Δ|", "|Δ/≈|"
     );
 
-    // Each case runs fault-isolated: a panic or an exhausted exploration in
-    // one row prints `inconclusive` (with the partial statistics carried by
-    // the error) and the sweep continues with the remaining rows.
+    // Each case runs fault-isolated: a panic or an exhausted stage in one
+    // row prints `inconclusive` (with the partial statistics carried by the
+    // error) and the sweep continues with the remaining rows.
     for (label, name, domain, th, op) in TABLE2 {
         let cfg_col = format!("{th}-{op}");
-        match run_case(name, domain, Fig1::new(label, th, op, jobs)) {
+        match run_case(name, domain, Fig1::new(th, op, jobs)) {
             Ok(Ok(r)) => println!(
                 "{label:<40} {cfg_col:>6} {:>16} {:>10} {:>12} {:>10}",
                 check(r.linearizable()),
@@ -231,10 +232,7 @@ fn table2(jobs: Jobs) {
                 r.linearizability.impl_states,
                 r.linearizability.impl_quotient_states,
             ),
-            Ok(Err(e)) => println!(
-                "{label:<40} {cfg_col:>6} inconclusive: exploration aborted, {}",
-                ExploreError::from(e),
-            ),
+            Ok(Err(e)) => println!("{label:<40} {cfg_col:>6} inconclusive: {e}"),
             Err(fault) => println!(
                 "{label:<40} {cfg_col:>6} inconclusive: internal fault ({})",
                 fault.lines().next().unwrap_or("panic"),
@@ -472,15 +470,14 @@ fn fig10(large: bool, jobs: Jobs) {
     macro_rules! series {
         ($name:expr, $alg:expr, $max:expr) => {{
             for op in 1..=$max {
-                let lts = match bb_sim::explore_system_with(
-                    &$alg,
-                    Bound::new(2, op),
-                    &bb_lts::ExploreOptions::limits(bb_lts::ExploreLimits {
-                        max_states: 20_000_000,
-                        max_transitions: 80_000_000,
-                    })
-                    .with_jobs(jobs),
-                ) {
+                // Tighter than the default caps: the series stops where one
+                // more operation would not fit.
+                let caps = Budget::unlimited()
+                    .with_max_states(20_000_000)
+                    .with_max_transitions(80_000_000);
+                let wd = Watchdog::new(caps);
+                let opts = ExploreOptions::governed(&wd).with_jobs(jobs);
+                let lts = match explore_system_with(&$alg, Bound::new(2, op), &opts) {
                     Ok(l) => l,
                     Err(e) => {
                         println!("{:<28} {:>4} (aborted: {e})", $name, op);
@@ -534,7 +531,7 @@ fn phases(jobs: Jobs) {
 
     for (name, domain) in [("treiber", &[1, 2][..]), ("ms-queue", &[1, 2]), ("hm-list", &[1])] {
         bb_obs::install(bb_obs::ObsConfig { progress: false, quiet: true });
-        let outcome = run_case(name, domain, Fig1::new(name, 2, 2, jobs));
+        let outcome = run_case(name, domain, Fig1::new(2, 2, jobs));
         let session = bb_obs::finish();
         match (outcome, session) {
             (Ok(Ok(_)), Some(s)) => {
@@ -555,7 +552,7 @@ fn phases(jobs: Jobs) {
                     counter("bisim.rounds"),
                 );
             }
-            (Ok(Err(e)), _) => println!("{name:<12} 2-2 (aborted: {})", ExploreError::from(e)),
+            (Ok(Err(e)), _) => println!("{name:<12} 2-2 (aborted: {e})"),
             (Err(fault), _) => println!(
                 "{name:<12} 2-2 internal fault: {}",
                 fault.lines().next().unwrap_or("panic")
@@ -615,7 +612,7 @@ fn verdicts(jobs: Jobs, cache: Option<Cache>) {
             continue;
         }
         misses += 1;
-        match run_case(name, domain, Fig1::new(name, th, op, jobs)) {
+        match run_case(name, domain, Fig1::new(th, op, jobs)) {
             Ok(Ok(r)) => {
                 let line = format!(
                     "{name:<24} {th}-{op} lin={} lock-free={}",
@@ -652,22 +649,18 @@ fn verdicts(jobs: Jobs, cache: Option<Cache>) {
 
 // ------------------------------------------------------------ roster cases
 
-/// A roster case as the sweeps run it: explored under the default caps,
-/// then both methods of Fig. 1 under an unlimited watchdog, with
-/// lock-freedom checked on the non-blocking objects only. `label` names the
-/// case in its report.
+/// A roster case as the sweeps run it: [`verify_case`] under the default
+/// caps, with lock-freedom checked on the non-blocking objects only.
 #[derive(Clone, Copy)]
 struct Fig1 {
-    label: &'static str,
     bound: Bound,
     jobs: Jobs,
 }
 
 impl Fig1 {
     /// The case at `th`-`op` on `jobs` workers.
-    fn new(label: &'static str, th: u8, op: u32, jobs: Jobs) -> Self {
+    fn new(th: u8, op: u32, jobs: Jobs) -> Self {
         Fig1 {
-            label,
             bound: Bound::new(th, op),
             jobs,
         }
@@ -684,15 +677,11 @@ impl Case for Fig1 {
         non_blocking: bool,
     ) -> Self::Out {
         sabotage_point(alg.name());
-        let Fig1 { label, bound, jobs } = self;
-        let opts = ExploreOptions::limits(ExploreLimits::default()).with_jobs(jobs);
-        let imp = explore_system_with(alg, bound, &opts)?;
-        let spec = explore_system_with(seq, bound, &opts)?;
-        let mut cfg = VerifyConfig::new(bound).with_jobs(jobs);
+        let mut cfg = VerifyConfig::new(self.bound).with_jobs(self.jobs);
         if !non_blocking {
             cfg = cfg.linearizability_only();
         }
-        verify_case_lts(label, cfg, &imp, &spec, &Watchdog::unlimited())
+        verify_case(alg, seq, cfg)
     }
 }
 

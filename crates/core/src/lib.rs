@@ -32,7 +32,7 @@
 //! )?;
 //! assert!(report.linearizable());
 //! assert!(report.lock_free());
-//! # Ok::<(), bb_lts::ExploreError>(())
+//! # Ok::<(), bb_lts::Exhausted>(())
 //! ```
 
 mod linearizability;
@@ -56,5 +56,6 @@ pub use progress::{
 };
 pub use report::{format_lasso, verify_case, verify_case_lts, CaseReport, VerifyConfig};
 pub use verdict::{
-    run_isolated, verify_case_governed, Attempt, GovernedConfig, GovernedReport, Rung, Verdict,
+    explore_checkpointed, run_isolated, verify_case_governed, Attempt, GovernedConfig,
+    GovernedReport, Rung, Verdict,
 };

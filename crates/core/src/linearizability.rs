@@ -121,7 +121,6 @@ mod tests {
     use super::*;
     use bb_algorithms::specs::SeqStack;
     use bb_algorithms::treiber::Treiber;
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, AtomicSpec, Bound};
 
     #[test]
@@ -129,8 +128,8 @@ mod tests {
         let alg = Treiber::new(&[1, 2]);
         let spec = AtomicSpec::new(SeqStack::new(&[1, 2]));
         let bound = Bound::new(2, 2);
-        let imp = explore_system(&alg, bound, ExploreLimits::default()).unwrap();
-        let sp = explore_system(&spec, bound, ExploreLimits::default()).unwrap();
+        let imp = explore_system(&alg, bound).unwrap();
+        let sp = explore_system(&spec, bound).unwrap();
         let report = verify_linearizability(&imp, &sp);
         assert!(report.linearizable, "violation: {:?}", report.violation);
         assert!(report.impl_quotient_states < report.impl_states);
@@ -147,8 +146,8 @@ mod tests {
         let alg = Treiber::new(&[1, 2]);
         let spec = AtomicSpec::new(SeqStack::new(&[1]));
         let bound = Bound::new(2, 1);
-        let imp = explore_system(&alg, bound, ExploreLimits::default()).unwrap();
-        let sp = explore_system(&spec, bound, ExploreLimits::default()).unwrap();
+        let imp = explore_system(&alg, bound).unwrap();
+        let sp = explore_system(&spec, bound).unwrap();
         let report = verify_linearizability(&imp, &sp);
         assert!(!report.linearizable);
         let v = report.violation.expect("counterexample expected");

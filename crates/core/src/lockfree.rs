@@ -40,12 +40,8 @@ pub struct LockFreeReport {
 /// use bb_core::verify_lock_freedom;
 /// use bb_sim::{explore_system, Bound};
 ///
-/// # fn main() -> Result<(), bb_lts::ExploreError> {
-/// let lts = explore_system(
-///     &HwQueue::for_bound(&[1], 2, 1),
-///     Bound::new(2, 1),
-///     Default::default(),
-/// )?;
+/// # fn main() -> Result<(), bb_lts::Exhausted> {
+/// let lts = explore_system(&HwQueue::for_bound(&[1], 2, 1), Bound::new(2, 1))?;
 /// let report = verify_lock_freedom(&lts);
 /// assert!(!report.lock_free, "the HW dequeue spins on the empty queue");
 /// assert!(report.divergence.is_some());
@@ -167,13 +163,12 @@ mod tests {
     use super::*;
     use bb_algorithms::ms_queue::MsQueue;
     use bb_algorithms::treiber::Treiber;
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, Bound};
 
     #[test]
     fn treiber_is_lock_free() {
         let alg = Treiber::new(&[1]);
-        let imp = explore_system(&alg, Bound::new(2, 2), ExploreLimits::default()).unwrap();
+        let imp = explore_system(&alg, Bound::new(2, 2)).unwrap();
         let report = verify_lock_freedom(&imp);
         assert!(report.lock_free);
         assert!(report.divergence.is_none());
@@ -183,7 +178,7 @@ mod tests {
     #[test]
     fn ms_queue_is_lock_free() {
         let alg = MsQueue::new(&[1]);
-        let imp = explore_system(&alg, Bound::new(2, 2), ExploreLimits::default()).unwrap();
+        let imp = explore_system(&alg, Bound::new(2, 2)).unwrap();
         let report = verify_lock_freedom(&imp);
         assert!(report.lock_free);
     }
@@ -213,13 +208,8 @@ mod tests {
         use bb_algorithms::specs::SeqStack;
         use bb_sim::AtomicSpec;
         let bound = Bound::new(2, 1);
-        let imp = explore_system(&Treiber::new(&[1]), bound, ExploreLimits::default()).unwrap();
-        let abs = explore_system(
-            &AtomicSpec::new(SeqStack::new(&[1])),
-            bound,
-            ExploreLimits::default(),
-        )
-        .unwrap();
+        let imp = explore_system(&Treiber::new(&[1]), bound).unwrap();
+        let abs = explore_system(&AtomicSpec::new(SeqStack::new(&[1])), bound).unwrap();
         let report = verify_lock_freedom_via_abstraction(&imp, &abs);
         assert!(report.div_bisimilar, "Treiber ≈div its specification");
         assert_eq!(report.concrete_lock_free, Some(true));

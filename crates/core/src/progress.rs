@@ -110,23 +110,16 @@ mod tests {
     use bb_algorithms::hw_queue::HwQueue;
     use bb_algorithms::ms_queue::MsQueue;
     use bb_algorithms::treiber_hp_fu::TreiberHpFu;
-    use bb_lts::ExploreLimits;
     use bb_sim::{explore_system, Bound};
 
     #[test]
     fn ltl_route_agrees_with_theorem_59() {
-        let ms = explore_system(&MsQueue::new(&[1]), Bound::new(2, 2), ExploreLimits::default())
-            .unwrap();
+        let ms = explore_system(&MsQueue::new(&[1]), Bound::new(2, 2)).unwrap();
         let r = verify_lock_freedom_ltl(&ms);
         assert!(r.lock_free);
         assert!(r.quotient_states < r.impl_states);
 
-        let hw = explore_system(
-            &HwQueue::for_bound(&[1], 2, 1),
-            Bound::new(2, 1),
-            ExploreLimits::default(),
-        )
-        .unwrap();
+        let hw = explore_system(&HwQueue::for_bound(&[1], 2, 1), Bound::new(2, 1)).unwrap();
         let r = verify_lock_freedom_ltl(&hw);
         assert!(!r.lock_free);
         assert!(r.check.counterexample.is_some());
@@ -134,12 +127,7 @@ mod tests {
 
     #[test]
     fn hw_queue_starves_its_dequeuer() {
-        let hw = explore_system(
-            &HwQueue::for_bound(&[1], 2, 1),
-            Bound::new(2, 1),
-            ExploreLimits::default(),
-        )
-        .unwrap();
+        let hw = explore_system(&HwQueue::for_bound(&[1], 2, 1), Bound::new(2, 1)).unwrap();
         let r = verify_wait_freedom(&hw, 2);
         assert!(!r.wait_free());
         assert!(!r.starving_threads().is_empty());
@@ -147,20 +135,14 @@ mod tests {
 
     #[test]
     fn fu_stack_starves_the_reclaimer() {
-        let fu = explore_system(
-            &TreiberHpFu::new(&[1], 2),
-            Bound::new(2, 2),
-            ExploreLimits::default(),
-        )
-        .unwrap();
+        let fu = explore_system(&TreiberHpFu::new(&[1], 2), Bound::new(2, 2)).unwrap();
         let r = verify_wait_freedom(&fu, 2);
         assert!(!r.wait_free());
     }
 
     #[test]
     fn ms_queue_has_no_bounded_client_starvation() {
-        let ms = explore_system(&MsQueue::new(&[1]), Bound::new(2, 2), ExploreLimits::default())
-            .unwrap();
+        let ms = explore_system(&MsQueue::new(&[1]), Bound::new(2, 2)).unwrap();
         let r = verify_wait_freedom(&ms, 2);
         assert!(r.wait_free(), "no τ-cycles under a bounded client");
     }

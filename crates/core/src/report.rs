@@ -1,20 +1,18 @@
 //! One-call verification pipeline for an algorithm/specification pair.
 
 use crate::linearizability::{branching_quotient, verify_linearizability_pre, LinReport};
-use bb_bisim::{Lasso, PartitionOptions};
 use crate::lockfree::{verify_lock_freedom_pre, LockFreeReport};
-use bb_lts::budget::{Exhausted, Watchdog};
-use bb_lts::{ExploreError, ExploreLimits, Jobs, Lts};
-use bb_lts::ExploreOptions;
-use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
+use crate::verdict::{verify_case_governed, GovernedConfig, GovernedReport};
+use bb_bisim::{Lasso, PartitionOptions};
+use bb_lts::budget::{Budget, Exhausted, Watchdog};
+use bb_lts::{Jobs, Lts};
+use bb_sim::{AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 
 /// Configuration of [`verify_case`].
 #[derive(Debug, Clone, Copy)]
 pub struct VerifyConfig {
     /// Client bound (`#Th.-#Op.`).
     pub bound: Bound,
-    /// Exploration limits.
-    pub limits: ExploreLimits,
     /// Whether to run the lock-freedom check (skipped for the lock-based
     /// fine-grained lists of Table II, which are not lock-free by design).
     pub check_lock_freedom: bool,
@@ -24,12 +22,11 @@ pub struct VerifyConfig {
 }
 
 impl VerifyConfig {
-    /// Default configuration for `bound`: explore with default limits and
-    /// check both properties on the sequential engine.
+    /// Default configuration for `bound`: check both properties on the
+    /// sequential engine.
     pub fn new(bound: Bound) -> Self {
         VerifyConfig {
             bound,
-            limits: ExploreLimits::default(),
             check_lock_freedom: true,
             jobs: Jobs::serial(),
         }
@@ -94,34 +91,42 @@ impl CaseReport {
 }
 
 /// Explores `alg` and its specification under `config.bound` and runs both
-/// verification methods of Fig. 1.
+/// verification methods of Fig. 1: the direct rung of
+/// [`verify_case_governed`] under the default caps
+/// ([`Budget::default_caps`]), with no fallback.
 ///
 /// # Errors
 ///
-/// Returns [`ExploreError`] if either state space exceeds the limits.
+/// Returns [`Exhausted`] when a stage exceeds the default caps.
 pub fn verify_case<A, S>(
     alg: &A,
     spec: &AtomicSpec<S>,
     config: VerifyConfig,
-) -> Result<CaseReport, ExploreError>
+) -> Result<CaseReport, Exhausted>
 where
     A: ObjectAlgorithm,
     S: SequentialSpec,
 {
-    let opts = ExploreOptions::limits(config.limits).with_jobs(config.jobs);
-    let imp = explore_system_with(alg, config.bound, &opts).map_err(ExploreError::from)?;
-    let sp = explore_system_with(spec, config.bound, &opts).map_err(ExploreError::from)?;
-    Ok(verify_case_lts(alg.name(), config, &imp, &sp, &Watchdog::unlimited())
-        .expect("an unlimited watchdog never trips"))
+    let governed = GovernedConfig {
+        check_lock_freedom: config.check_lock_freedom,
+        ..GovernedConfig::new(config.bound, Budget::default_caps())
+            .with_jobs(config.jobs)
+            .no_fallback()
+    };
+    let GovernedReport { details, mut attempts, .. } = verify_case_governed(alg, spec, &governed);
+    details.ok_or_else(|| {
+        attempts
+            .pop()
+            .and_then(|a| a.failure)
+            .expect("a rung that did not answer records its exhaustion")
+    })
 }
 
 /// Both methods of Fig. 1 over explored LTSs, metered against `wd` — the
-/// pipeline of [`verify_case`], of every rung of the governed ladder and of
-/// an unbudgeted `bbv verify`. Δ is partitioned and quotiented once, and
-/// the linearizability check refines Δ/≈ against Θsp/≈. The lock-freedom
-/// check is one τ-cycle search over Δ (see
-/// [`verify_lock_freedom`](crate::verify_lock_freedom)). `config.limits` is
-/// not read: the LTSs are already explored.
+/// pipeline every rung of the governed ladder runs. Δ is partitioned and
+/// quotiented once, and the linearizability check refines Δ/≈ against
+/// Θsp/≈. The lock-freedom check is one τ-cycle search over Δ (see
+/// [`verify_lock_freedom`](crate::verify_lock_freedom)).
 ///
 /// # Errors
 ///

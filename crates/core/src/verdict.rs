@@ -25,8 +25,7 @@
 use crate::report::{verify_case_lts, CaseReport, VerifyConfig};
 use bb_bisim::PartitionOptions;
 use bb_lts::budget::{Budget, Exhausted, Watchdog};
-use bb_lts::{Jobs, Lts};
-use bb_lts::ExploreOptions;
+use bb_lts::{ExploreOptions, Jobs, Lts};
 use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -194,6 +193,10 @@ pub struct GovernedReport {
     pub attempts: Vec<Attempt>,
     /// The full classical report of the answering rung.
     pub details: Option<CaseReport>,
+    /// The Δ the answering rung checked: the explored implementation, or
+    /// its strong quotient on the strong-reduction rung. Output only; it
+    /// is the ladder's own LTS, moved out, never a copy.
+    pub imp: Option<Lts>,
     /// Total wall-clock time across all rungs.
     pub elapsed: Duration,
 }
@@ -275,10 +278,51 @@ fn reduced_bound(b: Bound) -> Option<Bound> {
     }
 }
 
+/// Explores `sys`, the implementation (`role` `imp`) or the specification
+/// (`spec`) of `case`, at `bound` with `opts`, through the active
+/// checkpoint session: a section an earlier run completed seeds the LTS,
+/// and a fresh exploration is offered back. Every explored LTS of a run
+/// goes through here, so one scheme names every section:
+/// `{case}/e{STATE_ENCODING_VERSION}/b{threads}-{ops}/{role}`.
+///
+/// # Errors
+///
+/// Returns [`Exhausted`] (stage `explore`) when any budget axis trips.
+pub fn explore_checkpointed<A: ObjectAlgorithm>(
+    case: &str,
+    role: &str,
+    sys: &A,
+    bound: Bound,
+    opts: &ExploreOptions<'_>,
+) -> Result<Lts, Exhausted> {
+    // Completed explorations are the coarsest checkpoint unit: a resumed
+    // run reloads them from the session instead of re-exploring. Section
+    // names encode the pipeline position; the session's config tag pins
+    // everything else (case, bound, domain, ...), so a section can never
+    // seed a different setup. The state-encoding version is part of the
+    // section identity: a checkpointed LTS from an older encoding must
+    // never seed a run whose (version-bumped) encoding could enumerate
+    // differently.
+    let section = format!(
+        "{case}/e{}/b{}-{}/{role}",
+        bb_sim::STATE_ENCODING_VERSION,
+        bound.threads,
+        bound.ops_per_thread
+    );
+    let persist = bb_persist::active();
+    if let Some(lts) = persist.as_ref().and_then(|p| p.seed_lts(&section)) {
+        return Ok(lts);
+    }
+    let lts = explore_system_with(sys, bound, opts)?;
+    if let Some(p) = persist.as_ref() {
+        p.offer_lts(&section, &lts);
+    }
+    Ok(lts)
+}
+
 /// The explored (implementation, specification) pair at `bound`, lent out
-/// of `cache`. On a miss the cache is refilled from a checkpoint seed or,
-/// failing that, by exploring both systems with `opts`; the pair is never
-/// copied.
+/// of `cache`. On a miss the cache is refilled by
+/// [`explore_checkpointed`]; the pair is never copied.
 fn explore_pair<'c, A, S>(
     alg: &A,
     spec: &AtomicSpec<S>,
@@ -294,48 +338,46 @@ where
         // No later rung returns to another bound, so its pair can go
         // before this one is built.
         *cache = None;
-        // Completed explorations are the coarsest checkpoint unit: a
-        // resumed run reloads them from the session instead of
-        // re-exploring. Section names encode the pipeline position; the
-        // session's config tag pins everything else (case, bound, domain,
-        // ...), so a section can never seed a different setup.
-        let persist = bb_persist::active();
-        // The state-encoding version is part of the section identity: a
-        // checkpointed LTS from an older encoding must never seed a run
-        // whose (version-bumped) encoding could enumerate differently.
-        let tag = format!(
-            "{}/e{}/b{}-{}",
-            alg.name(),
-            bb_sim::STATE_ENCODING_VERSION,
-            bound.threads,
-            bound.ops_per_thread
-        );
-        let seeded = persist.as_ref().and_then(|p| {
-            p.seed_lts(&format!("{tag}/imp"))
-                .zip(p.seed_lts(&format!("{tag}/spec")))
-        });
-        let (imp, sp) = match seeded {
-            Some(pair) => pair,
-            None => {
-                let imp = explore_system_with(alg, bound, opts)?;
-                let sp = explore_system_with(spec, bound, opts)?;
-                if let Some(p) = persist.as_ref() {
-                    p.offer_lts(&format!("{tag}/imp"), &imp);
-                    p.offer_lts(&format!("{tag}/spec"), &sp);
-                }
-                (imp, sp)
-            }
-        };
+        let imp = explore_checkpointed(alg.name(), "imp", alg, bound, opts)?;
+        let sp = explore_checkpointed(alg.name(), "spec", spec, bound, opts)?;
         *cache = Some((bound, imp, sp));
     }
     let (_, imp, sp) = cache.as_ref().expect("the cache holds `bound`");
     Ok((imp, sp))
 }
 
+/// Moves the implementation LTS out of the pair cache.
+fn take_imp(cache: &mut Option<(Bound, Lts, Lts)>) -> Lts {
+    let (_, imp, _) = cache.take().expect("the answering rung explored its pair");
+    imp
+}
+
 /// Strong-bisimulation pre-reduction: replace `lts` by its strong quotient.
 fn strong_reduce(lts: &Lts, wd: &Watchdog, opts: PartitionOptions) -> Result<Lts, Exhausted> {
     let p = bb_bisim::partition_governed_opts(lts, bb_bisim::Equivalence::Strong, wd, opts)?;
     Ok(bb_bisim::quotient(lts, &p).lts)
+}
+
+/// Runs one ladder rung under its `rung` span and records the attempt.
+fn attempt<T>(
+    attempts: &mut Vec<Attempt>,
+    rung: Rung,
+    bound: Bound,
+    run: impl FnOnce() -> Result<T, Exhausted>,
+) -> Option<T> {
+    let span = bb_obs::span("rung")
+        .with("rung", rung.to_string())
+        .with("threads", bound.threads as u64)
+        .with("ops", bound.ops_per_thread as u64);
+    let result = run();
+    span.record("ok", u64::from(result.is_ok()));
+    drop(span);
+    let (answer, failure) = match result {
+        Ok(t) => (Some(t), None),
+        Err(e) => (None, Some(e)),
+    };
+    attempts.push(Attempt { rung, bound, failure });
+    answer
 }
 
 /// Verifies `alg` against `spec` under a resource budget, degrading
@@ -372,51 +414,35 @@ where
         verify_case_lts(name, VerifyConfig { bound, ..case }, imp, sp, &wd)
     };
 
+    // `verdict(holds, property)` maps a rung's answer onto a verdict.
     let finish = |attempts: Vec<Attempt>,
-                      answered: (Rung, Bound),
-                      report: CaseReport,
-                      lin_verdict: Verdict,
-                      lf_verdict: Option<Verdict>| {
-        GovernedReport {
-            name,
-            requested_bound: config.bound,
-            linearizability: lin_verdict,
-            lock_freedom: lf_verdict,
-            answered: Some(answered),
-            attempts,
-            details: Some(report),
-            elapsed: start.elapsed(),
-        }
+                  answered: (Rung, Bound),
+                  report: CaseReport,
+                  imp: Lts,
+                  verdict: &dyn Fn(bool, &str) -> Verdict| GovernedReport {
+        name,
+        requested_bound: config.bound,
+        linearizability: verdict(report.linearizable(), "linearizability"),
+        lock_freedom: report
+            .lock_freedom
+            .as_ref()
+            .map(|r| verdict(r.lock_free, "lock-freedom")),
+        answered: Some(answered),
+        attempts,
+        details: Some(report),
+        imp: Some(imp),
+        elapsed: start.elapsed(),
     };
+    let genuine = |holds: bool, _: &str| Verdict::of(holds);
 
     // --- Rung 1: direct --------------------------------------------------
-    let rung_span = bb_obs::span("rung")
-        .with("rung", "direct")
-        .with("threads", config.bound.threads as u64)
-        .with("ops", config.bound.ops_per_thread as u64);
-    let direct = explore_pair(alg, spec, config.bound, &mut cache, &eopts)
-        .and_then(|(imp, sp)| check(config.bound, imp, sp));
-    rung_span.record("ok", u64::from(direct.is_ok()));
-    drop(rung_span);
-    match direct {
-        Ok(report) => {
-            let lin = Verdict::of(report.linearizable());
-            let lf = report
-                .lock_freedom
-                .as_ref()
-                .map(|r| Verdict::of(r.lock_free));
-            attempts.push(Attempt {
-                rung: Rung::Direct,
-                bound: config.bound,
-                failure: None,
-            });
-            return finish(attempts, (Rung::Direct, config.bound), report, lin, lf);
-        }
-        Err(e) => attempts.push(Attempt {
-            rung: Rung::Direct,
-            bound: config.bound,
-            failure: Some(e),
-        }),
+    let direct = attempt(&mut attempts, Rung::Direct, config.bound, || {
+        let (imp, sp) = explore_pair(alg, spec, config.bound, &mut cache, &eopts)?;
+        check(config.bound, imp, sp)
+    });
+    if let Some(report) = direct {
+        let imp = take_imp(&mut cache);
+        return finish(attempts, (Rung::Direct, config.bound), report, imp, &genuine);
     }
 
     if config.fallback {
@@ -424,96 +450,47 @@ where
         // Only applicable when the exploration itself succeeded: the
         // reduction runs on the explored systems.
         if cache.as_ref().is_some_and(|(b, _, _)| *b == config.bound) {
-            let rung_span = bb_obs::span("rung")
-                .with("rung", "strong-reduction")
-                .with("threads", config.bound.threads as u64)
-                .with("ops", config.bound.ops_per_thread as u64);
-            let strong = explore_pair(alg, spec, config.bound, &mut cache, &eopts).and_then(
-                |(imp, sp)| {
-                    let imp_r = strong_reduce(imp, &wd, popts)?;
-                    let sp_r = strong_reduce(sp, &wd, popts)?;
-                    check(config.bound, &imp_r, &sp_r)
-                },
-            );
-            rung_span.record("ok", u64::from(strong.is_ok()));
-            drop(rung_span);
-            match strong {
-                Ok(report) => {
-                    // Strong bisimilarity preserves every checked property,
-                    // so these verdicts are genuine for the requested bound.
-                    let lin = Verdict::of(report.linearizable());
-                    let lf = report
-                        .lock_freedom
-                        .as_ref()
-                        .map(|r| Verdict::of(r.lock_free));
-                    attempts.push(Attempt {
-                        rung: Rung::StrongReduction,
-                        bound: config.bound,
-                        failure: None,
-                    });
-                    return finish(
-                        attempts,
-                        (Rung::StrongReduction, config.bound),
-                        report,
-                        lin,
-                        lf,
-                    );
-                }
-                Err(e) => attempts.push(Attempt {
-                    rung: Rung::StrongReduction,
-                    bound: config.bound,
-                    failure: Some(e),
-                }),
+            let strong = attempt(&mut attempts, Rung::StrongReduction, config.bound, || {
+                let (imp, sp) = explore_pair(alg, spec, config.bound, &mut cache, &eopts)?;
+                let imp_r = strong_reduce(imp, &wd, popts)?;
+                let sp_r = strong_reduce(sp, &wd, popts)?;
+                Ok((check(config.bound, &imp_r, &sp_r)?, imp_r))
+            });
+            // Strong bisimilarity preserves every checked property, so
+            // these verdicts are genuine for the requested bound.
+            if let Some((report, imp_r)) = strong {
+                let answered = (Rung::StrongReduction, config.bound);
+                return finish(attempts, answered, report, imp_r, &genuine);
             }
         }
 
         // --- Rung 3: reduced bound ---------------------------------------
         if let Some(small) = reduced_bound(config.bound) {
-            let rung_span = bb_obs::span("rung")
-                .with("rung", "reduced-bound")
-                .with("threads", small.threads as u64)
-                .with("ops", small.ops_per_thread as u64);
-            let reduced = explore_pair(alg, spec, small, &mut cache, &eopts)
-                .and_then(|(imp, sp)| check(small, imp, sp));
-            rung_span.record("ok", u64::from(reduced.is_ok()));
-            drop(rung_span);
-            match reduced {
-                Ok(report) => {
-                    // Histories at the smaller bound embed in the requested
-                    // bound, so refutations transfer; proofs do not.
-                    let scoped = |holds: bool, what: &str| {
-                        if holds {
-                            Verdict::Inconclusive {
-                                reason: format!(
-                                    "{what} verified only at reduced bound {}-{}; \
-                                     budget exhausted at requested bound {}-{}",
-                                    small.threads,
-                                    small.ops_per_thread,
-                                    config.bound.threads,
-                                    config.bound.ops_per_thread
-                                ),
-                            }
-                        } else {
-                            Verdict::Refuted
+            let reduced = attempt(&mut attempts, Rung::ReducedBound, small, || {
+                let (imp, sp) = explore_pair(alg, spec, small, &mut cache, &eopts)?;
+                check(small, imp, sp)
+            });
+            if let Some(report) = reduced {
+                // Histories at the smaller bound embed in the requested
+                // bound, so refutations transfer; proofs do not.
+                let scoped = |holds: bool, what: &str| {
+                    if holds {
+                        Verdict::Inconclusive {
+                            reason: format!(
+                                "{what} verified only at reduced bound {}-{}; \
+                                 budget exhausted at requested bound {}-{}",
+                                small.threads,
+                                small.ops_per_thread,
+                                config.bound.threads,
+                                config.bound.ops_per_thread
+                            ),
                         }
-                    };
-                    let lin = scoped(report.linearizable(), "linearizability");
-                    let lf = report
-                        .lock_freedom
-                        .as_ref()
-                        .map(|r| scoped(r.lock_free, "lock-freedom"));
-                    attempts.push(Attempt {
-                        rung: Rung::ReducedBound,
-                        bound: small,
-                        failure: None,
-                    });
-                    return finish(attempts, (Rung::ReducedBound, small), report, lin, lf);
-                }
-                Err(e) => attempts.push(Attempt {
-                    rung: Rung::ReducedBound,
-                    bound: small,
-                    failure: Some(e),
-                }),
+                    } else {
+                        Verdict::Refuted
+                    }
+                };
+                let imp = take_imp(&mut cache);
+                return finish(attempts, (Rung::ReducedBound, small), report, imp, &scoped);
             }
         }
     }
@@ -534,6 +511,7 @@ where
         answered: None,
         attempts,
         details: None,
+        imp: None,
         elapsed: start.elapsed(),
     }
 }
@@ -628,6 +606,7 @@ mod tests {
             answered: None,
             attempts: vec![],
             details: None,
+            imp: None,
             elapsed: Duration::ZERO,
         };
         assert_eq!(r.overall(), Verdict::Refuted);

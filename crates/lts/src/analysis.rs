@@ -22,7 +22,7 @@ pub fn reachable_states(lts: &Lts) -> Vec<bool> {
 
 /// Returns a copy of `lts` restricted to the states reachable from its
 /// initial state, renumbering states densely. The exploration in
-/// [`explore`](crate::explore) only produces reachable states, but quotient
+/// [`explore_with`](crate::explore_with) only produces reachable states, but quotient
 /// and product constructions may not.
 pub fn restrict_to_reachable(lts: &Lts) -> Lts {
     let mask = reachable_states(lts);

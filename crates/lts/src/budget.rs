@@ -47,7 +47,7 @@ pub const CHECK_INTERVAL: u64 = 1024;
 /// The pipeline stage that exhausted its budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// State-space exploration ([`explore`](crate::explore)).
+    /// State-space exploration ([`explore_with`](crate::explore_with)).
     Explore,
     /// Signature-based partition refinement (bisimulation equivalences).
     Bisim,
@@ -234,6 +234,15 @@ impl Budget {
             max_memory_bytes: usize::MAX,
             cancel: CancelToken::new(),
         }
+    }
+
+    /// The caps of a run that names no budget: 50 M states and 200 M
+    /// transitions per stage, no deadline and no memory cap. They stop a
+    /// state-space explosion before it exhausts the host.
+    pub fn default_caps() -> Self {
+        Budget::unlimited()
+            .with_max_states(50_000_000)
+            .with_max_transitions(200_000_000)
     }
 
     /// Sets the wall-clock deadline.

@@ -9,7 +9,6 @@ use crate::lts::{Lts, StateId};
 use std::fmt;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 
 /// An operational semantics that can be unfolded into an [`Lts`].
 ///
@@ -35,104 +34,12 @@ pub trait Semantics: Sync {
     fn successors(&self, state: &Self::State, out: &mut Vec<(Action, Self::State)>);
 }
 
-/// Limits guarding an exploration against state-space explosion.
-///
-/// This is the legacy cap-only interface; [`ExploreOptions::governed`]
-/// accepts a full [`Watchdog`] (deadline, memory, cancellation) instead.
-#[derive(Debug, Clone, Copy)]
-pub struct ExploreLimits {
-    /// Maximum number of distinct states to intern before aborting.
-    pub max_states: usize,
-    /// Maximum number of transitions to record before aborting.
-    pub max_transitions: usize,
-}
-
-impl Default for ExploreLimits {
-    fn default() -> Self {
-        ExploreLimits {
-            max_states: 50_000_000,
-            max_transitions: 200_000_000,
-        }
-    }
-}
-
-impl From<ExploreLimits> for Budget {
-    fn from(l: ExploreLimits) -> Budget {
-        Budget::unlimited()
-            .with_max_states(l.max_states)
-            .with_max_transitions(l.max_transitions)
-    }
-}
-
-/// Error returned when an exploration exceeds its [`ExploreLimits`] (or the
-/// [`Watchdog`] budget of [`ExploreOptions::governed`]).
-///
-/// Carries the partial statistics of the aborted run so callers (e.g. the
-/// `tables` sweep) can report how far the exploration got.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExploreError {
-    /// States interned before the limit was hit.
-    pub states_seen: usize,
-    /// Transitions recorded before the limit was hit.
-    pub transitions_seen: usize,
-    /// Approximate peak memory attributed to the exploration, in bytes.
-    pub memory_bytes: usize,
-    /// Wall-clock time spent exploring before the abort.
-    pub elapsed: Duration,
-    /// Which resource ran out.
-    pub reason: ExhaustReason,
-}
-
-impl ExploreError {
-    /// Re-wraps as the structured [`Exhausted`] error of the budget layer.
-    pub fn into_exhausted(self) -> Exhausted {
-        Exhausted {
-            stage: Stage::Explore,
-            reason: self.reason,
-            partial: crate::budget::PartialStats {
-                states: self.states_seen,
-                transitions: self.transitions_seen,
-                memory_bytes: self.memory_bytes,
-                elapsed: self.elapsed,
-                refinement: None,
-            },
-        }
-    }
-}
-
-impl From<Exhausted> for ExploreError {
-    fn from(e: Exhausted) -> ExploreError {
-        ExploreError {
-            states_seen: e.partial.states,
-            transitions_seen: e.partial.transitions,
-            memory_bytes: e.partial.memory_bytes,
-            elapsed: e.partial.elapsed,
-            reason: e.reason,
-        }
-    }
-}
-
-impl fmt::Display for ExploreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "state-space exploration aborted ({}) after {} states and {} transitions, {} peak, in {:.1?}",
-            self.reason,
-            self.states_seen,
-            self.transitions_seen,
-            bb_obs::format_bytes(self.memory_bytes as u64),
-            self.elapsed
-        )
-    }
-}
-
-impl std::error::Error for ExploreError {}
-
-/// How an exploration is budgeted: legacy caps, or a full watchdog.
+/// How an exploration is budgeted: the default caps, or a full watchdog.
 #[derive(Debug, Clone, Copy)]
 enum BudgetRef<'wd> {
-    /// Cap-only budget; a fresh [`Watchdog`] is built per exploration.
-    Limits(ExploreLimits),
+    /// [`Budget::default_caps`]; a fresh [`Watchdog`] is built per
+    /// exploration.
+    DefaultCaps,
     /// Shared watchdog (deadline, memory, cancellation) owned by the caller.
     Governed(&'wd Watchdog),
 }
@@ -143,7 +50,7 @@ enum BudgetRef<'wd> {
 /// Compose with the builder methods and run with [`explore_with`]:
 ///
 /// ```
-/// use bb_lts::{explore_with, ExploreLimits, ExploreOptions, Jobs};
+/// use bb_lts::{explore_with, ExploreOptions, Jobs};
 /// # use bb_lts::{Action, Semantics, ThreadId};
 /// # struct Two;
 /// # impl Semantics for Two {
@@ -153,7 +60,7 @@ enum BudgetRef<'wd> {
 /// #         if !s { out.push((Action::tau(ThreadId(1)), true)); }
 /// #     }
 /// # }
-/// let opts = ExploreOptions::limits(ExploreLimits::default()).with_jobs(Jobs::new(2));
+/// let opts = ExploreOptions::default().with_jobs(Jobs::new(2));
 /// let lts = explore_with(&Two, &opts)?;
 /// assert_eq!(lts.num_states(), 2);
 /// # Ok::<(), bb_lts::budget::Exhausted>(())
@@ -175,25 +82,21 @@ impl fmt::Debug for ExploreOptions<'_> {
     }
 }
 
+/// The default caps ([`Budget::default_caps`]) on the sequential engine.
 impl Default for ExploreOptions<'_> {
     fn default() -> Self {
-        ExploreOptions::limits(ExploreLimits::default())
+        ExploreOptions {
+            budget: BudgetRef::DefaultCaps,
+            jobs: Jobs::serial(),
+            spill: None,
+        }
     }
 }
 
 impl<'wd> ExploreOptions<'wd> {
-    /// Default limits on the sequential engine.
+    /// The default caps on the sequential engine.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Cap-only budget: abort past `limits.max_states`/`max_transitions`.
-    pub fn limits(limits: ExploreLimits) -> Self {
-        ExploreOptions {
-            budget: BudgetRef::Limits(limits),
-            jobs: Jobs::serial(),
-            spill: None,
-        }
     }
 
     /// Full governance: meter against `wd` (deadline, caps, memory,
@@ -289,10 +192,7 @@ pub fn explore_compact<S: CodecSemantics>(
 
 fn with_watchdog<R>(opts: &ExploreOptions<'_>, f: impl FnOnce(&Watchdog) -> R) -> R {
     match opts.budget {
-        BudgetRef::Limits(limits) => {
-            let wd = Watchdog::new(limits.into());
-            f(&wd)
-        }
+        BudgetRef::DefaultCaps => f(&Watchdog::new(Budget::default_caps())),
         BudgetRef::Governed(wd) => f(wd),
     }
 }
@@ -356,18 +256,6 @@ impl MemSync {
             Ok(())
         }
     }
-}
-
-/// Unfolds `sem` into an explicit [`Lts`] by breadth-first exploration.
-///
-/// Shorthand for [`explore_with`] with cap-only limits on the sequential
-/// engine (the common case in tests and examples).
-///
-/// # Errors
-///
-/// Returns [`ExploreError`] if the reachable state space exceeds `limits`.
-pub fn explore<S: Semantics>(sem: &S, limits: ExploreLimits) -> Result<Lts, ExploreError> {
-    explore_with(sem, &ExploreOptions::limits(limits)).map_err(ExploreError::from)
 }
 
 fn explore_serial<S: Semantics, ST: StateStore<S>>(
@@ -616,6 +504,7 @@ mod tests {
     use super::*;
     use crate::compact::tests::{max_group_len, MemSpill};
     use crate::ThreadId;
+    use std::time::Duration;
 
     fn gov<S: Semantics>(sem: &S, wd: &Watchdog) -> Result<Lts, Exhausted> {
         explore_with(sem, &ExploreOptions::governed(wd))
@@ -677,57 +566,55 @@ mod tests {
         }
     }
 
+    /// `sem` under caps of `max_states` and `max_transitions`.
+    fn capped<S: Semantics>(
+        sem: &S,
+        max_states: usize,
+        max_transitions: usize,
+    ) -> Result<Lts, Exhausted> {
+        let budget = Budget::unlimited()
+            .with_max_states(max_states)
+            .with_max_transitions(max_transitions);
+        gov(sem, &Watchdog::new(budget))
+    }
+
     #[test]
     fn explores_all_reachable_states() {
-        let lts = explore(&Counter { max: 10 }, ExploreLimits::default()).unwrap();
+        let lts = explore_with(&Counter { max: 10 }, &ExploreOptions::default()).unwrap();
         assert_eq!(lts.num_states(), 11);
         assert_eq!(lts.num_transitions(), 11); // 10 taus + 1 ret back to 0
     }
 
     #[test]
     fn respects_state_limit() {
-        let err = explore(
-            &Counter { max: 1000 },
-            ExploreLimits {
-                max_states: 5,
-                max_transitions: 1000,
-            },
-        )
-        .unwrap_err();
-        assert_eq!(err.states_seen, 6);
+        let err = capped(&Counter { max: 1000 }, 5, 1000).unwrap_err();
+        assert_eq!(err.partial.states, 6);
         assert_eq!(err.reason, ExhaustReason::StateCap);
     }
 
     #[test]
     fn respects_transition_limit() {
-        let err = explore(
-            &Counter { max: 1000 },
-            ExploreLimits {
-                max_states: 10_000,
-                max_transitions: 3,
-            },
-        )
-        .unwrap_err();
+        let err = capped(&Counter { max: 1000 }, 10_000, 3).unwrap_err();
         // The abort must have actually *exceeded* the cap of 3 (the meter
         // errors on the first transition past the cap), and the partial
         // stats must be consistent with a transition-cap abort: on the
         // counter chain every recorded transition discovers one state.
         assert_eq!(err.reason, ExhaustReason::TransitionCap);
-        assert!(err.transitions_seen > 3, "cap of 3 must be exceeded");
-        assert_eq!(err.transitions_seen, 4);
-        assert_eq!(err.states_seen, 5);
+        assert!(err.partial.transitions > 3, "cap of 3 must be exceeded");
+        assert_eq!(err.partial.transitions, 4);
+        assert_eq!(err.partial.states, 5);
     }
 
     #[test]
     fn bfs_assigns_initial_id_zero() {
-        let lts = explore(&Counter { max: 3 }, ExploreLimits::default()).unwrap();
+        let lts = explore_with(&Counter { max: 3 }, &ExploreOptions::default()).unwrap();
         assert_eq!(lts.initial(), StateId(0));
     }
 
     #[test]
     fn governed_deadline_aborts_with_stage() {
         let wd = Watchdog::new(
-            Budget::unlimited().with_deadline(std::time::Duration::ZERO),
+            Budget::unlimited().with_deadline(Duration::ZERO),
         );
         let err = gov(&Counter { max: 100_000 }, &wd).unwrap_err();
         assert_eq!(err.stage, Stage::Explore);
@@ -752,14 +639,7 @@ mod tests {
 
     #[test]
     fn error_display_names_reason_and_stats() {
-        let err = explore(
-            &Counter { max: 1000 },
-            ExploreLimits {
-                max_states: 5,
-                max_transitions: 1000,
-            },
-        )
-        .unwrap_err();
+        let err = capped(&Counter { max: 1000 }, 5, 1000).unwrap_err();
         let text = err.to_string();
         assert!(text.contains("state cap"), "{text}");
         assert!(text.contains("states"), "{text}");

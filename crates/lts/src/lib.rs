@@ -4,7 +4,7 @@
 //! the workspace: the [`Lts`] arena representation of a finite labeled
 //! transition system (Definition 2.1 of the paper), the [`Action`] alphabet of
 //! object systems (`t.call.m(n)`, `t.ret(n').m` and internal `τ` steps), the
-//! [`Semantics`] trait plus [`explore`] function that turn an operational
+//! [`Semantics`] trait plus [`explore_with`] function that turn an operational
 //! semantics into an explicit LTS, and a toolbox of graph analyses (Tarjan
 //! SCCs, reachability, τ-closures, DOT export) used by the equivalence
 //! checking crates.
@@ -48,10 +48,7 @@ pub use budget::{
 pub use builder::LtsBuilder;
 pub use compact::{CodecSemantics, SpillBackend, StoreMetrics};
 pub use dot::to_dot;
-pub use explore::{
-    explore, explore_compact, explore_with, ExploreError, ExploreLimits,
-    ExploreOptions, ExploreReport, Semantics,
-};
+pub use explore::{explore_compact, explore_with, ExploreOptions, ExploreReport, Semantics};
 pub use jobs::Jobs;
 pub use lts::{Lts, PredecessorTable, StateId, Transition};
 pub use random::{random_lts, RandomLtsConfig};

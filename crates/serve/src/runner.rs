@@ -13,15 +13,15 @@
 
 use crate::spec::{Command, JobSpec};
 use bb_algorithms::roster::{self, Case};
-use bb_bisim::{div_quotient_opts, partition_governed_opts, quotient, Equivalence, PartitionOptions};
+use bb_bisim::{div_quotient_opts, partition_governed_opts, Equivalence, PartitionOptions};
 use bb_core::{
-    format_lasso, run_isolated, verify_case_governed, verify_case_lts, verify_wait_freedom,
-    GovernedConfig, Verdict, VerifyConfig,
+    explore_checkpointed, format_lasso, run_isolated, verify_case_governed, verify_wait_freedom,
+    GovernedConfig, Verdict,
 };
 use bb_lts::budget::{CancelToken, Exhausted};
 use bb_lts::{to_aut, to_dot, Budget, ExploreOptions, Lts, Watchdog};
 use bb_persist::{Cache, CacheEntry};
-use bb_sim::{explore_system_with, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
+use bb_sim::{AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 use std::path::PathBuf;
 
 /// Exit code: every checked property was proved.
@@ -206,45 +206,7 @@ impl Case for Dispatch<'_> {
     }
 }
 
-/// Explores under the spec budget; exhaustion is an inconclusive outcome
-/// (exit 2), reported with the exhausted stage and its partial statistics.
-///
-/// With a checkpoint session installed, a previously completed section
-/// seeds the LTS directly, and a freshly explored one is offered back
-/// (stage boundaries are always cut points).
-///
-/// `--spill` adds a disk tier to the seen-set exactly as on the budgeted
-/// path.
-fn explore_or_inconclusive<A: ObjectAlgorithm>(
-    alg: &A,
-    bound: Bound,
-    wd: &Watchdog,
-    spec: &JobSpec,
-    ctl: &RunCtl,
-) -> Result<Lts, i32> {
-    let persist = bb_persist::active();
-    let section = format!("{}/b{}-{}", alg.name(), bound.threads, bound.ops_per_thread);
-    if let Some(p) = persist.as_ref() {
-        if let Some(lts) = p.seed_lts(&section) {
-            return Ok(lts);
-        }
-    }
-    let spill = ctl.spill_dir.as_deref().map(bb_persist::SpillDir::new);
-    let mut eo = ExploreOptions::governed(wd).with_jobs(spec.jobs);
-    if let Some(sd) = spill.as_ref() {
-        eo = eo.with_spill(sd);
-    }
-    match explore_system_with(alg, bound, &eo) {
-        Ok(lts) => {
-            if let Some(p) = persist.as_ref() {
-                p.offer_lts(&section, &lts);
-            }
-            Ok(lts)
-        }
-        Err(e) => Err(inconclusive(&e)),
-    }
-}
-
+/// Runs the spec's command on one roster case.
 fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
     alg: &A,
     seq: &AtomicSpec<S>,
@@ -253,120 +215,10 @@ fn dispatch<A: ObjectAlgorithm, S: SequentialSpec>(
     non_blocking: bool,
     out: &mut RunOutput,
 ) -> i32 {
-    let bound = Bound::new(spec.threads, spec.ops);
-
-    if spec.command == Command::Verify && spec.budgeted() {
-        return verify_governed(alg, seq, spec, ctl, bound, non_blocking, out);
-    }
-    // One watchdog meters every stage of the run, so the caller's cancel
-    // token and the spec's caps reach each of them.
-    let wd = Watchdog::new(budget_of(spec, ctl));
-    let popts = PartitionOptions::default().with_jobs(spec.jobs);
-
-    let imp = match explore_or_inconclusive(alg, bound, &wd, spec, ctl) {
-        Ok(l) => l,
-        Err(c) => return c,
-    };
-
-    if spec.command == Command::Check {
-        let raw = spec.formula.as_deref().expect("a validated `check` has a formula");
-        let formula = match bb_ltl::parse(raw) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("formula error {e}");
-                return EXIT_USAGE;
-            }
-        };
-        // Model check on the divergence-preserving quotient: it is
-        // ≈div-bisimilar to the object, so all next-free LTL carries over.
-        let q = match div_quotient_opts(&imp, &wd, popts) {
-            Ok(q) => q,
-            Err(e) => return inconclusive(&e),
-        };
-        let result = match bb_ltl::check_governed(&q.lts, &formula, &wd) {
-            Ok(r) => r,
-            Err(e) => return inconclusive(&e),
-        };
-        outln!(out, "algorithm : {}", alg.name());
-        outln!(out, "formula   : {formula}");
-        outln!(
-            out,
-            "checked on: divergence-preserving quotient ({} of {} states)",
-            q.lts.num_states(),
-            imp.num_states()
-        );
-        outln!(out, "holds     : {}", result.holds);
-        if let Some(ce) = &result.counterexample {
-            outln!(out, "counterexample:");
-            for line in ce.to_pretty().lines() {
-                outln!(out, "  {line}");
-            }
-        }
-        return if result.holds { EXIT_PROVED } else { EXIT_REFUTED };
-    }
-
-    if spec.command == Command::Quotient {
-        let p = match partition_governed_opts(&imp, Equivalence::Branching, &wd, popts) {
-            Ok(p) => p,
-            Err(e) => return inconclusive(&e),
-        };
-        let q = quotient(&imp, &p);
-        outln!(out, "algorithm : {}", alg.name());
-        outln!(out, "bound     : {}-{}", bound.threads, bound.ops_per_thread);
-        outln!(out, "|Δ|       : {}", imp.num_states());
-        outln!(out, "|Δ/≈|     : {}", q.lts.num_states());
-        outln!(
-            out,
-            "reduction : ×{:.1}",
-            imp.num_states() as f64 / q.lts.num_states() as f64
-        );
-        // Both artifacts are always rendered: the cache stores them so a
-        // later hit can honour paths the original invocation did not ask
-        // for, and the requested subset is written after dispatch.
-        out.artifacts.push(("dot".into(), to_dot(&q.lts, alg.name()).into_bytes()));
-        out.artifacts.push(("aut".into(), to_aut(&q.lts).into_bytes()));
-        return EXIT_PROVED;
-    }
-
-    let sp = match explore_or_inconclusive(seq, bound, &wd, spec, ctl) {
-        Ok(l) => l,
-        Err(c) => return c,
-    };
-    let mut cfg = VerifyConfig::new(bound).with_jobs(spec.jobs);
-    if !spec.check_lock_freedom || !non_blocking {
-        cfg = cfg.linearizability_only();
-    }
-    let report = match verify_case_lts(alg.name(), cfg, &imp, &sp, &wd) {
-        Ok(r) => r,
-        Err(e) => return inconclusive(&e),
-    };
-    outln!(out, "{}", report.summary());
-    if let Some(v) = &report.linearizability.violation {
-        outln!(out, "non-linearizable history:");
-        outln!(out, "  {}", v.to_pretty());
-    }
-    if let Some(lf) = &report.lock_freedom {
-        if let Some(lasso) = &lf.divergence {
-            outln!(out, "lock-freedom violation (τ-loop):");
-            for line in format_lasso(&imp, lasso).lines() {
-                outln!(out, "  {line}");
-            }
-        }
-    }
-    if spec.wait_freedom {
-        let wf = verify_wait_freedom(&imp, spec.threads);
-        if wf.wait_free() {
-            outln!(out, "starvation : none under the bounded client");
-        } else {
-            outln!(out, "starvation : threads {:?} can spin forever", wf.starving_threads());
-        }
-    }
-    let failed = !report.linearizable()
-        || report.lock_freedom.as_ref().is_some_and(|l| !l.lock_free);
-    if failed {
-        EXIT_REFUTED
-    } else {
-        EXIT_PROVED
+    match spec.command {
+        Command::Verify => verify(alg, seq, spec, ctl, non_blocking, out),
+        Command::Quotient => quotient(alg, spec, ctl, out),
+        Command::Check => check(alg, spec, ctl, out),
     }
 }
 
@@ -376,17 +228,36 @@ fn inconclusive(e: &Exhausted) -> i32 {
     EXIT_INCONCLUSIVE
 }
 
-/// The budget-governed `verify` path: run the fallback ladder and map the
-/// overall verdict onto the exit code.
-fn verify_governed<A: ObjectAlgorithm, S: SequentialSpec>(
+/// Explores Δ for `quotient` and `check` under the run's watchdog, through
+/// the checkpoint session and the `--spill` tier as `verify` does.
+fn explore_imp<A: ObjectAlgorithm>(
+    alg: &A,
+    spec: &JobSpec,
+    ctl: &RunCtl,
+    wd: &Watchdog,
+) -> Result<Lts, Exhausted> {
+    let spill = ctl.spill_dir.as_deref().map(bb_persist::SpillDir::new);
+    let mut eo = ExploreOptions::governed(wd).with_jobs(spec.jobs);
+    if let Some(sd) = spill.as_ref() {
+        eo = eo.with_spill(sd);
+    }
+    explore_checkpointed(alg.name(), "imp", alg, Bound::new(spec.threads, spec.ops), &eo)
+}
+
+/// `verify`: the governed ladder, under the spec's caps and the caller's
+/// cancel token. Without a budget flag the ladder stops at the direct rung
+/// and the report keeps the classic style: the full Fig. 9 lasso, the
+/// optional starvation line, and exhaustion on stderr only.
+fn verify<A: ObjectAlgorithm, S: SequentialSpec>(
     alg: &A,
     seq: &AtomicSpec<S>,
     spec: &JobSpec,
     ctl: &RunCtl,
-    bound: Bound,
     non_blocking: bool,
     out: &mut RunOutput,
 ) -> i32 {
+    let budgeted = spec.budgeted();
+    let bound = Bound::new(spec.threads, spec.ops);
     let mut config = GovernedConfig::new(bound, budget_of(spec, ctl)).with_jobs(spec.jobs);
     if let Some(dir) = &ctl.spill_dir {
         config = config.with_spill_dir(dir);
@@ -394,35 +265,135 @@ fn verify_governed<A: ObjectAlgorithm, S: SequentialSpec>(
     if !spec.check_lock_freedom || !non_blocking {
         config = config.linearizability_only();
     }
-    if spec.no_fallback {
+    if spec.no_fallback || !budgeted {
         config = config.no_fallback();
     }
     let report = verify_case_governed(alg, seq, &config);
-    {
-        use std::fmt::Write as _;
-        let _ = write!(out.stdout, "{}", report.render());
+    if budgeted {
+        out.stdout.push_str(&report.render());
     }
-    if let Some(details) = &report.details {
-        outln!(out, "{}", details.summary());
-        if let Some(v) = &details.linearizability.violation {
-            outln!(out, "non-linearizable history:");
-            outln!(out, "  {}", v.to_pretty());
+    let (Some(details), Some(imp)) = (&report.details, &report.imp) else {
+        // No rung answered: the ladder's report says why, and a run
+        // without a budget flag says it on stderr only.
+        if budgeted {
+            return EXIT_INCONCLUSIVE;
         }
-        if let Some(lf) = &details.lock_freedom {
-            if let Some(lasso) = &lf.divergence {
-                outln!(
-                    out,
-                    "lock-freedom violation: τ-loop of {} step(s) after a {}-step prefix",
-                    lasso.cycle.len(),
-                    lasso.prefix.len()
-                );
+        let e = report.attempts.last().and_then(|a| a.failure.as_ref());
+        return inconclusive(e.expect("a rung that did not answer records its exhaustion"));
+    };
+    outln!(out, "{}", details.summary());
+    if let Some(v) = &details.linearizability.violation {
+        outln!(out, "non-linearizable history:");
+        outln!(out, "  {}", v.to_pretty());
+    }
+    if let Some(lasso) = details.lock_freedom.as_ref().and_then(|lf| lf.divergence.as_ref()) {
+        if budgeted {
+            outln!(
+                out,
+                "lock-freedom violation: τ-loop of {} step(s) after a {}-step prefix",
+                lasso.cycle.len(),
+                lasso.prefix.len()
+            );
+        } else {
+            outln!(out, "lock-freedom violation (τ-loop):");
+            for line in format_lasso(imp, lasso).lines() {
+                outln!(out, "  {line}");
             }
+        }
+    }
+    if spec.wait_freedom {
+        let wf = verify_wait_freedom(imp, spec.threads);
+        if wf.wait_free() {
+            outln!(out, "starvation : none under the bounded client");
+        } else {
+            outln!(out, "starvation : threads {:?} can spin forever", wf.starving_threads());
         }
     }
     match report.overall() {
         Verdict::Proved => EXIT_PROVED,
         Verdict::Refuted => EXIT_REFUTED,
         Verdict::Inconclusive { .. } => EXIT_INCONCLUSIVE,
+    }
+}
+
+/// `quotient`: Δ/≈ with its sizes, rendered as `.dot` and `.aut`.
+fn quotient<A: ObjectAlgorithm>(alg: &A, spec: &JobSpec, ctl: &RunCtl, out: &mut RunOutput) -> i32 {
+    // One watchdog meters every stage of the run, so the caller's cancel
+    // token and the spec's caps reach each of them.
+    let wd = Watchdog::new(budget_of(spec, ctl));
+    let popts = PartitionOptions::default().with_jobs(spec.jobs);
+    let imp = match explore_imp(alg, spec, ctl, &wd) {
+        Ok(l) => l,
+        Err(e) => return inconclusive(&e),
+    };
+    let p = match partition_governed_opts(&imp, Equivalence::Branching, &wd, popts) {
+        Ok(p) => p,
+        Err(e) => return inconclusive(&e),
+    };
+    let q = bb_bisim::quotient(&imp, &p);
+    outln!(out, "algorithm : {}", alg.name());
+    outln!(out, "bound     : {}-{}", spec.threads, spec.ops);
+    outln!(out, "|Δ|       : {}", imp.num_states());
+    outln!(out, "|Δ/≈|     : {}", q.lts.num_states());
+    outln!(
+        out,
+        "reduction : ×{:.1}",
+        imp.num_states() as f64 / q.lts.num_states() as f64
+    );
+    // Both artifacts are always rendered: the cache stores them so a
+    // later hit can honour paths the original invocation did not ask
+    // for, and the requested subset is written after dispatch.
+    out.artifacts.push(("dot".into(), to_dot(&q.lts, alg.name()).into_bytes()));
+    out.artifacts.push(("aut".into(), to_aut(&q.lts).into_bytes()));
+    EXIT_PROVED
+}
+
+/// `check`: an LTL formula model-checked on the divergence-preserving
+/// quotient of Δ.
+fn check<A: ObjectAlgorithm>(alg: &A, spec: &JobSpec, ctl: &RunCtl, out: &mut RunOutput) -> i32 {
+    let raw = spec.formula.as_deref().expect("a validated `check` has a formula");
+    let wd = Watchdog::new(budget_of(spec, ctl));
+    let popts = PartitionOptions::default().with_jobs(spec.jobs);
+    let imp = match explore_imp(alg, spec, ctl, &wd) {
+        Ok(l) => l,
+        Err(e) => return inconclusive(&e),
+    };
+    let formula = match bb_ltl::parse(raw) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("formula error {e}");
+            return EXIT_USAGE;
+        }
+    };
+    // Model check on the divergence-preserving quotient: it is
+    // ≈div-bisimilar to the object, so all next-free LTL carries over.
+    let q = match div_quotient_opts(&imp, &wd, popts) {
+        Ok(q) => q,
+        Err(e) => return inconclusive(&e),
+    };
+    let result = match bb_ltl::check_governed(&q.lts, &formula, &wd) {
+        Ok(r) => r,
+        Err(e) => return inconclusive(&e),
+    };
+    outln!(out, "algorithm : {}", alg.name());
+    outln!(out, "formula   : {formula}");
+    outln!(
+        out,
+        "checked on: divergence-preserving quotient ({} of {} states)",
+        q.lts.num_states(),
+        imp.num_states()
+    );
+    outln!(out, "holds     : {}", result.holds);
+    if let Some(ce) = &result.counterexample {
+        outln!(out, "counterexample:");
+        for line in ce.to_pretty().lines() {
+            outln!(out, "  {line}");
+        }
+    }
+    if result.holds {
+        EXIT_PROVED
+    } else {
+        EXIT_REFUTED
     }
 }
 

@@ -12,7 +12,7 @@
 //! makes the served-vs-direct differential tests possible: both paths run
 //! the exact same spec through the exact same runner.
 
-use bb_lts::{Budget, ExploreLimits, Jobs};
+use bb_lts::{Budget, Jobs};
 use bb_obs::json::{write_str, JsonValue};
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -118,8 +118,9 @@ impl Default for JobSpec {
 }
 
 impl JobSpec {
-    /// Whether any budget flag was given (switches `verify` to the governed
-    /// pipeline with the fallback ladder).
+    /// Whether any budget flag was given. A budgeted `verify` walks the
+    /// whole fallback ladder and prints the ladder's report; without a
+    /// flag it stops at the direct rung.
     pub fn budgeted(&self) -> bool {
         self.timeout.is_some()
             || self.max_states.is_some()
@@ -130,7 +131,7 @@ impl JobSpec {
     /// The declarative budget of this spec (fresh cancellation token; the
     /// runner swaps in the caller's token).
     pub fn budget(&self) -> Budget {
-        let defaults = ExploreLimits::default();
+        let defaults = Budget::default_caps();
         let mut b = Budget::unlimited()
             .with_max_states(self.max_states.unwrap_or(defaults.max_states))
             .with_max_transitions(self.max_transitions.unwrap_or(defaults.max_transitions));

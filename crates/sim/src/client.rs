@@ -4,8 +4,8 @@ use crate::algorithm::{MethodId, MethodSpec, ObjectAlgorithm, Outcome};
 use crate::pack::{Pack, PackReader, PackWriter};
 use bb_lts::budget::Exhausted;
 use bb_lts::{
-    explore, explore_compact, Action, CodecSemantics, ExploreError,
-    ExploreLimits, ExploreOptions, ExploreReport, Lts, Semantics, ThreadId,
+    explore_compact, explore_with, Action, CodecSemantics, ExploreOptions, ExploreReport, Lts,
+    Semantics, ThreadId,
 };
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -101,7 +101,7 @@ pub struct SysState<S, F> {
 /// The most general client driving an [`ObjectAlgorithm`]: `threads`
 /// concurrent threads repeatedly invoke arbitrary methods with arbitrary
 /// parameters, up to the bound. Implements [`Semantics`], so
-/// [`bb_lts::explore`] (or [`explore_system`]) unfolds it into the object
+/// [`bb_lts::explore_with`] (or [`explore_system`]) unfolds it into the object
 /// LTS of Definition 2.1.
 #[derive(Debug, Clone)]
 pub struct System<'a, A: ObjectAlgorithm> {
@@ -312,22 +312,18 @@ pub fn explore_system_report<A: ObjectAlgorithm>(
 }
 
 /// Unfolds the most general client of `alg` under `bound` into an explicit
-/// LTS, on the serial engine under plain [`ExploreLimits`].
+/// LTS, on the serial engine under the default caps.
 ///
-/// The seen-set holds the rich states themselves ([`bb_lts::explore`]), not
-/// their encodings, which makes this the reference that
+/// The seen-set holds the rich states themselves ([`bb_lts::explore_with`]),
+/// not their encodings, which makes this the reference that
 /// [`explore_system_with`]'s compact arena reproduces byte for byte.
 ///
 /// # Errors
 ///
-/// Returns [`ExploreError`] if the state space exceeds `limits`.
-pub fn explore_system<A: ObjectAlgorithm>(
-    alg: &A,
-    bound: Bound,
-    limits: ExploreLimits,
-) -> Result<Lts, ExploreError> {
-    let system = System::new(alg, bound);
-    explore(&system, limits)
+/// Returns [`Exhausted`] (stage `explore`) if the state space exceeds the
+/// default caps ([`bb_lts::Budget::default_caps`]).
+pub fn explore_system<A: ObjectAlgorithm>(alg: &A, bound: Bound) -> Result<Lts, Exhausted> {
+    explore_with(&System::new(alg, bound), &ExploreOptions::default())
 }
 
 #[cfg(test)]
@@ -409,8 +405,7 @@ mod tests {
 
     #[test]
     fn single_thread_is_sequential() {
-        let lts = explore_system(&TestCounter, Bound::new(1, 1), ExploreLimits::default())
-            .unwrap();
+        let lts = explore_system(&TestCounter, Bound::new(1, 1)).unwrap();
         // 1 thread, 1 op: call inc (τ, ret) or call read (ret).
         // States: init, inc-running(2 states), read-running(1), done-after
         // variants... just sanity-check shape.
@@ -426,8 +421,7 @@ mod tests {
         // With two concurrent incs and a final... actually verify that the
         // LTS contains a path where both incs read 0 (lost update) — i.e.
         // some read after two incs can still return 1.
-        let lts = explore_system(&TestCounter, Bound::new(2, 2), ExploreLimits::default())
-            .unwrap();
+        let lts = explore_system(&TestCounter, Bound::new(2, 2)).unwrap();
         let has_ret_1 = lts
             .actions()
             .iter()
@@ -437,8 +431,7 @@ mod tests {
 
     #[test]
     fn respects_ops_bound() {
-        let lts = explore_system(&TestCounter, Bound::new(1, 2), ExploreLimits::default())
-            .unwrap();
+        let lts = explore_system(&TestCounter, Bound::new(1, 2)).unwrap();
         // No trace can contain three calls; check max reads returned ≤ 2.
         assert!(lts
             .actions()
@@ -502,7 +495,7 @@ mod tests {
 
     #[test]
     fn blocked_threads_have_no_transitions_but_system_progresses() {
-        let lts = explore_system(&TestLock, Bound::new(2, 2), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&TestLock, Bound::new(2, 2)).unwrap();
         // Mutual exclusion never deadlocks here: from every reachable
         // non-terminal state there is at least one transition, and the
         // system has no τ-cycles (blocking is not spinning).
@@ -524,8 +517,7 @@ mod tests {
         // decode(encode(s)) == s and re-encoding is byte-stable for every
         // reachable state of the test objects.
         let system = System::new(&TestCounter, Bound::new(2, 2));
-        let lts = explore_system(&TestCounter, Bound::new(2, 2), ExploreLimits::default())
-            .unwrap();
+        let lts = explore_system(&TestCounter, Bound::new(2, 2)).unwrap();
         assert!(lts.num_states() > 10);
         // Walk the reachable set again via Semantics (the LTS doesn't keep
         // rich states) and round-trip each one.
@@ -556,9 +548,9 @@ mod tests {
         // The compact (packed-arena) seen-set must reproduce the rich
         // store's `.aut` bytes exactly, at any worker count.
         let bound = Bound::new(2, 2);
-        let rich = explore_system(&TestCounter, bound, ExploreLimits::default()).unwrap();
+        let rich = explore_system(&TestCounter, bound).unwrap();
         for jobs in [Jobs::serial(), Jobs::new(4)] {
-            let opts = ExploreOptions::limits(ExploreLimits::default()).with_jobs(jobs);
+            let opts = ExploreOptions::default().with_jobs(jobs);
             let lts = explore_system_with(&TestCounter, bound, &opts).unwrap();
             assert_eq!(
                 bb_lts::to_aut(&rich),
@@ -580,8 +572,7 @@ mod tests {
 
     #[test]
     fn tau_tags_are_recorded() {
-        let lts = explore_system(&TestCounter, Bound::new(1, 1), ExploreLimits::default())
-            .unwrap();
+        let lts = explore_system(&TestCounter, Bound::new(1, 1)).unwrap();
         assert!(lts
             .actions()
             .iter()

@@ -103,7 +103,6 @@ impl<S: SequentialSpec> ObjectAlgorithm for AtomicSpec<S> {
 mod tests {
     use super::*;
     use crate::client::{explore_system, Bound};
-    use bb_lts::ExploreLimits;
 
     /// Bounded sequential queue used as a specification.
     #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -145,7 +144,7 @@ mod tests {
     #[test]
     fn spec_methods_are_three_step() {
         let spec = AtomicSpec::new(SeqQueue { items: vec![] });
-        let lts = explore_system(&spec, Bound::new(1, 1), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&spec, Bound::new(1, 1)).unwrap();
         // Single thread, single op: each maximal path is call-τ-ret.
         // Paths: Enq(1), Enq(2), Deq → 3 calls from init.
         let init_succs = lts.successors(lts.initial());
@@ -158,7 +157,7 @@ mod tests {
     #[test]
     fn empty_queue_deq_returns_empty() {
         let spec = AtomicSpec::new(SeqQueue { items: vec![] });
-        let lts = explore_system(&spec, Bound::new(1, 1), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&spec, Bound::new(1, 1)).unwrap();
         assert!(lts.actions().iter().any(|a| {
             a.kind == bb_lts::ActionKind::Ret
                 && a.method.as_deref() == Some("Deq")
@@ -169,7 +168,7 @@ mod tests {
     #[test]
     fn fifo_order_in_spec() {
         let spec = AtomicSpec::new(SeqQueue { items: vec![] });
-        let lts = explore_system(&spec, Bound::new(1, 3), ExploreLimits::default()).unwrap();
+        let lts = explore_system(&spec, Bound::new(1, 3)).unwrap();
         // Sequential execution can return 1 and 2 from Deq, but never
         // returns 2 before any Enq(2)... sanity: both values appear.
         let ret_vals: std::collections::BTreeSet<_> = lts

@@ -17,7 +17,7 @@ use bbverify::algorithms::{
     treiber_hp_fu::TreiberHpFu,
 };
 use bbverify::core::{verify_case, VerifyConfig};
-use bbverify::lts::{ExploreLimits, Lts};
+use bbverify::lts::Lts;
 use bbverify::sim::{explore_system, AtomicSpec, Bound};
 
 /// Renders a divergence lasso in the CADP style of Fig. 9.
@@ -27,7 +27,7 @@ fn print_lasso(lts: &Lts, lasso: &bbverify::bisim::Lasso) {
     }
 }
 
-fn main() -> Result<(), bbverify::lts::ExploreError> {
+fn main() -> Result<(), bbverify::lts::Exhausted> {
     println!("=== bug 1: HW queue is not lock-free (3 threads, 1 op) ===");
     let bound = Bound::new(3, 1);
     let hw = HwQueue::for_bound(&[1], 3, 1);
@@ -40,7 +40,7 @@ fn main() -> Result<(), bbverify::lts::ExploreError> {
     let lf = report.lock_freedom.as_ref().unwrap();
     println!("lock-free   : {}", lf.lock_free);
     if let Some(lasso) = &lf.divergence {
-        let lts = explore_system(&hw, bound, ExploreLimits::default())?;
+        let lts = explore_system(&hw, bound)?;
         print_lasso(&lts, lasso);
     }
 
@@ -56,7 +56,7 @@ fn main() -> Result<(), bbverify::lts::ExploreError> {
     let lf = report.lock_freedom.as_ref().unwrap();
     println!("lock-free   : {}", lf.lock_free);
     if let Some(lasso) = &lf.divergence {
-        let lts = explore_system(&fu, bound, ExploreLimits::default())?;
+        let lts = explore_system(&fu, bound)?;
         println!("the error path ends in a self-loop re-reading the other");
         println!("thread's hazard pointer (tag F7):");
         print_lasso(&lts, lasso);

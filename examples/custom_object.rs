@@ -186,7 +186,7 @@ impl ObjectAlgorithm for CasCounter {
     }
 }
 
-fn main() -> Result<(), bbverify::lts::ExploreError> {
+fn main() -> Result<(), bbverify::lts::Exhausted> {
     let spec = AtomicSpec::new(SeqCounter(0));
     let config = VerifyConfig::new(Bound::new(2, 2));
 

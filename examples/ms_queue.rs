@@ -21,17 +21,15 @@ use bbverify::bisim::{bisimilar, partition, quotient, BisimCheck, Equivalence};
 use bbverify::core::{
     verify_linearizability, verify_lock_freedom, verify_lock_freedom_via_abstraction,
 };
-use bbverify::lts::ExploreLimits;
 use bbverify::sim::{explore_system, AtomicSpec, Bound};
 use std::collections::BTreeSet;
 
-fn main() -> Result<(), bbverify::lts::ExploreError> {
+fn main() -> Result<(), bbverify::lts::Exhausted> {
     let bound = Bound::new(2, 3);
-    let limits = ExploreLimits::default();
 
     println!("== 1. state-space generation ==");
-    let imp = explore_system(&MsQueue::new(&[1]), bound, limits)?;
-    let spec = explore_system(&AtomicSpec::new(SeqQueue::new(&[1])), bound, limits)?;
+    let imp = explore_system(&MsQueue::new(&[1]), bound)?;
+    let spec = explore_system(&AtomicSpec::new(SeqQueue::new(&[1])), bound)?;
     println!("Δ_MS  : {} states, {} transitions", imp.num_states(), imp.num_transitions());
     println!("Θsp   : {} states", spec.num_states());
 
@@ -65,7 +63,7 @@ fn main() -> Result<(), bbverify::lts::ExploreError> {
         "Theorem 5.9 (automatic): lock-free = {}   (Δ ≈div Δ/≈: {div})",
         lf.lock_free
     );
-    let abs = explore_system(&AbsQueue::new(&[1]), bound, limits)?;
+    let abs = explore_system(&AbsQueue::new(&[1]), bound)?;
     let via_abs = verify_lock_freedom_via_abstraction(&imp, &abs);
     println!(
         "Theorem 5.8 (abstract queue of Fig. 8): Δ ≈div ΔAbs = {}, ΔAbs lock-free = {} ⇒ lock-free = {:?}",

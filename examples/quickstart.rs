@@ -9,7 +9,7 @@ use bbverify::algorithms::{specs::SeqStack, treiber::Treiber};
 use bbverify::core::{verify_case, VerifyConfig};
 use bbverify::sim::{AtomicSpec, Bound};
 
-fn main() -> Result<(), bbverify::lts::ExploreError> {
+fn main() -> Result<(), bbverify::lts::Exhausted> {
     // The object under test: Treiber's lock-free stack, clients pushing 1/2.
     let algorithm = Treiber::new(&[1, 2]);
     // Its linearizable specification: a sequential stack, one atomic block

@@ -346,11 +346,13 @@ fn main_dispatch(args: &[String]) -> i32 {
 }
 
 /// `bbv resume <dir> [overrides]`: replay the argv recorded in the
-/// checkpoint at `dir`. The re-run installs the same checkpoint session,
-/// seeds every completed section, and converges to the byte-identical
-/// verdict of an uninterrupted run. Overrides are appended after the
-/// recorded flags, so later occurrences win (`bbv resume ckpt --timeout 60s`
-/// raises the budget that tripped the original run).
+/// checkpoint at `dir`. The re-run installs its checkpoint session at
+/// `dir` (the recorded `--checkpoint` value is replaced, so a moved or
+/// copied directory resumes itself), seeds every completed section, and
+/// converges to the byte-identical verdict of an uninterrupted run.
+/// Overrides are appended after the recorded flags, so later occurrences
+/// win (`bbv resume ckpt --timeout 60s` raises the budget that tripped the
+/// original run).
 fn resume(args: &[String]) -> i32 {
     let Some(dir) = args.first() else {
         eprintln!("usage: bbv resume <checkpoint-dir> [extra options]");
@@ -363,6 +365,10 @@ fn resume(args: &[String]) -> i32 {
     if argv.first().map(String::as_str) == Some("resume") {
         eprintln!("error: checkpoint in `{dir}` records a recursive resume; refusing");
         return EXIT_USAGE;
+    }
+    match argv.iter().position(|a| a == "--checkpoint") {
+        Some(i) if i + 1 < argv.len() => argv[i + 1] = dir.clone(),
+        _ => argv.extend(["--checkpoint".to_string(), dir.clone()]),
     }
     argv.extend(args[1..].iter().cloned());
     // Stderr only: the resumed run's stdout must stay byte-identical.

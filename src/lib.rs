@@ -33,7 +33,7 @@
 //! )?;
 //! assert!(report.linearizable());
 //! assert!(report.lock_free());
-//! # Ok::<(), bbverify::lts::ExploreError>(())
+//! # Ok::<(), bbverify::lts::Exhausted>(())
 //! ```
 
 pub use bb_algorithms as algorithms;

@@ -11,18 +11,13 @@ use bbverify::algorithms::rdcss::Rdcss;
 use bbverify::algorithms::specs::SeqStack;
 use bbverify::algorithms::treiber::Treiber;
 use bbverify::core::verify_lock_freedom_via_abstraction;
-use bbverify::lts::ExploreLimits;
 use bbverify::sim::{explore_system, AtomicSpec, Bound};
-
-fn lims() -> ExploreLimits {
-    ExploreLimits::default()
-}
 
 #[test]
 fn ms_queue_div_bisimilar_to_abstract_queue() {
     for bound in [Bound::new(2, 1), Bound::new(2, 2), Bound::new(2, 3)] {
-        let imp = explore_system(&MsQueue::new(&[1]), bound, lims()).unwrap();
-        let abs = explore_system(&AbsQueue::new(&[1]), bound, lims()).unwrap();
+        let imp = explore_system(&MsQueue::new(&[1]), bound).unwrap();
+        let abs = explore_system(&AbsQueue::new(&[1]), bound).unwrap();
         let r = verify_lock_freedom_via_abstraction(&imp, &abs);
         assert!(
             r.div_bisimilar,
@@ -38,8 +33,8 @@ fn ms_queue_div_bisimilar_to_abstract_queue() {
 #[test]
 fn dglm_queue_div_bisimilar_to_abstract_queue() {
     let bound = Bound::new(2, 2);
-    let imp = explore_system(&DglmQueue::new(&[1]), bound, lims()).unwrap();
-    let abs = explore_system(&AbsQueue::new(&[1]), bound, lims()).unwrap();
+    let imp = explore_system(&DglmQueue::new(&[1]), bound).unwrap();
+    let abs = explore_system(&AbsQueue::new(&[1]), bound).unwrap();
     let r = verify_lock_freedom_via_abstraction(&imp, &abs);
     assert!(r.div_bisimilar, "DGLM ≈div AbsQueue (same abstract object)");
     assert_eq!(r.concrete_lock_free, Some(true));
@@ -50,8 +45,8 @@ fn ms_and_dglm_share_the_same_quotient() {
     // Table VI: MS and DGLM map to the same quotient (Δ*≈). Equivalent
     // claim: MS ≈ DGLM.
     let bound = Bound::new(2, 2);
-    let ms = explore_system(&MsQueue::new(&[1]), bound, lims()).unwrap();
-    let dglm = explore_system(&DglmQueue::new(&[1]), bound, lims()).unwrap();
+    let ms = explore_system(&MsQueue::new(&[1]), bound).unwrap();
+    let dglm = explore_system(&DglmQueue::new(&[1]), bound).unwrap();
     assert!(bbverify::bisim::bisimilar(
         &ms,
         &dglm,
@@ -66,8 +61,8 @@ fn ccas_div_bisimilar_to_abstract_ccas() {
     // observable and the Theorem 5.9 route applies instead (see
     // EXPERIMENTS.md).
     let bound = Bound::new(2, 2);
-    let imp = explore_system(&Ccas::new(2), bound, lims()).unwrap();
-    let abs = explore_system(&AbsCcas::new(2), bound, lims()).unwrap();
+    let imp = explore_system(&Ccas::new(2), bound).unwrap();
+    let abs = explore_system(&AbsCcas::new(2), bound).unwrap();
     let r = verify_lock_freedom_via_abstraction(&imp, &abs);
     assert!(r.div_bisimilar, "CCAS ≈div AbsCcas");
     assert_eq!(r.concrete_lock_free, Some(true));
@@ -76,8 +71,8 @@ fn ccas_div_bisimilar_to_abstract_ccas() {
 #[test]
 fn rdcss_div_bisimilar_to_abstract_rdcss() {
     let bound = Bound::new(2, 2);
-    let imp = explore_system(&Rdcss::new(2), bound, lims()).unwrap();
-    let abs = explore_system(&AbsRdcss::new(2), bound, lims()).unwrap();
+    let imp = explore_system(&Rdcss::new(2), bound).unwrap();
+    let abs = explore_system(&AbsRdcss::new(2), bound).unwrap();
     let r = verify_lock_freedom_via_abstraction(&imp, &abs);
     assert!(r.div_bisimilar, "RDCSS ≈div AbsRdcss");
     assert_eq!(r.concrete_lock_free, Some(true));
@@ -88,8 +83,8 @@ fn fixed_lp_algorithm_abstract_is_its_spec() {
     // Section VI-C: for static LPs the abstract program coincides with the
     // specification. Treiber ≈div stack spec.
     let bound = Bound::new(2, 2);
-    let imp = explore_system(&Treiber::new(&[1]), bound, lims()).unwrap();
-    let abs = explore_system(&AtomicSpec::new(SeqStack::new(&[1])), bound, lims()).unwrap();
+    let imp = explore_system(&Treiber::new(&[1]), bound).unwrap();
+    let abs = explore_system(&AtomicSpec::new(SeqStack::new(&[1])), bound).unwrap();
     let r = verify_lock_freedom_via_abstraction(&imp, &abs);
     assert!(r.div_bisimilar);
     assert_eq!(r.concrete_lock_free, Some(true));

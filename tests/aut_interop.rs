@@ -3,20 +3,15 @@
 
 use bbverify::algorithms::{ms_queue::MsQueue, specs::SeqQueue};
 use bbverify::bisim::{bisimilar, partition, quotient, Equivalence};
-use bbverify::lts::{from_aut, to_aut, ExploreLimits};
+use bbverify::lts::{from_aut, to_aut};
 use bbverify::refine::trace_refines;
 use bbverify::sim::{explore_system, AtomicSpec, Bound};
 
 #[test]
 fn quotient_roundtrip_preserves_linearizability_verdict() {
     let bound = Bound::new(2, 2);
-    let imp = explore_system(&MsQueue::new(&[1]), bound, ExploreLimits::default()).unwrap();
-    let spec = explore_system(
-        &AtomicSpec::new(SeqQueue::new(&[1])),
-        bound,
-        ExploreLimits::default(),
-    )
-    .unwrap();
+    let imp = explore_system(&MsQueue::new(&[1]), bound).unwrap();
+    let spec = explore_system(&AtomicSpec::new(SeqQueue::new(&[1])), bound).unwrap();
 
     let q_imp = quotient(&imp, &partition(&imp, Equivalence::Branching));
     let q_spec = quotient(&spec, &partition(&spec, Equivalence::Branching));
@@ -36,12 +31,7 @@ fn quotient_roundtrip_preserves_linearizability_verdict() {
 #[test]
 fn full_system_roundtrip_preserves_divergence() {
     use bbverify::algorithms::hw_queue::HwQueue;
-    let lts = explore_system(
-        &HwQueue::for_bound(&[1], 2, 1),
-        Bound::new(2, 1),
-        ExploreLimits::default(),
-    )
-    .unwrap();
+    let lts = explore_system(&HwQueue::for_bound(&[1], 2, 1), Bound::new(2, 1)).unwrap();
     let rt = from_aut(&to_aut(&lts)).unwrap();
     assert!(bbverify::bisim::has_tau_cycle(&rt));
     assert!(bisimilar(&lts, &rt, Equivalence::BranchingDiv));

@@ -60,10 +60,20 @@ fn verify_bug_exits_nonzero_with_counterexample() {
 fn lock_freedom_violation_prints_loop() {
     let out = bbv(&["verify", "hw-queue", "--threads", "2", "--ops", "1", "--domain", "1"]);
     assert_eq!(out.status.code(), Some(1));
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("lock-free=✗"));
-    assert!(text.contains("τ-loop"));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), HW_QUEUE_2_1_REPORT);
 }
+
+/// The whole stdout of an unbudgeted `verify hw-queue --threads 2 --ops 1
+/// --domain 1`: the summary, then the full Fig. 9 lasso.
+const HW_QUEUE_2_1_REPORT: &str = "\
+HW queue                           2-1  lin=✓  lock-free=✗  |Δ|=73  |Δ/≈|=15
+lock-freedom violation (τ-loop):
+  <initial state>
+  \"t1.call.Deq\"
+  -- τ-loop (divergence) --
+  \"t1.tau[L3]\"
+  \"t1.tau[L5]\"
+";
 
 #[test]
 fn quotient_writes_dot_and_aut() {
@@ -219,9 +229,12 @@ fn wait_freedom_flag_reports_starvation() {
         "1",
         "--wait-freedom",
     ]);
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("starvation"), "{text}");
-    assert!(text.contains("spin forever"), "{text}");
+    assert_eq!(out.status.code(), Some(1));
+    let starvation = "starvation : threads [ThreadId(1), ThreadId(2)] can spin forever\n";
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!("{HW_QUEUE_2_1_REPORT}{starvation}")
+    );
 }
 
 /// `--wait-freedom` runs only on an unbudgeted `verify`. Anywhere else it

@@ -25,9 +25,8 @@ use bbverify::bisim::{
 };
 use bbverify::core::{verify_case_lts, VerifyConfig};
 use bbverify::lts::{
-    random_lts, tarjan_scc, to_aut, Action, Budget, ExhaustReason, ExploreLimits, Jobs, Lts,
-    LtsBuilder, Observation, RandomLtsConfig, Stage, StateId, TauClosure, ThreadId, Transition,
-    Watchdog,
+    random_lts, tarjan_scc, to_aut, Action, Budget, ExhaustReason, Jobs, Lts, LtsBuilder,
+    Observation, RandomLtsConfig, Stage, StateId, TauClosure, ThreadId, Transition, Watchdog,
 };
 use bbverify::refine::trace_refines;
 use bbverify::sim::{explore_system, AtomicSpec, Bound, ObjectAlgorithm};
@@ -175,7 +174,7 @@ fn assert_engines_agree(lts: &Lts, what: &str) {
 }
 
 fn lts_of<A: ObjectAlgorithm>(alg: &A, threads: u8, ops: u32) -> Lts {
-    explore_system(alg, Bound::new(threads, ops), ExploreLimits::default())
+    explore_system(alg, Bound::new(threads, ops))
         .unwrap_or_else(|e| panic!("exploration of {} exceeded limits: {e}", alg.name()))
 }
 

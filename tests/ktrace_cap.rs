@@ -5,11 +5,10 @@
 
 use bbverify::algorithms::{ccas::Ccas, newcas::NewCas, treiber::Treiber};
 use bbverify::ktrace::{cap, KtraceLimits};
-use bbverify::lts::ExploreLimits;
 use bbverify::sim::{explore_system, Bound, ObjectAlgorithm};
 
 fn cap_of<A: ObjectAlgorithm>(alg: &A, th: u8, op: u32) -> usize {
-    let lts = explore_system(alg, Bound::new(th, op), ExploreLimits::default()).unwrap();
+    let lts = explore_system(alg, Bound::new(th, op)).unwrap();
     cap(&lts, 20, KtraceLimits::default())
         .unwrap()
         .expect("hierarchy stabilizes")

@@ -15,11 +15,11 @@ use bbverify::algorithms::{
     rdcss::Rdcss, treiber::Treiber,
 };
 use bbverify::ktrace::{classify_tau_edges, KtraceLimits};
-use bbverify::lts::{ExploreLimits, Lts};
+use bbverify::lts::Lts;
 use bbverify::sim::{explore_system, Bound, ObjectAlgorithm};
 
 fn lts_of<A: ObjectAlgorithm>(alg: &A, threads: u8, ops: u32) -> Lts {
-    explore_system(alg, Bound::new(threads, ops), ExploreLimits::default()).unwrap()
+    explore_system(alg, Bound::new(threads, ops)).unwrap()
 }
 
 fn classify(lts: &Lts) -> (bool, bool) {

@@ -11,7 +11,7 @@
 use bbverify::algorithms::roster::{with_case, Case, ALGORITHMS};
 use bbverify::bisim::{bisimilar, partition, quotient, Equivalence, Lasso};
 use bbverify::core::verify_lock_freedom;
-use bbverify::lts::{ExploreLimits, Lts};
+use bbverify::lts::Lts;
 use bbverify::sim::{explore_system, AtomicSpec, Bound, ObjectAlgorithm, SequentialSpec};
 
 /// The non-blocking objects that Table II refutes; the others are
@@ -30,7 +30,7 @@ impl Case for Explore {
         _seq: &AtomicSpec<S>,
         _non_blocking: bool,
     ) -> Lts {
-        explore_system(alg, self.0, ExploreLimits::default())
+        explore_system(alg, self.0)
             .unwrap_or_else(|e| panic!("exploration of {} exceeded limits: {e}", alg.name()))
     }
 }

@@ -8,8 +8,8 @@
 use bbverify::algorithms::{ms_queue::MsQueue, specs::SeqStack, treiber::Treiber};
 use bbverify::bisim::{partition, partition_opts, Equivalence, PartitionOptions};
 use bbverify::lts::{
-    random_lts, to_aut, Budget, CancelToken, ExhaustReason, ExploreLimits, ExploreOptions, Jobs,
-    RandomLtsConfig, Watchdog,
+    random_lts, to_aut, Budget, CancelToken, ExhaustReason, ExploreOptions, Jobs, RandomLtsConfig,
+    Watchdog,
 };
 use bbverify::sim::{
     explore_system, explore_system_with, AtomicSpec, Bound,
@@ -75,19 +75,18 @@ fn partition_is_identical_at_any_worker_count_on_random_systems() {
 #[test]
 fn real_algorithms_explore_bit_identically_at_any_worker_count() {
     let bound = Bound::new(2, 2);
-    let limits = ExploreLimits::default();
 
     let treiber = Treiber::new(&[1, 2]);
     let ms = MsQueue::new(&[1]);
     let spec = AtomicSpec::new(SeqStack::new(&[1, 2]));
 
-    let seq_treiber = explore_system(&treiber, bound, limits).unwrap();
-    let seq_ms = explore_system(&ms, bound, limits).unwrap();
-    let seq_spec = explore_system(&spec, bound, limits).unwrap();
+    let seq_treiber = explore_system(&treiber, bound).unwrap();
+    let seq_ms = explore_system(&ms, bound).unwrap();
+    let seq_spec = explore_system(&spec, bound).unwrap();
 
     for jobs in [1, 2, 4] {
         let j = Jobs::new(jobs);
-        let opts = ExploreOptions::limits(limits).with_jobs(j);
+        let opts = ExploreOptions::default().with_jobs(j);
         let par_treiber = explore_system_with(&treiber, bound, &opts).unwrap();
         let par_ms = explore_system_with(&ms, bound, &opts).unwrap();
         let par_spec = explore_system_with(&spec, bound, &opts).unwrap();
@@ -145,7 +144,7 @@ fn cancellation_mid_parallel_exploration_is_prompt_and_structured() {
     let err = explore_system_with(&ms, bound, &ExploreOptions::governed(&wd).with_jobs(Jobs::new(4)))
         .expect_err("a pre-cancelled token must abort the exploration");
     assert_eq!(err.reason, ExhaustReason::Cancelled);
-    let full = explore_system(&ms, bound, ExploreLimits::default()).unwrap();
+    let full = explore_system(&ms, bound).unwrap();
     assert!(
         err.partial.states < full.num_states(),
         "cancellation must abort before the full state space is built \

@@ -94,6 +94,111 @@ fn fault_crash_then_resume_is_byte_identical_across_jobs() {
     }
 }
 
+/// `ms-queue 2-2` at `--jobs 1`, crashed by `round-abort:2` after both
+/// explorations and round 1 of Δ's partition were cut into `ckpt`
+/// (relative to `cwd`).
+fn crash_ms_queue_2_2(cwd: &Path, ckpt: &str) {
+    let crashed = Command::new(env!("CARGO_BIN_EXE_bbv"))
+        .args([
+            "verify", "ms-queue", "--threads", "2", "--ops", "2", "--jobs", "1",
+            "--checkpoint", ckpt, "--checkpoint-every", "1",
+        ])
+        .env("BB_FAULT", "round-abort:2")
+        .current_dir(cwd)
+        .output()
+        .expect("bbv runs");
+    assert!(!crashed.status.success(), "round-abort must kill the run");
+    assert!(cwd.join(ckpt).join("checkpoint.bbp").exists());
+}
+
+/// An unbudgeted run and a budgeted one name their checkpoint sections
+/// alike, so a crashed unbudgeted run resumed with a budget flag seeds both
+/// explored LTSs and the refinement round, and ends on the same summary.
+#[test]
+fn unbudgeted_crash_resumed_with_a_budget_flag_seeds_every_section() {
+    let base = bbv(&["verify", "ms-queue", "--threads", "2", "--ops", "2", "--jobs", "1"], &[]);
+    assert_eq!(base.status.code(), Some(0));
+
+    let root = tmp_dir("budget-resume");
+    std::fs::create_dir_all(&root).unwrap();
+    crash_ms_queue_2_2(&root, "ck");
+    let metrics = root.join("m.json");
+    let resumed = bbv(
+        &[
+            "resume", root.join("ck").to_str().unwrap(), "--timeout", "600s",
+            "--metrics", metrics.to_str().unwrap(),
+        ],
+        &[],
+    );
+    assert_eq!(
+        resumed.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    assert_eq!(counter(&metrics, "persist.seed_hits"), 3);
+    assert_eq!(
+        stdout_of(&resumed).lines().last(),
+        stdout_of(&base).lines().last(),
+        "the budgeted resume ends on the uninterrupted summary line"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `bbv resume DIR` runs its session in `DIR`, whatever `--checkpoint`
+/// path the crashed run recorded: a copied checkpoint advances the copy
+/// and leaves the original alone, and a relative `--checkpoint` resumes
+/// from any working directory.
+#[test]
+fn resume_runs_in_the_named_directory() {
+    let base = bbv(&["verify", "ms-queue", "--threads", "2", "--ops", "2", "--jobs", "1"], &[]);
+    assert_eq!(base.status.code(), Some(0));
+
+    let root = tmp_dir("resume-dir");
+    std::fs::create_dir_all(root.join("elsewhere")).unwrap();
+    crash_ms_queue_2_2(&root, "ck");
+    let original = std::fs::read(root.join("ck/checkpoint.bbp")).unwrap();
+    std::fs::create_dir_all(root.join("ck2")).unwrap();
+    for entry in std::fs::read_dir(root.join("ck")).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, root.join("ck2").join(path.file_name().unwrap())).unwrap();
+    }
+
+    let resume_in = |cwd: &Path, dir: &str, metrics: &Path| {
+        let resumed = Command::new(env!("CARGO_BIN_EXE_bbv"))
+            .args(["resume", dir, "--metrics", metrics.to_str().unwrap()])
+            .current_dir(cwd)
+            .output()
+            .expect("bbv runs");
+        assert_eq!(
+            resumed.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&resumed.stderr)
+        );
+        assert_eq!(
+            mask_durations(&stdout_of(&resumed)),
+            mask_durations(&stdout_of(&base)),
+            "resume of {dir}"
+        );
+        assert_eq!(counter(metrics, "persist.seed_hits"), 3, "resume of {dir}");
+    };
+
+    let unchanged =
+        |dir: &str| std::fs::read(root.join(dir).join("checkpoint.bbp")).unwrap() == original;
+
+    resume_in(&root, "ck2", &root.join("m2.json"));
+    assert!(unchanged("ck"), "resuming the copy must leave the original untouched");
+    assert!(!unchanged("ck2"), "the resumed copy must advance");
+
+    // From another working directory, where the recorded relative `ck`
+    // names nothing.
+    resume_in(&root.join("elsewhere"), "../ck", &root.join("m.json"));
+    assert!(!unchanged("ck"), "the resumed original must advance");
+    assert!(!root.join("elsewhere/ck").exists(), "no session at the recorded path");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn sigkill_mid_run_then_resume_matches_uninterrupted() {
     let base = bbv(

@@ -5,13 +5,12 @@
 
 use bbverify::algorithms::{dglm_queue::DglmQueue, ms_queue::MsQueue, treiber::Treiber};
 use bbverify::bisim::{partition, quotient, Equivalence};
-use bbverify::lts::ExploreLimits;
 use bbverify::refine::trace_equivalent;
 use bbverify::sim::{explore_system, Bound, ObjectAlgorithm};
 use std::collections::BTreeSet;
 
 fn surviving_tags<A: ObjectAlgorithm>(alg: &A, th: u8, op: u32) -> BTreeSet<String> {
-    let lts = explore_system(alg, Bound::new(th, op), ExploreLimits::default()).unwrap();
+    let lts = explore_system(alg, Bound::new(th, op)).unwrap();
     let p = partition(&lts, Equivalence::Branching);
     let q = quotient(&lts, &p);
     q.lts
@@ -64,13 +63,11 @@ fn quotient_preserves_traces_of_real_systems() {
     for (name, lts) in [
         (
             "treiber",
-            explore_system(&Treiber::new(&[1]), Bound::new(2, 2), ExploreLimits::default())
-                .unwrap(),
+            explore_system(&Treiber::new(&[1]), Bound::new(2, 2)).unwrap(),
         ),
         (
             "ms-queue",
-            explore_system(&MsQueue::new(&[1]), Bound::new(2, 1), ExploreLimits::default())
-                .unwrap(),
+            explore_system(&MsQueue::new(&[1]), Bound::new(2, 1)).unwrap(),
         ),
     ] {
         let p = partition(&lts, Equivalence::Branching);

@@ -63,6 +63,7 @@ fn the_run_watchdog_reaches_every_stage() {
     // LTL stage, so the cap is what reaches its `≈div` quotient.
     let seeded = [
         ("verify, cancelled", spec(Command::Verify), true),
+        ("verify, capped", capped(Command::Verify, 1000), false),
         ("quotient, cancelled", spec(Command::Quotient), true),
         ("quotient, capped", capped(Command::Quotient, 1000), false),
         ("check, capped", capped(Command::Check, 1000), false),
@@ -70,7 +71,8 @@ fn the_run_watchdog_reaches_every_stage() {
     for (case, rerun, cancelled) in seeded {
         let dir = root.join(rerun.command.as_str());
         // The seed is the same job unbudgeted. `config_tag` leaves budgets
-        // out, so the capped rerun reads the sections the seed saved.
+        // out, and a budgeted and an unbudgeted run name their sections
+        // alike, so the capped rerun reads the sections the seed saved.
         let seed = JobSpec {
             max_states: None,
             ..rerun.clone()

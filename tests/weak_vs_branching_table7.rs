@@ -13,11 +13,11 @@ use bbverify::algorithms::{
     treiber::Treiber,
 };
 use bbverify::bisim::{bisimilar, partition, BisimCheck, Equivalence};
-use bbverify::lts::{ExploreLimits, Lts};
+use bbverify::lts::Lts;
 use bbverify::sim::{explore_system, AtomicSpec, Bound, ObjectAlgorithm};
 
 fn lts_of<A: ObjectAlgorithm>(alg: &A, threads: u8, ops: u32) -> Lts {
-    explore_system(alg, Bound::new(threads, ops), ExploreLimits::default()).unwrap()
+    explore_system(alg, Bound::new(threads, ops)).unwrap()
 }
 
 #[test]
